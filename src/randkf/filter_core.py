@@ -111,7 +111,11 @@ def constant_provider(model: StepModel) -> ModelProvider:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Posterior mean/covariance plus the unconditional second moment."""
+    """Posterior mean/covariance plus the unconditional second moment.
+
+    ``mean`` is (r,), or (runs, r) with one row per run; ``cov`` and
+    ``second_moment`` are data-independent and shared by all runs.
+    """
 
     step: int
     mean: np.ndarray
@@ -134,6 +138,12 @@ def init(ic: InitialCondition) -> FilterState:
                        second_moment=x0)
 
 
+def _require_finite(step: int, **mats: np.ndarray) -> None:
+    for name, a in mats.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} is not finite at step {step}")
+
+
 def predict(s: FilterState | PredictedState, m: StepModel) -> PredictedState:
     """Time update through the random transition matrix.
 
@@ -142,13 +152,13 @@ def predict(s: FilterState | PredictedState, m: StepModel) -> PredictedState:
     and the unconditional second moment through its own recursion.
     """
     Fbar = m.F.mean
-    if Fbar.shape[1] != s.mean.size:
+    if Fbar.shape[1] != s.mean.shape[-1]:
         raise ValueError("state dimension does not match transition matrix")
     qf = quad_form(m.F, s.second_moment)
-    mean = Fbar @ s.mean
     cov = symmetrize(Fbar @ s.cov @ Fbar.T + m.Rv + qf)
     second = symmetrize(Fbar @ s.second_moment @ Fbar.T + qf + m.Rv)
-    return PredictedState(step=s.step + 1, mean=mean, cov=cov,
+    _require_finite(s.step + 1, P=cov, X=second)
+    return PredictedState(step=s.step + 1, mean=s.mean @ Fbar.T, cov=cov,
                           second_moment=second)
 
 
@@ -171,24 +181,26 @@ def update(p: PredictedState, y, m: StepModel, *,
     """Measurement update with the random measurement matrix.
 
     The innovation covariance uses Rw + E(H~ X H~^T) evaluated at the
-    predicted second moment.  The second moment itself is unconditional
+    predicted second moment; it and the gain serve every run (row) of
+    the mean and of ``y``.  The second moment itself is unconditional
     and passes through unchanged.
     """
-    y = np.asarray(y, dtype=float).ravel()
+    y = np.atleast_1d(np.asarray(y, dtype=float))
     Hbar = m.H.mean
-    if y.size != Hbar.shape[0]:
+    if y.shape[-1] != Hbar.shape[0]:
         raise ValueError("measurement dimension mismatch")
-    if Hbar.shape[1] != p.mean.size:
+    if Hbar.shape[1] != p.mean.shape[-1]:
         raise ValueError("state dimension does not match measurement matrix")
     Rw_eff = m.Rw + quad_form(m.H, p.second_moment)
     S = symmetrize(Hbar @ p.cov @ Hbar.T + Rw_eff)
+    _require_finite(p.step, measurement=y, S=S)
     K = _gain(p.cov, Hbar, S)
-    mean = p.mean + K @ (y - Hbar @ p.mean)
+    mean = p.mean + (y - p.mean @ Hbar.T) @ K.T
     if joseph:
-        A = np.eye(p.mean.size) - K @ Hbar
+        A = np.eye(Hbar.shape[1]) - K @ Hbar
         cov = A @ p.cov @ A.T + K @ Rw_eff @ K.T
     else:
-        cov = (np.eye(p.mean.size) - K @ Hbar) @ p.cov
+        cov = (np.eye(Hbar.shape[1]) - K @ Hbar) @ p.cov
     return FilterState(step=p.step, mean=mean, cov=symmetrize(cov),
                        second_moment=p.second_moment)
 
@@ -203,20 +215,34 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
                     joseph: bool = False) -> list[FilterState]:
     """Run the filter over measurements y_0 ... y_K.
 
-    y_0 is absorbed by a measurement-only update of the prior at step 0
-    (the prior plays the role of the step-0 prediction); each later y_k
-    follows a predict through provider(k-1) and an update with
-    provider(k)'s measurement model.
+    ``measurements`` is (K+1, N), or (runs, K+1, N) for runs of one model
+    sequence; the state means then carry the run axis.  y_0 is absorbed
+    by a measurement-only update of the prior at step 0 (the prior plays
+    the role of the step-0 prediction); each later y_k follows a predict
+    through provider(k-1) and an update with provider(k)'s measurement
+    model.  A non-finite measurement, P, X or S raises a ValueError that
+    names its step.
     """
-    measurements = [np.asarray(y, dtype=float).ravel() for y in measurements]
-    if not measurements:
-        raise ValueError("need at least one measurement")
+    ys = np.asarray(measurements, dtype=float)
+    if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
+        raise ValueError("need (K+1, N) or (runs, K+1, N) measurements")
+    return _recursion(provider, ic, ys, joseph=joseph)
+
+
+def _recursion(provider: ModelProvider, ic: InitialCondition, ys: np.ndarray,
+               *, joseph: bool = False) -> list[FilterState]:
+    """P/X/S/K once per step, and the mean of every run in ys (..., K+1, N).
+
+    With no runs (an empty leading axis) only the data-independent part
+    is left.
+    """
     provider = memoized(provider)
     s0 = init(ic)
-    prior = PredictedState(step=0, mean=s0.mean, cov=s0.cov,
+    mean = np.broadcast_to(s0.mean, ys.shape[:-2] + s0.mean.shape)
+    prior = PredictedState(step=0, mean=mean, cov=s0.cov,
                            second_moment=s0.second_moment)
-    states = [update(prior, measurements[0], provider(0), joseph=joseph)]
-    for k, y in enumerate(measurements[1:], start=1):
+    states = [update(prior, ys[..., 0, :], provider(0), joseph=joseph)]
+    for k in range(1, ys.shape[-2]):
         p = predict(states[-1], provider(k - 1))
-        states.append(update(p, y, provider(k), joseph=joseph))
+        states.append(update(p, ys[..., k, :], provider(k), joseph=joseph))
     return states

@@ -16,7 +16,7 @@ and serves as the internal cross-check of the tensor path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,16 +35,17 @@ class MatrixDist:
     """Finite distribution over matrices of a common shape.
 
     ``samples`` is a tuple of p-by-q arrays, ``probs`` the matching
-    probability vector (nonnegative, summing to one).
+    probability vector (nonnegative, summing to one).  ``stacked`` is
+    the (l, p, q) array whose rows the samples are.
     """
 
     samples: tuple[np.ndarray, ...]
     probs: np.ndarray
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = tuple(_frozen(np.atleast_2d(s)) for s in self.samples)
         probs = _frozen(np.asarray(self.probs, dtype=float).ravel())
-        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "probs", probs)
         if len(samples) < 1:
             raise ValueError("MatrixDist needs at least one sample")
@@ -63,6 +64,11 @@ class MatrixDist:
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        stacked = np.stack(samples)
+        stacked.setflags(write=False)
+        object.__setattr__(self, "stacked", stacked)
+        # the samples become views of the stack, so their data is held once
+        object.__setattr__(self, "samples", tuple(stacked))
 
     @classmethod
     def of(cls, pairs) -> "MatrixDist":
@@ -133,9 +139,8 @@ def deterministic(matrix) -> RandomMatrixSpec:
 
 
 def _dist_moments(dist: MatrixDist) -> tuple[np.ndarray, np.ndarray]:
-    stack = np.stack(dist.samples)  # (l, p, q)
-    mean = np.einsum("t,tij->ij", dist.probs, stack)
-    devs = stack - mean
+    mean = np.einsum("t,tij->ij", dist.probs, dist.stacked)
+    devs = dist.stacked - mean
     dev_cov = np.einsum("t,tij,tmn->ijmn", dist.probs, devs, devs)
     return mean, dev_cov
 
@@ -177,14 +182,21 @@ def quad_form_discrete(dist: MatrixDist, X) -> np.ndarray:
     two paths cross-check each other.
     """
     X = _check_quad_input(dist.shape, X)
-    stack = np.stack(dist.samples)
-    mean = np.einsum("t,tij->ij", dist.probs, stack)
-    devs = stack - mean
+    mean = np.einsum("t,tij->ij", dist.probs, dist.stacked)
+    devs = dist.stacked - mean
     out = np.einsum("t,tij,jk,tlk->il", dist.probs, devs, X, devs)
     return 0.5 * (out + out.T)
 
 
-def sample_matrix(dist: MatrixDist, rng: np.random.Generator) -> np.ndarray:
-    """Draw one sample matrix; identical seeds yield identical draws."""
-    idx = rng.choice(len(dist.samples), p=dist.probs)
-    return np.array(dist.samples[idx])
+def sample_matrix(dist: MatrixDist, rng: np.random.Generator,
+                  size: int | None = None) -> np.ndarray:
+    """Draw one sample matrix, or a (size, p, q) stack of them.
+
+    Identical seeds yield identical draws.  This is ``rng.choice``'s
+    inverse-CDF draw without its validation of ``probs``, which costs
+    several times the draw.
+    """
+    cdf = dist.probs.cumsum()
+    cdf /= cdf[-1]
+    return dist.stacked.take(cdf.searchsorted(rng.random(size), "right"),
+                             axis=0)

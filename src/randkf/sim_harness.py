@@ -17,15 +17,12 @@ from .filter_core import (
     FilterState,
     InitialCondition,
     ModelProvider,
-    PredictedState,
     StepModel,
+    _recursion,
     deterministic_model,
     filter_sequence,
-    init,
     memoized,
-    predict,
     symmetrize,
-    update,
 )
 from .random_matrix import quad_form, sample_matrix
 
@@ -34,13 +31,13 @@ MAX_ORACLE_HORIZON = 4
 
 @dataclass(frozen=True)
 class TruthTrajectory:
-    """One sampled realization of the generative model."""
+    """Sampled realizations; from a list of seeds, with a run axis first."""
 
-    states: np.ndarray        # (K+1, r)
-    realized_F: np.ndarray    # (K, r, r)
-    realized_H: np.ndarray    # (K+1, N, r)
-    measurements: np.ndarray  # (K+1, N)
-    seed: int
+    states: np.ndarray        # ([runs,] K+1, r)
+    realized_F: np.ndarray    # ([runs,] K, r, r)
+    realized_H: np.ndarray    # ([runs,] K+1, N, r)
+    measurements: np.ndarray  # ([runs,] K+1, N)
+    seed: int | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -64,18 +61,53 @@ def _gauss_factor(cov: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _draw(rng: np.random.Generator, mean: np.ndarray,
-          factor: np.ndarray) -> np.ndarray:
-    return mean + factor @ rng.standard_normal(factor.shape[1])
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # per-run matrix-vector products; a run's result is bit-identical
+    # however many runs share the call
+    return np.einsum("...ij,...j->...i", A, x)
+
+
+def _draw_groups(specs: Sequence) -> list:
+    # (distribution, steps) of the steps whose matrix has a source
+    # distribution, grouped by its content; one draw per run covers each
+    groups: dict = {}
+    for k, spec in enumerate(specs):
+        if (dist := spec.source) is not None:
+            key = (dist.stacked.tobytes(), dist.probs.tobytes())
+            groups.setdefault(key, (dist, []))[1].append(k)
+    return list(groups.values())
 
 
 def simulate_truth(provider: ModelProvider, ic: InitialCondition,
-                   K: int, seed: int) -> TruthTrajectory:
-    """Sample states, realized matrices and measurements for steps 0..K."""
+                   K: int, seed: int | Sequence[int]) -> TruthTrajectory:
+    """Sample states, realized matrices and measurements for steps 0..K.
+
+    ``seed`` is one seed, or a list of per-run seeds for arrays with a run
+    axis.  Each run's generator draws its whole block (the indices of its
+    random H, then F, matrices, then the normals of x_0 and every noise),
+    so a run depends on its own seed only.  A matrix without a source
+    distribution takes its mean.
+    """
     if K < 1:
         raise ValueError("need K >= 1")
     provider = memoized(provider)
-    rng = np.random.default_rng(seed)
+    models = [provider(k) for k in range(K + 1)]
+    seeds = list(seed) if np.ndim(seed) else [seed]
+    runs, r, N = len(seeds), ic.mean.size, models[0].H.shape[0]
+    Hs = np.repeat([[m.H.mean for m in models]], runs, axis=0)
+    Fs = np.repeat([[m.F.mean for m in models[:K]]], runs, axis=0)
+    draws = [(Hs, _draw_groups([m.H for m in models])),
+             (Fs, _draw_groups([m.F for m in models[:K]]))]
+    z = np.empty((runs, r + (K + 1) * N + K * r))
+    for i, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        for out, groups in draws:
+            for dist, steps in groups:
+                out[i, steps] = sample_matrix(dist, rng, size=len(steps))
+        z[i] = rng.standard_normal(z.shape[1])
+    z0, zw, zv = np.split(z, [r, r + (K + 1) * N], axis=1)
+    zw, zv = zw.reshape(runs, K + 1, N), zv.reshape(runs, K, r)
+
     factors: dict[bytes, np.ndarray] = {}
 
     def factor_of(cov: np.ndarray) -> np.ndarray:
@@ -84,40 +116,32 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
             factors[key] = _gauss_factor(cov)
         return factors[key]
 
-    x = _draw(rng, ic.mean, factor_of(ic.cov))
-    states, Fs, Hs, ys = [x], [], [], []
-    for k in range(K + 1):
-        m = provider(k)
-        H = sample_matrix(m.H.source, rng) if m.H.source is not None \
-            else np.array(m.H.mean)
-        y = _draw(rng, H @ x, factor_of(m.Rw))
-        Hs.append(H)
-        ys.append(y)
+    states = np.empty((runs, K + 1, r))
+    ys = np.empty((runs, K + 1, N))
+    x = ic.mean + _mv(factor_of(ic.cov), z0)
+    for k, m in enumerate(models):
+        states[:, k] = x
+        ys[:, k] = _mv(Hs[:, k], x) + _mv(factor_of(m.Rw), zw[:, k])
         if k < K:
-            F = sample_matrix(m.F.source, rng) if m.F.source is not None \
-                else np.array(m.F.mean)
-            x = _draw(rng, F @ x, factor_of(m.Rv))
-            Fs.append(F)
-            states.append(x)
-    return TruthTrajectory(states=np.array(states), realized_F=np.array(Fs),
-                           realized_H=np.array(Hs),
-                           measurements=np.array(ys), seed=seed)
+            x = _mv(Fs[:, k], x) + _mv(factor_of(m.Rv), zv[:, k])
+    if np.ndim(seed):
+        return TruthTrajectory(states, Fs, Hs, ys, tuple(seeds))
+    return TruthTrajectory(states[0], Fs[0], Hs[0], ys[0], seed)
 
 
-def nees(err: np.ndarray, cov: np.ndarray) -> float:
-    return float(err @ np.linalg.pinv(cov) @ err)
+def nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """e^T P^+ e, broadcast: errors (runs, K+1, r) against the shared
+    covariances (K+1, r, r) take one pseudo-inverse per step."""
+    return np.einsum("...i,...ij,...j->...", err, np.linalg.pinv(cov), err)
 
 
 def run_filter_on(traj: TruthTrajectory, provider: ModelProvider,
                   ic: InitialCondition):
     """Filter the recorded measurements; report squared errors and NEES."""
     states = filter_sequence(provider, ic, traj.measurements)
-    means = np.array([s.mean for s in states])
+    errs = np.stack([s.mean for s in states], axis=-2) - traj.states
     covs = np.array([s.cov for s in states])
-    errs = means - traj.states
-    sq_err = np.sum(errs ** 2, axis=1)
-    step_nees = np.array([nees(e, P) for e, P in zip(errs, covs)])
-    return states, sq_err, step_nees
+    return states, np.sum(errs ** 2, axis=-1), nees(errs, covs)
 
 
 Estimator = Callable[[TruthTrajectory], tuple[np.ndarray, np.ndarray]]
@@ -129,30 +153,26 @@ def monte_carlo(provider: ModelProvider, ic: InitialCondition, K: int,
                 estimator: Estimator | None = None) -> RunMetrics:
     """Average squared error and NEES over independent seeded runs.
 
-    ``filter_provider`` lets a mismatched filter (e.g. a naive standard
-    KF that ignores parameter randomness) run against truth sampled from
-    ``provider``.  ``estimator`` overrides the filter entirely and must
-    return per-step means and covariances.
+    All runs are sampled as one trajectory with a run axis and filtered
+    in one pass.  ``filter_provider`` lets a mismatched filter (e.g. a
+    naive standard KF that ignores parameter randomness) run against
+    truth sampled from ``provider``.  ``estimator`` overrides the filter
+    entirely: it maps that trajectory to means shaped like its states
+    and covariances that broadcast against them.
     """
     if runs < 1:
         raise ValueError("need runs >= 1")
     provider = memoized(provider)
-    fp = memoized(filter_provider) if filter_provider is not None else provider
-    sq_sum = np.zeros(K + 1)
-    nees_sum = np.zeros(K + 1)
-    for seed in derive_run_seeds(base_seed, runs):
-        traj = simulate_truth(provider, ic, K, seed)
-        if estimator is not None:
-            means, covs = estimator(traj)
-            errs = means - traj.states
-            sq = np.sum(errs ** 2, axis=1)
-            nn = np.array([nees(e, P) for e, P in zip(errs, covs)])
-        else:
-            _, sq, nn = run_filter_on(traj, fp, ic)
-        sq_sum += sq
-        nees_sum += nn
-    return RunMetrics(per_step_sq_error=sq_sum / runs,
-                      per_step_nees=nees_sum / runs, runs=runs)
+    traj = simulate_truth(provider, ic, K, derive_run_seeds(base_seed, runs))
+    if estimator is not None:
+        means, covs = estimator(traj)
+        errs = means - traj.states
+        sq, nn = np.sum(errs ** 2, axis=-1), nees(errs, covs)
+    else:
+        fp = filter_provider if filter_provider is not None else provider
+        _, sq, nn = run_filter_on(traj, fp, ic)
+    return RunMetrics(per_step_sq_error=sq.mean(axis=0),
+                      per_step_nees=nn.mean(axis=0), runs=runs)
 
 
 def naive_kf_provider(provider: ModelProvider) -> ModelProvider:
@@ -242,18 +262,10 @@ def batch_lmv_oracle(provider: ModelProvider, ic: InitialCondition,
 
 def covariance_recursion(provider: ModelProvider, ic: InitialCondition,
                          K: int) -> list[FilterState]:
-    """Data-independent P/X recursion (feeds zero-innovation measurements)."""
+    """Data-independent P/X recursion: the filter's, for zero runs."""
     provider = memoized(provider)
-    s0 = init(ic)
-    prior = PredictedState(step=0, mean=s0.mean, cov=s0.cov,
-                           second_moment=s0.second_moment)
-    m0 = provider(0)
-    states = [update(prior, m0.H.mean @ s0.mean, m0)]
-    for k in range(1, K + 1):
-        p = predict(states[-1], provider(k - 1))
-        mk = provider(k)
-        states.append(update(p, mk.H.mean @ p.mean, mk))
-    return states
+    N = provider(0).H.shape[0]
+    return _recursion(provider, ic, np.empty((0, K + 1, N)))
 
 
 def gamma_sweep(model_for_gamma: Callable[[float], tuple[ModelProvider,
@@ -275,40 +287,18 @@ def gamma_sweep(model_for_gamma: Callable[[float], tuple[ModelProvider,
 
 def sample_converted_noises(provider: ModelProvider, ic: InitialCondition,
                             K: int, n: int, seed: int):
-    """Vectorized draws of the converted-system noises for moment checks.
+    """Draws of the converted-system noises for moment checks.
 
     Returns (x0, nu_tilde, omega_tilde) with shapes (n, r), (n, K, r) and
     (n, K+1, N), where nu_tilde_k = x_{k+1} - Fbar_k x_k and
-    omega_tilde_k = y_k - Hbar_k x_k across n independent trajectories.
+    omega_tilde_k = y_k - Hbar_k x_k across n trajectories that
+    simulate_truth samples from per-run seeds derived from ``seed``.
     """
-    rng = np.random.default_rng(seed)
-    r = ic.mean.size
-    x = ic.mean + rng.standard_normal((n, r)) @ _gauss_factor(ic.cov).T
-    x0 = x.copy()
-    models = [provider(k) for k in range(K + 1)]
-    N = models[0].H.shape[0]
-    nu = np.zeros((n, K, r))
-    om = np.zeros((n, K + 1, N))
-    for k in range(K + 1):
-        m = models[k]
-        if m.H.source is not None:
-            stack = np.stack(m.H.source.samples)
-            idx = rng.choice(len(stack), size=n, p=m.H.source.probs)
-            Hreal = stack[idx]
-        else:
-            Hreal = np.broadcast_to(m.H.mean, (n,) + m.H.shape)
-        w = rng.standard_normal((n, N)) @ _gauss_factor(m.Rw).T
-        y = np.einsum("nij,nj->ni", Hreal, x) + w
-        om[:, k] = y - x @ m.H.mean.T
-        if k < K:
-            if m.F.source is not None:
-                stack = np.stack(m.F.source.samples)
-                idx = rng.choice(len(stack), size=n, p=m.F.source.probs)
-                Freal = stack[idx]
-            else:
-                Freal = np.broadcast_to(m.F.mean, (n, r, r))
-            v = rng.standard_normal((n, r)) @ _gauss_factor(m.Rv).T
-            x_next = np.einsum("nij,nj->ni", Freal, x) + v
-            nu[:, k] = x_next - x @ m.F.mean.T
-            x = x_next
-    return x0, nu, om
+    provider = memoized(provider)
+    traj = simulate_truth(provider, ic, K, derive_run_seeds(seed, n))
+    Fbar = np.array([provider(k).F.mean for k in range(K)])
+    Hbar = np.array([provider(k).H.mean for k in range(K + 1)])
+    x = traj.states
+    nu = x[:, 1:] - np.einsum("kij,nkj->nki", Fbar, x[:, :-1])
+    om = traj.measurements - np.einsum("kij,nkj->nki", Hbar, x)
+    return x[:, 0], nu, om

@@ -112,6 +112,20 @@ class TestRunModes:
         assert code != 0
         assert "header" in capsys.readouterr().err
 
+    def test_filter_non_finite_measurement_fails_with_step(self, tmp_path,
+                                                          capsys):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(MINIMAL)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("y1,y2\n1.0,2.0\n0.5,nan\n1.5,0.5\n")
+        out = tmp_path / "out"
+        code = main(["filter", "--config", str(cfg_file), "--out", str(out),
+                     "--measurements", str(bad)])
+        assert code == 1
+        assert "error: measurement is not finite at step 1" in \
+            capsys.readouterr().err
+        assert not (out / "estimates.csv").exists()
+
     def test_montecarlo_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

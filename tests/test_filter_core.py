@@ -186,6 +186,23 @@ class TestStep:
             np.testing.assert_allclose(a.cov, b.cov, rtol=1e-9, atol=1e-10)
 
 
+def test_batched_filter_matches_per_run_calls(rng):
+    # one pass over (runs, K+1, N) measurements against one call per run
+    runs, K, r, N = 7, 40, 3, 2
+    m = rand_random_model(rng, r, N)
+    ic = rand_ic(rng, r)
+    ys = 3 * rng.standard_normal((runs, K + 1, N))
+    batched = filter_sequence(lambda k: m, ic, ys)
+    for i in range(runs):
+        single = filter_sequence(lambda k: m, ic, ys[i])
+        for b, s in zip(batched, single, strict=True):
+            assert b.mean.shape == (runs, r) and b.cov.shape == (r, r)
+            np.testing.assert_array_equal(b.cov, s.cov)
+            np.testing.assert_array_equal(b.second_moment, s.second_moment)
+            np.testing.assert_allclose(b.mean[i], s.mean, rtol=0,
+                                       atol=1e-13 * np.abs(s.mean).max())
+
+
 def test_covariance_monotone_in_measurement_noise(rng):
     # PSD-larger Rw never shrinks trace(P_k) at fixed data, deterministic H
     F = rotation(200)

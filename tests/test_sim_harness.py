@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import rand_ic, rand_random_model, textbook_kf
+from conftest import rand_ic, rand_psd, rand_random_model, textbook_kf
 from randkf import (
     InitialCondition,
     MatrixDist,
+    MultiModelDynamics,
     NahiModel,
+    build_multimodel,
     build_nahi,
     deterministic_model,
     filter_sequence,
@@ -19,6 +21,7 @@ from randkf.sim_harness import (
     covariance_recursion,
     derive_run_seeds,
     gamma_sweep,
+    nees,
     sample_converted_noises,
 )
 
@@ -69,6 +72,29 @@ class TestSimulateTruth:
         np.testing.assert_array_equal(a.realized_F, b.realized_F)
         np.testing.assert_array_equal(a.realized_H, b.realized_H)
 
+    def test_seed_list_equals_stacked_single_seeds(self):
+        m2 = MultiModelDynamics(
+            transition_dist=MatrixDist.of([(rotation(300), 0.1),
+                                           (rotation(250), 0.2),
+                                           (rotation(100), 0.7)]),
+            H=np.array([[1.0, 1.0], [1.0, -1.0]]), Rv=2 * np.eye(2),
+            Rw=np.eye(2))
+        # time-varying arrival probability: several draw groups per run
+        m3 = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
+                       p=lambda k: 0.5 + 0.1 * (k % 4), F=rotation(300),
+                       Rv=2 * np.eye(2), Rw=np.eye(2))
+        seeds = derive_run_seeds(13, 5)
+        for prov in (sim1_provider(), lambda k: build_multimodel(m2, k),
+                     lambda k: build_nahi(m3, k)):
+            batched = simulate_truth(prov, SIM1_IC, 40, seeds)
+            assert batched.seed == tuple(seeds)
+            for i, s in enumerate(seeds):
+                one = simulate_truth(prov, SIM1_IC, 40, s)
+                for field in ("states", "realized_F", "realized_H",
+                              "measurements"):
+                    np.testing.assert_array_equal(
+                        getattr(batched, field)[i], getattr(one, field))
+
     def test_shapes_consistent(self, rng):
         prov = constant_provider(rand_random_model(rng, 3, 2))
         traj = simulate_truth(prov, rand_ic(rng, 3), 7, seed=5)
@@ -109,6 +135,22 @@ class TestRunFilterOn:
         np.testing.assert_allclose(states[0].cov, [[0.5]])
         np.testing.assert_allclose(states[1].mean, [1.4])
         np.testing.assert_allclose(states[1].cov, [[0.6]])
+
+
+def test_batched_nees_matches_per_run_pinv(rng):
+    runs, K, r = 6, 5, 3
+    covs = np.array([rand_psd(rng, r, 0.1) for _ in range(K)])
+    v = rng.standard_normal(r)
+    covs[2] = np.outer(v, v)  # rank one: the pseudo-inverse path
+    errs = rng.standard_normal((runs, K, r))
+    got = nees(errs, covs)
+    assert got.shape == (runs, K)
+    for i in range(runs):
+        for k in range(K):
+            e = errs[i, k]
+            np.testing.assert_allclose(got[i, k],
+                                       e @ np.linalg.pinv(covs[k]) @ e,
+                                       rtol=1e-12)
 
 
 class TestMonteCarlo:
@@ -229,6 +271,15 @@ def test_covariance_recursion_is_data_independent(rng):
         np.testing.assert_allclose(a.cov, b.cov, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(a.second_moment, b.second_moment,
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_covariance_recursion_rejects_non_finite_moments():
+    # unstable mean dynamics: X grows 100-fold per step until it overflows
+    prov = constant_provider(deterministic_model(
+        10 * np.eye(2), np.eye(2), np.eye(2), np.eye(2)))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match=r"X is not finite at step \d+"):
+        covariance_recursion(prov, SIM1_IC, 400)
 
 
 def test_sample_converted_noises_shapes_and_determinism(rng):

@@ -3,13 +3,16 @@
 Each adapter turns a domain-level description (sensor dropout
 probabilities, a bank of candidate dynamics, ...) into the generic
 StepModel the filter consumes, by constructing the finite distribution
-of the random matrix and taking its moments.
+of the random matrix and taking its moments.  A step's StepModel
+depends only on the model and that step's probability values, so each
+model keeps the last one it built and returns it while those values
+repeat: a model with constant probabilities is built once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +37,18 @@ def _prob_at(p: ProbFn, k: int, name: str) -> float:
     return val
 
 
+def _last_build(m, probs: Sequence[float],
+                build: Callable[[], StepModel]) -> StepModel:
+    """m's StepModel for these probability values, built only if they
+    differ bitwise from those of m's previous build."""
+    key = np.asarray(probs, dtype=float).tobytes()
+    last = m._last
+    if last is None or last[0] != key:
+        last = (key, build())
+        object.__setattr__(m, "_last", last)
+    return last[1]
+
+
 def _f_spec(F) -> RandomMatrixSpec:
     if isinstance(F, RandomMatrixSpec):
         return F
@@ -55,6 +70,8 @@ class UncertainObsModel:
     Rv: np.ndarray
     Rw: np.ndarray | None = None
     per_model_noise: Sequence[np.ndarray] | None = None
+    _last: tuple[bytes, StepModel] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.Rw is None) == (self.per_model_noise is None):
@@ -76,6 +93,8 @@ class NahiModel:
     F: object
     Rv: np.ndarray
     Rw: np.ndarray
+    _last: tuple[bytes, StepModel] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,8 @@ class PartitionedObsModel:
     F: object
     Rv: np.ndarray
     Rw: np.ndarray
+    _last: tuple[bytes, StepModel] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -96,6 +117,8 @@ class MultiModelDynamics:
     H: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray
+    _last: tuple[bytes, StepModel] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 def build_uncertain_obs(m: UncertainObsModel, k: int) -> StepModel:
@@ -106,23 +129,32 @@ def build_uncertain_obs(m: UncertainObsModel, k: int) -> StepModel:
     H-deviation and the selected noise vanishes because each noise is
     zero-mean and independent of the state.
     """
-    if m.per_model_noise is not None:
-        Rw = sum(p * _check_psd(R, "per-model Rw")
-                 for p, R in zip(m.measurement_dist.probs, m.per_model_noise))
-    else:
-        Rw = np.asarray(m.Rw, dtype=float)
-    return StepModel(F=_f_spec(m.F), H=moments_from_dist(m.measurement_dist),
-                     Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
+    def build() -> StepModel:
+        if m.per_model_noise is not None:
+            Rw = sum(p * _check_psd(R, "per-model Rw")
+                     for p, R in zip(m.measurement_dist.probs,
+                                     m.per_model_noise))
+        else:
+            Rw = np.asarray(m.Rw, dtype=float)
+        return StepModel(F=_f_spec(m.F),
+                         H=moments_from_dist(m.measurement_dist),
+                         Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
+
+    return _last_build(m, (), build)
 
 
 def build_nahi(m: NahiModel, k: int) -> StepModel:
     """Single-sensor dropout as the two-sample distribution {h, 0}."""
     p = _prob_at(m.p, k, "p(k)")
-    h = np.atleast_2d(np.asarray(m.h, dtype=float))
-    dist = MatrixDist.of([(h, p), (np.zeros_like(h), 1.0 - p)])
-    general = UncertainObsModel(measurement_dist=dist, F=m.F,
-                                Rv=m.Rv, Rw=m.Rw)
-    return build_uncertain_obs(general, k)
+
+    def build() -> StepModel:
+        h = np.atleast_2d(np.asarray(m.h, dtype=float))
+        dist = MatrixDist.of([(h, p), (np.zeros_like(h), 1.0 - p)])
+        general = UncertainObsModel(measurement_dist=dist, F=m.F,
+                                    Rv=m.Rv, Rw=m.Rw)
+        return build_uncertain_obs(general, k)
+
+    return _last_build(m, (p,), build)
 
 
 def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
@@ -138,26 +170,30 @@ def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
         raise ValueError("need at least one block")
     if B > MAX_PARTITION_BLOCKS:
         raise ValueError(f"{B} blocks would enumerate 2^{B} samples")
-    hs = [np.atleast_2d(np.asarray(h, dtype=float)) for h, _ in m.blocks]
     ps = [_prob_at(p, k, f"block {i} probability")
           for i, (_, p) in enumerate(m.blocks)]
-    r = hs[0].shape[1]
-    if any(h.shape[1] != r for h in hs):
-        raise ValueError("blocks disagree on state dimension")
-    N = sum(h.shape[0] for h in hs)
-    Rw = np.asarray(m.Rw, dtype=float)
-    if Rw.shape != (N, N):
-        raise ValueError(f"Rw is {Rw.shape}, stacked blocks give N={N}")
-    pairs = []
-    for on in itertools.product((1, 0), repeat=B):
-        H = np.vstack([h if bit else np.zeros_like(h)
-                       for h, bit in zip(hs, on)])
-        prob = float(np.prod([p if bit else 1.0 - p
-                              for p, bit in zip(ps, on)]))
-        pairs.append((H, prob))
-    dist = MatrixDist.of(pairs)
-    return StepModel(F=_f_spec(m.F), H=moments_from_dist(dist),
-                     Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
+
+    def build() -> StepModel:
+        hs = [np.atleast_2d(np.asarray(h, dtype=float)) for h, _ in m.blocks]
+        r = hs[0].shape[1]
+        if any(h.shape[1] != r for h in hs):
+            raise ValueError("blocks disagree on state dimension")
+        N = sum(h.shape[0] for h in hs)
+        Rw = np.asarray(m.Rw, dtype=float)
+        if Rw.shape != (N, N):
+            raise ValueError(f"Rw is {Rw.shape}, stacked blocks give N={N}")
+        pairs = []
+        for on in itertools.product((1, 0), repeat=B):
+            H = np.vstack([h if bit else np.zeros_like(h)
+                           for h, bit in zip(hs, on)])
+            prob = float(np.prod([p if bit else 1.0 - p
+                                  for p, bit in zip(ps, on)]))
+            pairs.append((H, prob))
+        dist = MatrixDist.of(pairs)
+        return StepModel(F=_f_spec(m.F), H=moments_from_dist(dist),
+                         Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
+
+    return _last_build(m, ps, build)
 
 
 def partitioned_quad_form(m: PartitionedObsModel, X, k: int = 0) -> np.ndarray:
@@ -183,7 +219,6 @@ def partitioned_quad_form(m: PartitionedObsModel, X, k: int = 0) -> np.ndarray:
 
 def build_multimodel(m: MultiModelDynamics, k: int) -> StepModel:
     """Random transition from a finite model bank, deterministic H."""
-    return StepModel(F=moments_from_dist(m.transition_dist),
-                     H=deterministic(m.H),
-                     Rv=np.asarray(m.Rv, dtype=float),
-                     Rw=np.asarray(m.Rw, dtype=float))
+    return _last_build(m, (), lambda: StepModel(
+        F=moments_from_dist(m.transition_dist), H=deterministic(m.H),
+        Rv=np.asarray(m.Rv, dtype=float), Rw=np.asarray(m.Rw, dtype=float)))

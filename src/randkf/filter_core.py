@@ -60,7 +60,11 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class StepModel:
-    """One step of the system: transition F, measurement H, noise covariances."""
+    """One step of the system: transition F, measurement H, noise covariances.
+
+    ``Rv`` and ``Rw`` are read-only, as the spec arrays are: one model may
+    serve every step and both the sampler and the filter.
+    """
 
     F: RandomMatrixSpec
     H: RandomMatrixSpec
@@ -79,15 +83,21 @@ class StepModel:
             raise ValueError("Rv dimension must match state dimension")
         if Rw.shape[0] != self.H.shape[0]:
             raise ValueError("Rw dimension must match measurement dimension")
-        object.__setattr__(self, "Rv", Rv)
-        object.__setattr__(self, "Rw", Rw)
+        for name, a in (("Rv", Rv), ("Rw", Rw)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 ModelProvider = Callable[[int], StepModel]
 
 
 def memoized(provider: ModelProvider) -> ModelProvider:
-    """Cache provider results; adapters rebuild StepModels from scratch."""
+    """Cache provider results per step.
+
+    The adapters already reuse their last StepModel; this serves
+    providers the library does not build, which may make a new model on
+    every call (e.g. ``naive_kf_provider``).
+    """
     cache: dict[int, StepModel] = {}
 
     def cached(k: int) -> StepModel:

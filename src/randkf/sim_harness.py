@@ -67,7 +67,7 @@ def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", A, x)
 
 
-def _draw_groups(specs: Sequence) -> list:
+def _draw_groups(specs: Sequence, name: str) -> list:
     # (distribution, steps) of the steps whose matrix has a source
     # distribution, grouped by its content; one draw per run covers each
     groups: dict = {}
@@ -75,6 +75,9 @@ def _draw_groups(specs: Sequence) -> list:
         if (dist := spec.source) is not None:
             key = (dist.stacked.tobytes(), dist.probs.tobytes())
             groups.setdefault(key, (dist, []))[1].append(k)
+        elif not spec.is_deterministic:
+            raise ValueError(f"{name} at step {k} is random but has no "
+                             "source distribution to sample from")
     return list(groups.values())
 
 
@@ -85,8 +88,9 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     ``seed`` is one seed, or a list of per-run seeds for arrays with a run
     axis.  Each run's generator draws its whole block (the indices of its
     random H, then F, matrices, then the normals of x_0 and every noise),
-    so a run depends on its own seed only.  A matrix without a source
-    distribution takes its mean.
+    so a run depends on its own seed only.  A deterministic matrix takes
+    its mean; a random one without a source distribution raises a
+    ValueError naming the matrix and the step.
     """
     if K < 1:
         raise ValueError("need K >= 1")
@@ -96,8 +100,8 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     runs, r, N = len(seeds), ic.mean.size, models[0].H.shape[0]
     Hs = np.repeat([[m.H.mean for m in models]], runs, axis=0)
     Fs = np.repeat([[m.F.mean for m in models[:K]]], runs, axis=0)
-    draws = [(Hs, _draw_groups([m.H for m in models])),
-             (Fs, _draw_groups([m.F for m in models[:K]]))]
+    draws = [(Hs, _draw_groups([m.H for m in models], "H")),
+             (Fs, _draw_groups([m.F for m in models[:K]], "F"))]
     z = np.empty((runs, r + (K + 1) * N + K * r))
     for i, s in enumerate(seeds):
         rng = np.random.default_rng(s)

@@ -241,3 +241,52 @@ class TestMultiModel:
                                Rv=np.zeros((1, 1)), Rw=np.eye(1)), 0)
         r_eff = sm.Rv + quad_form(sm.F, np.array([[1.0]]))
         np.testing.assert_allclose(r_eff, [[1.0]], atol=1e-15)
+
+
+class TestLastBuildReuse:
+    """Each model returns its last StepModel while its probabilities repeat."""
+
+    @staticmethod
+    def models(p):
+        dropout = MatrixDist.of([(H_SIM1, 0.95), (np.zeros((2, 2)), 0.05)])
+        bank = MatrixDist.of([(rotation(300), 0.3), (rotation(100), 0.7)])
+        return (
+            (build_uncertain_obs,
+             UncertainObsModel(measurement_dist=dropout, F=rotation(300),
+                               Rv=2 * np.eye(2), Rw=np.eye(2))),
+            (build_nahi, NahiModel(h=H_SIM1, p=p, F=rotation(300),
+                                   Rv=2 * np.eye(2), Rw=np.eye(2))),
+            (build_partitioned,
+             PartitionedObsModel(blocks=((H_SIM1[:1], p), (H_SIM1[1:], 0.6)),
+                                 F=rotation(300), Rv=2 * np.eye(2),
+                                 Rw=np.eye(2))),
+            (build_multimodel,
+             MultiModelDynamics(transition_dist=bank, H=H_SIM1,
+                                Rv=2 * np.eye(2), Rw=np.eye(2))),
+        )
+
+    def test_constant_probabilities_build_once(self):
+        for build, m in self.models(0.9):
+            assert build(m, 0) is build(m, 9)
+
+    def test_changing_probability_matches_fresh_builds(self):
+        def p(k):
+            return 0.3 if k % 2 else 0.8
+
+        for i, (build, m) in enumerate(self.models(p)):
+            for k in range(6):
+                got = build(m, k)
+                ref = build(self.models(p)[i][1], k)
+                np.testing.assert_array_equal(got.H.mean, ref.H.mean)
+                np.testing.assert_array_equal(got.H.dev_cov, ref.H.dev_cov)
+
+    def test_probability_leaving_range_raises_at_its_step(self):
+        def p(k):
+            return 0.9 if k < 5 else 1.2
+
+        # the Nahi and partitioned models, which take probability functions
+        for build, m in self.models(p)[1:3]:
+            for k in range(5):
+                build(m, k)
+            with pytest.raises(ValueError, match="outside"):
+                build(m, 5)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import randkf.adapters
 from randkf.cli import main
 from randkf.config import ConfigError, parse_config, rotation_matrix
 
@@ -147,6 +148,23 @@ class TestRunModes:
         assert rows.shape == (5, 2)
         traces = rows[:, 1]
         assert np.all(traces[:-1] > traces[1:])
+
+    def test_models_built_once_per_model_object(self, tmp_path,
+                                                monkeypatch):
+        # constant-probability models: sweep builds the parse-time model
+        # and one per gamma, montecarlo only the parse-time model
+        gammas = parse_config(SIM1.read_text()).gammas
+        calls = []
+        real = randkf.adapters.moments_from_dist
+        monkeypatch.setattr(randkf.adapters, "moments_from_dist",
+                            lambda dist: calls.append(dist) or real(dist))
+        assert main(["sweep", "--config", str(SIM1),
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert len(calls) == 1 + len(gammas)
+        calls.clear()
+        assert main(["montecarlo", "--config", str(SIM1),
+                     "--out", str(tmp_path / "mc"), "--runs", "2"]) == 0
+        assert len(calls) == 1
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.yaml"),

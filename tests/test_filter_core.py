@@ -58,6 +58,13 @@ class TestInit:
                              cov=np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def test_step_model_noise_covariances_read_only():
+    m = deterministic_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    for a in (m.Rv, m.Rw):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 5.0
+
+
 class TestPredict:
     def test_identity_dynamics_noise_free(self, rng):
         m = deterministic_model(np.eye(2), np.eye(2), np.zeros((2, 2)),

@@ -7,8 +7,11 @@ from randkf import (
     MatrixDist,
     MultiModelDynamics,
     NahiModel,
+    RandomMatrixSpec,
+    StepModel,
     build_multimodel,
     build_nahi,
+    deterministic,
     deterministic_model,
     filter_sequence,
     monte_carlo,
@@ -51,6 +54,20 @@ class TestSimulateTruth:
         for x, y in zip(traj.states, traj.measurements):
             np.testing.assert_array_equal(x, ic.mean)
             np.testing.assert_array_equal(y, ic.mean)
+
+    def test_random_spec_without_source_rejected(self):
+        # moments alone do not say how to draw the matrix; drawing its
+        # mean would drop randomness that the filter accounts for
+        random = RandomMatrixSpec(mean=np.ones((1, 1)),
+                                  dev_cov=np.full((1, 1, 1, 1), 0.25))
+        fixed = deterministic(np.ones((1, 1)))
+        ic = InitialCondition(mean=np.zeros(1), cov=np.eye(1))
+        for F, H, name in ((fixed, random, "H"), (random, fixed, "F")):
+            prov = constant_provider(StepModel(F=F, H=H, Rv=np.eye(1),
+                                               Rw=np.eye(1)))
+            with pytest.raises(ValueError, match=f"{name} at step 0 is "
+                               "random but has no source"):
+                simulate_truth(prov, ic, 12, seed=0)
 
     def test_noise_free_rotation_preserves_radius(self):
         m = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]), p=1.0,

@@ -19,6 +19,7 @@ from .filter_core import (
     filter_sequence,
     init,
     predict,
+    stack_models,
     step,
     update,
 )

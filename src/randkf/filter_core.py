@@ -9,6 +9,11 @@ Fbar, Hbar and inflated noise covariances
 where X_k = E(x_k x_k^T) is propagated by its own data-independent
 recursion alongside the usual mean/covariance pair.  With deterministic
 parameter matrices everything reduces to a standard Kalman filter.
+
+The data-independent half (P, X, S, K) accepts an optional leading model
+axis: ``stack_models`` turns several StepModels of one shape into one
+whose arrays carry that axis, and a single recursion then runs every
+member, each bit-identical to its own unstacked run.
 """
 
 from __future__ import annotations
@@ -27,17 +32,20 @@ PINV_CUTOFF = 1e-12
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 def _check_psd(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
+    """m symmetrized, after checking that it (each member of a stack
+    (..., n, n)) is square, symmetric and PSD to a trace-scaled tol."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    if m.shape[0] != m.shape[1]:
+    if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} is not square: {m.shape}")
-    if not np.allclose(m, m.T, atol=tol * max(1.0, abs(np.trace(m)))):
+    atol = tol * np.maximum(1.0, np.abs(np.trace(m, axis1=-2, axis2=-1)))
+    if not np.allclose(m, m.mT, atol=atol[..., None, None]):
         raise ValueError(f"{name} is not symmetric")
     w = np.linalg.eigvalsh(symmetrize(m))
-    if w.min(initial=0.0) < -tol * max(1.0, abs(np.trace(m))):
+    if np.any(w.min(axis=-1, initial=0.0) < -atol):
         raise ValueError(f"{name} is not positive semidefinite")
     return symmetrize(m)
 
@@ -63,7 +71,9 @@ class StepModel:
     """One step of the system: transition F, measurement H, noise covariances.
 
     ``Rv`` and ``Rw`` are read-only, as the spec arrays are: one model may
-    serve every step and both the sampler and the filter.
+    serve every step and both the sampler and the filter.  A stacked
+    model (see ``stack_models``) has the same leading model axes on all
+    four; only the filter's covariance recursion accepts one.
     """
 
     F: RandomMatrixSpec
@@ -79,16 +89,42 @@ class StepModel:
             raise ValueError("F must be square")
         if self.H.shape[1] != r:
             raise ValueError("H column count must match state dimension")
-        if Rv.shape[0] != r:
+        if Rv.shape[-1] != r:
             raise ValueError("Rv dimension must match state dimension")
-        if Rw.shape[0] != self.H.shape[0]:
+        if Rw.shape[-1] != self.H.shape[0]:
             raise ValueError("Rw dimension must match measurement dimension")
+        lead = self.F.mean.shape[:-2]
+        if not (self.H.mean.shape[:-2] == Rv.shape[:-2] == Rw.shape[:-2]
+                == lead):
+            raise ValueError("F, H, Rv and Rw disagree on the model axes")
         for name, a in (("Rv", Rv), ("Rw", Rw)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
 
 ModelProvider = Callable[[int], StepModel]
+
+
+def stack_models(models: Sequence[StepModel]) -> StepModel:
+    """One StepModel whose arrays carry a leading model axis; member i
+    is models[i].  The members must share every array shape."""
+    models = list(models)
+    if not models:
+        raise ValueError("need at least one model to stack")
+    shapes = {(m.F.mean.shape, m.H.mean.shape, m.Rv.shape, m.Rw.shape)
+              for m in models}
+    if len(shapes) > 1:
+        raise ValueError(f"cannot stack models of different shapes: "
+                         f"{sorted(shapes)}")
+
+    def spec(specs: list[RandomMatrixSpec]) -> RandomMatrixSpec:
+        return RandomMatrixSpec(mean=np.stack([s.mean for s in specs]),
+                                dev_cov=np.stack([s.dev_cov for s in specs]))
+
+    return StepModel(F=spec([m.F for m in models]),
+                     H=spec([m.H for m in models]),
+                     Rv=np.stack([m.Rv for m in models]),
+                     Rw=np.stack([m.Rw for m in models]))
 
 
 def memoized(provider: ModelProvider) -> ModelProvider:
@@ -124,7 +160,9 @@ class FilterState:
     """Posterior mean/covariance plus the unconditional second moment.
 
     ``mean`` is (r,), or (runs, r) with one row per run; ``cov`` and
-    ``second_moment`` are data-independent and shared by all runs.
+    ``second_moment`` are data-independent and shared by all runs.  A
+    stacked model puts its model axes in front of all three (the prior's
+    P_0 and X_0 are unstacked and broadcast).
     """
 
     step: int
@@ -162,19 +200,36 @@ def predict(s: FilterState | PredictedState, m: StepModel) -> PredictedState:
     and the unconditional second moment through its own recursion.
     """
     Fbar = m.F.mean
-    if Fbar.shape[1] != s.mean.shape[-1]:
+    if Fbar.shape[-1] != s.mean.shape[-1]:
         raise ValueError("state dimension does not match transition matrix")
     qf = quad_form(m.F, s.second_moment)
-    cov = symmetrize(Fbar @ s.cov @ Fbar.T + m.Rv + qf)
-    second = symmetrize(Fbar @ s.second_moment @ Fbar.T + qf + m.Rv)
+    cov = symmetrize(Fbar @ s.cov @ Fbar.mT + m.Rv + qf)
+    second = symmetrize(Fbar @ s.second_moment @ Fbar.mT + qf + m.Rv)
     _require_finite(s.step + 1, P=cov, X=second)
-    return PredictedState(step=s.step + 1, mean=s.mean @ Fbar.T, cov=cov,
+    return PredictedState(step=s.step + 1, mean=s.mean @ Fbar.mT, cov=cov,
                           second_moment=second)
 
 
 def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """K = cov Hbar^T S^+, pseudo-inverting only when S is ill-conditioned."""
+    """K = cov Hbar^T S^+, pseudo-inverting only when S is ill-conditioned.
+
+    A stack of S takes one solve when every member is well-conditioned,
+    and otherwise each member's own path.
+    """
     w = np.linalg.eigvalsh(S)
+    if S.ndim > 2:
+        wmin = w[..., 0]
+        if np.all(wmin > 0) and np.all(w[..., -1] / wmin < COND_LIMIT):
+            return np.linalg.solve(S, Hbar @ cov).mT
+        # the step-0 prior's cov (and a shared Hbar) carry no model axis:
+        # broadcast them so that each member indexes its own matrix
+        lead = S.shape[:-2]
+        cov = np.broadcast_to(cov, lead + cov.shape[-2:])
+        Hbar = np.broadcast_to(Hbar, lead + Hbar.shape[-2:])
+        K = np.empty(lead + (cov.shape[-1], S.shape[-1]))
+        for i in np.ndindex(lead):
+            K[i] = _gain(cov[i], Hbar[i], S[i])
+        return K
     wmax = w.max(initial=0.0)
     if wmax <= 0.0:
         return np.zeros((cov.shape[0], S.shape[0]))
@@ -197,20 +252,20 @@ def update(p: PredictedState, y, m: StepModel, *,
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     Hbar = m.H.mean
-    if y.shape[-1] != Hbar.shape[0]:
+    if y.shape[-1] != Hbar.shape[-2]:
         raise ValueError("measurement dimension mismatch")
-    if Hbar.shape[1] != p.mean.shape[-1]:
+    if Hbar.shape[-1] != p.mean.shape[-1]:
         raise ValueError("state dimension does not match measurement matrix")
     Rw_eff = m.Rw + quad_form(m.H, p.second_moment)
-    S = symmetrize(Hbar @ p.cov @ Hbar.T + Rw_eff)
+    S = symmetrize(Hbar @ p.cov @ Hbar.mT + Rw_eff)
     _require_finite(p.step, measurement=y, S=S)
     K = _gain(p.cov, Hbar, S)
-    mean = p.mean + (y - p.mean @ Hbar.T) @ K.T
+    mean = p.mean + (y - p.mean @ Hbar.mT) @ K.mT
     if joseph:
-        A = np.eye(Hbar.shape[1]) - K @ Hbar
-        cov = A @ p.cov @ A.T + K @ Rw_eff @ K.T
+        A = np.eye(Hbar.shape[-1]) - K @ Hbar
+        cov = A @ p.cov @ A.mT + K @ Rw_eff @ K.mT
     else:
-        cov = (np.eye(Hbar.shape[1]) - K @ Hbar) @ p.cov
+        cov = (np.eye(Hbar.shape[-1]) - K @ Hbar) @ p.cov
     return FilterState(step=p.step, mean=mean, cov=symmetrize(cov),
                        second_moment=p.second_moment)
 

@@ -90,7 +90,9 @@ class RandomMatrixSpec:
 
     ``dev_cov`` has shape (p, q, p, q) and is symmetric under swapping
     the index pairs; ``source`` records the finite distribution the
-    moments came from, when there was one.
+    moments came from, when there was one.  A stack of specs carries
+    leading axes on both arrays, ``mean`` (..., p, q) and ``dev_cov``
+    (..., p, q, p, q); ``shape`` is that of one member.
     """
 
     mean: np.ndarray
@@ -102,15 +104,15 @@ class RandomMatrixSpec:
         dev = _frozen(self.dev_cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "dev_cov", dev)
-        p, q = mean.shape
-        if dev.shape != (p, q, p, q):
+        lead, (p, q) = mean.shape[:-2], mean.shape[-2:]
+        if dev.shape != lead + (p, q, p, q):
             raise ValueError(
                 f"dev_cov shape {dev.shape} does not match mean {mean.shape}"
             )
-        flat = dev.reshape(p * q, p * q)
-        if not np.allclose(flat, flat.T, atol=MOMENT_TOL, rtol=0):
+        flat = dev.reshape(lead + (p * q, p * q))
+        if not np.allclose(flat, flat.mT, atol=MOMENT_TOL, rtol=0):
             raise ValueError("dev_cov not symmetric under pair swap")
-        if np.any(np.diag(flat) < -MOMENT_TOL):
+        if np.any(np.diagonal(flat, axis1=-2, axis2=-1) < -MOMENT_TOL):
             raise ValueError("negative entry variance in dev_cov")
         if self.source is not None:
             ref_mean, ref_dev = _dist_moments(self.source)
@@ -124,7 +126,7 @@ class RandomMatrixSpec:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.mean.shape
+        return self.mean.shape[-2:]
 
     @property
     def is_deterministic(self) -> bool:
@@ -158,7 +160,7 @@ def moments_from_dist(dist: MatrixDist) -> RandomMatrixSpec:
 def _check_quad_input(shape: tuple[int, int], X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     q = shape[1]
-    if X.shape != (q, q):
+    if X.shape[-2:] != (q, q):
         raise ValueError(f"X has shape {X.shape}, expected ({q}, {q})")
     return X
 
@@ -168,11 +170,13 @@ def quad_form(spec: RandomMatrixSpec, X) -> np.ndarray:
 
     Entrywise, result[m, n] = sum_{i,j} Cov(M_mi, M_nj) X[i, j].  The
     numeric result is symmetrized to kill round-off asymmetry since the
-    downstream Riccati steps assume symmetry.
+    downstream Riccati steps assume symmetry.  Leading axes of a stacked
+    spec and of X broadcast; each member's result is bit-identical to
+    its own unstacked call.
     """
     X = _check_quad_input(spec.shape, X)
-    out = np.einsum("minj,ij->mn", spec.dev_cov, X)
-    return 0.5 * (out + out.T)
+    out = np.einsum("...minj,...ij->...mn", spec.dev_cov, X)
+    return 0.5 * (out + out.mT)
 
 
 def quad_form_discrete(dist: MatrixDist, X) -> np.ndarray:

@@ -22,6 +22,7 @@ from .filter_core import (
     deterministic_model,
     filter_sequence,
     memoized,
+    stack_models,
     symmetrize,
 )
 from .random_matrix import quad_form, sample_matrix
@@ -69,16 +70,21 @@ def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _draw_groups(specs: Sequence, name: str) -> list:
     # (distribution, steps) of the steps whose matrix has a source
-    # distribution, grouped by its content; one draw per run covers each
-    groups: dict = {}
+    # distribution, grouped by its content in order of first use; one draw
+    # per run covers each.  Steps are grouped by object first, so a shared
+    # distribution's content is read once, not once per step.
+    by_object: dict[int, tuple] = {}
     for k, spec in enumerate(specs):
         if (dist := spec.source) is not None:
-            key = (dist.stacked.tobytes(), dist.probs.tobytes())
-            groups.setdefault(key, (dist, []))[1].append(k)
+            by_object.setdefault(id(dist), (dist, []))[1].append(k)
         elif not spec.is_deterministic:
             raise ValueError(f"{name} at step {k} is random but has no "
                              "source distribution to sample from")
-    return list(groups.values())
+    groups: dict = {}
+    for dist, steps in by_object.values():
+        key = (dist.stacked.tobytes(), dist.probs.tobytes())
+        groups.setdefault(key, (dist, []))[1].extend(steps)
+    return [(dist, sorted(steps)) for dist, steps in groups.values()]
 
 
 def simulate_truth(provider: ModelProvider, ic: InitialCondition,
@@ -275,18 +281,38 @@ def covariance_recursion(provider: ModelProvider, ic: InitialCondition,
 def gamma_sweep(model_for_gamma: Callable[[float], tuple[ModelProvider,
                                                          InitialCondition]],
                 gammas: Sequence[float], K: int) -> list[tuple[float, float]]:
-    """trace(P_K) of the deterministic recursion for each probability."""
+    """trace(P_K) of the deterministic recursion for each probability.
+
+    One recursion runs every gamma: each step's models are stacked along
+    a leading model axis, and restacked only when some gamma's provider
+    returns a different model object than at the previous step.  All
+    gammas must share one initial condition.
+    """
     gammas = [float(g) for g in gammas]
     if any(b < a for a, b in zip(gammas, gammas[1:])):
         raise ValueError("gammas must be sorted ascending")
     if any(not 0.0 < g <= 1.0 for g in gammas):
         raise ValueError("gammas must lie in (0, 1]")
-    out = []
-    for g in gammas:
-        provider, ic = model_for_gamma(g)
-        final = covariance_recursion(provider, ic, K)[-1]
-        out.append((g, float(np.trace(final.cov))))
-    return out
+    if not gammas:
+        return []
+    providers, ics = zip(*(model_for_gamma(g) for g in gammas))
+    ic = ics[0]
+    if any(not (np.array_equal(ic.mean, o.mean)
+                and np.array_equal(ic.cov, o.cov)) for o in ics[1:]):
+        raise ValueError("gamma_sweep needs one initial condition for "
+                         "every gamma")
+    last_members, last_stack = None, None
+
+    def stacked(k: int) -> StepModel:
+        nonlocal last_members, last_stack
+        members = [p(k) for p in providers]
+        if last_members is None or any(
+                a is not b for a, b in zip(members, last_members)):
+            last_members, last_stack = members, stack_models(members)
+        return last_stack
+
+    final = covariance_recursion(stacked, ic, K)[-1]
+    return [(g, float(np.trace(cov))) for g, cov in zip(gammas, final.cov)]
 
 
 def sample_converted_noises(provider: ModelProvider, ic: InitialCondition,

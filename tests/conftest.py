@@ -8,8 +8,17 @@ actually check something.
 import numpy as np
 import pytest
 
-from randkf import InitialCondition, MatrixDist, moments_from_dist
+from randkf import (
+    InitialCondition,
+    MatrixDist,
+    NahiModel,
+    build_nahi,
+    moments_from_dist,
+)
 from randkf.filter_core import StepModel
+
+# arrival probabilities at and next to the ends of [0, 1]
+EDGE_PROBS = (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
 
 
 def textbook_kf(F, H, Q, R, mu0, P0, ys):
@@ -91,6 +100,18 @@ def rand_random_model(rng, r, N, *, stable=True):
     return StepModel(F=moments_from_dist(fdist), H=moments_from_dist(hdist),
                      Rv=rand_psd(rng, r, floor=0.1),
                      Rw=rand_psd(rng, N, floor=0.5))
+
+
+def edge_nahi_models(F):
+    """Sim1's dropout sensor at each of EDGE_PROBS, with a singular Rw.
+
+    Rw = diag(1, 0) makes the p = 0 member's innovation covariance S
+    equal Rw, so it takes the pseudo-inverse gain path; the others solve.
+    """
+    return [build_nahi(NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                 p=p, F=F, Rv=2 * np.eye(2),
+                                 Rw=np.diag([1.0, 0.0])), 0)
+            for p in EDGE_PROBS]
 
 
 def rand_ic(rng, r):

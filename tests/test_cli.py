@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import randkf.adapters
+import randkf.filter_core
 from randkf.cli import main
 from randkf.config import ConfigError, parse_config, rotation_matrix
 
@@ -75,6 +77,21 @@ class TestParseConfig:
         bad = MINIMAL.replace("horizon: 5", "")
         with pytest.raises(ConfigError, match="horizon"):
             parse_config(bad)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
+                    reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.yaml")),
+                         ids=lambda p: p.name)
+def test_c_and_python_yaml_loaders_agree(path):
+    text = path.read_text()
+    assert (yaml.load(text, Loader=yaml.CSafeLoader)
+            == yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_malformed_document_rejected():
+    with pytest.raises(ConfigError, match="malformed config document: "):
+        parse_config("mode: [filter\nhorizon: 3\n")
 
 
 class TestRunModes:
@@ -165,6 +182,19 @@ class TestRunModes:
         assert main(["montecarlo", "--config", str(SIM1),
                      "--out", str(tmp_path / "mc"), "--runs", "2"]) == 0
         assert len(calls) == 1
+
+    def test_sweep_runs_one_recursion_for_all_gammas(self, tmp_path,
+                                                    monkeypatch):
+        # one predict per step of the horizon, not one per step and gamma
+        cfg = parse_config(SIM1.read_text())
+        assert len(cfg.gammas) == 5 and cfg.horizon == 300
+        calls = []
+        real = randkf.filter_core.predict
+        monkeypatch.setattr(randkf.filter_core, "predict",
+                            lambda s, m: calls.append(m) or real(s, m))
+        assert main(["sweep", "--config", str(SIM1),
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == cfg.horizon
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.yaml"),

@@ -18,6 +18,7 @@ from randkf.filter_core import (
     PredictedState,
     StepModel,
     deterministic_model,
+    stack_models,
 )
 from randkf.sim_harness import derive_run_seeds, run_filter_on, simulate_truth
 
@@ -208,6 +209,39 @@ def test_batched_filter_matches_per_run_calls(rng):
             np.testing.assert_array_equal(b.second_moment, s.second_moment)
             np.testing.assert_allclose(b.mean[i], s.mean, rtol=0,
                                        atol=1e-13 * np.abs(s.mean).max())
+
+
+class TestStackModels:
+    def test_members_are_the_stacked_models(self, rng):
+        models = [rand_random_model(rng, 3, 2) for _ in range(4)]
+        st = stack_models(models)
+        assert st.F.shape == (3, 3) and st.H.shape == (2, 3)
+        for i, m in enumerate(models):
+            for a, b in ((st.F.mean, m.F.mean), (st.F.dev_cov, m.F.dev_cov),
+                         (st.H.mean, m.H.mean), (st.H.dev_cov, m.H.dev_cov),
+                         (st.Rv, m.Rv), (st.Rw, m.Rw)):
+                np.testing.assert_array_equal(a[i], b)
+
+    def test_rejects_members_of_different_shapes(self):
+        one = deterministic_model(np.eye(2), np.ones((1, 2)), np.eye(2),
+                                  np.eye(1))
+        two = deterministic_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="different shapes"):
+            stack_models([one, two])
+        with pytest.raises(ValueError, match="at least one"):
+            stack_models([])
+
+    def test_rejects_mismatched_model_axes(self):
+        m = deterministic_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="model axes"):
+            StepModel(F=m.F, H=m.H, Rv=np.stack([m.Rv, m.Rv]), Rw=m.Rw)
+
+    def test_stack_member_not_psd_rejected(self):
+        m = deterministic_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+        st = stack_models([m, m])
+        with pytest.raises(ValueError, match="Rw is not positive"):
+            StepModel(F=st.F, H=st.H, Rv=st.Rv,
+                      Rw=np.stack([np.eye(2), -np.eye(2)]))
 
 
 def test_covariance_monotone_in_measurement_noise(rng):

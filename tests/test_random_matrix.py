@@ -117,6 +117,20 @@ class TestQuadForm:
         with pytest.raises(ValueError, match="shape"):
             quad_form(spec, np.eye(2))
 
+    def test_stacked_spec_matches_each_member_bit_for_bit(self, rng):
+        specs = [moments_from_dist(rand_dist(rng, 2, 3)) for _ in range(4)]
+        stacked = RandomMatrixSpec(
+            mean=np.stack([s.mean for s in specs]),
+            dev_cov=np.stack([s.dev_cov for s in specs]))
+        assert stacked.shape == (2, 3)
+        X = rand_psd(rng, 3)
+        Xs = np.stack([rand_psd(rng, 3) for _ in specs])
+        shared, own = quad_form(stacked, X), quad_form(stacked, Xs)
+        assert shared.shape == own.shape == (4, 2, 2)
+        for i, spec in enumerate(specs):
+            np.testing.assert_array_equal(shared[i], quad_form(spec, X))
+            np.testing.assert_array_equal(own[i], quad_form(spec, Xs[i]))
+
 
 class TestQuadFormDiscrete:
     def test_single_sample_gives_zero(self):

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import rand_ic, rand_psd, rand_random_model, textbook_kf
+import randkf.filter_core
+import randkf.sim_harness
+from conftest import (
+    EDGE_PROBS,
+    edge_nahi_models,
+    rand_ic,
+    rand_psd,
+    rand_random_model,
+    textbook_kf,
+)
 from randkf import (
     InitialCondition,
     MatrixDist,
@@ -14,12 +23,15 @@ from randkf import (
     deterministic,
     deterministic_model,
     filter_sequence,
+    moments_from_dist,
     monte_carlo,
     run_filter_on,
     simulate_truth,
 )
-from randkf.filter_core import constant_provider
+from randkf.filter_core import constant_provider, stack_models
+from randkf.random_matrix import quad_form
 from randkf.sim_harness import (
+    _draw_groups,
     batch_lmv_oracle,
     covariance_recursion,
     derive_run_seeds,
@@ -111,6 +123,21 @@ class TestSimulateTruth:
                               "measurements"):
                     np.testing.assert_array_equal(
                         getattr(batched, field)[i], getattr(one, field))
+
+    def test_draw_groups_merge_equal_content_across_objects(self):
+        # a shared distribution object, an equal copy of it and another
+        # one: groups in order of first use, steps ascending in each
+        a = moments_from_dist(MatrixDist.of([(np.eye(2), 0.3),
+                                             (np.zeros((2, 2)), 0.7)]))
+        copy = moments_from_dist(MatrixDist.of([(np.eye(2), 0.3),
+                                                (np.zeros((2, 2)), 0.7)]))
+        b = moments_from_dist(MatrixDist.of([(np.eye(2), 0.6),
+                                             (np.zeros((2, 2)), 0.4)]))
+        fixed = deterministic(np.eye(2))
+        specs = [fixed, b, a, copy, a, b, copy, fixed, a]
+        groups = _draw_groups(specs, "H")
+        assert [steps for _, steps in groups] == [[1, 5], [2, 3, 4, 6, 8]]
+        assert groups[0][0] is b.source and groups[1][0] is a.source
 
     def test_shapes_consistent(self, rng):
         prov = constant_provider(rand_random_model(rng, 3, 2))
@@ -277,6 +304,93 @@ class TestGammaSweep:
             gamma_sweep(self._factory, [0.9, 0.5], K=5)
         with pytest.raises(ValueError, match="0, 1"):
             gamma_sweep(self._factory, [0.0, 0.5], K=5)
+
+    def test_rejects_differing_initial_conditions(self):
+        def factory(gamma):
+            ic = InitialCondition(mean=np.array([50.0, gamma]),
+                                  cov=0.5 * np.eye(2))
+            return sim1_provider(gamma), ic
+        with pytest.raises(ValueError, match="one initial condition"):
+            gamma_sweep(factory, [0.5, 0.7], K=5)
+
+    def test_matches_one_recursion_per_gamma(self):
+        gammas = [0.3, 0.5, 0.5, 0.8, 1.0]
+        res = gamma_sweep(self._factory, gammas, K=40)
+        for (g, t), gamma in zip(res, gammas, strict=True):
+            own = covariance_recursion(sim1_provider(gamma), SIM1_IC, 40)
+            assert g == gamma and t == float(np.trace(own[-1].cov))
+
+    def test_restacks_only_when_a_member_changes(self, monkeypatch):
+        # p(k) of one gamma changes at k = 10; the others are constant
+        def factory(gamma):
+            if gamma < 0.6:
+                return sim1_provider(gamma), SIM1_IC
+            m = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
+                          p=lambda k: gamma if k < 10 else 0.9,
+                          F=rotation(300), Rv=2 * np.eye(2), Rw=np.eye(2))
+            return (lambda k: build_nahi(m, k)), SIM1_IC
+        stacks = []
+        real = randkf.sim_harness.stack_models
+        monkeypatch.setattr(randkf.sim_harness, "stack_models",
+                            lambda ms: stacks.append(ms) or real(ms))
+        res = gamma_sweep(factory, [0.5, 0.7], K=30)
+        assert len(stacks) == 2
+        own = covariance_recursion(factory(0.7)[0], SIM1_IC, 30)
+        assert res[1][1] == float(np.trace(own[-1].cov))
+
+
+EDGE_F = 0.99 * rotation(300)
+
+
+def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
+    # the p = 0 member's singular S sends every step through the
+    # per-member gain fallback, whose step-0 prior is unstacked
+    gains = []
+    real = randkf.filter_core._gain
+    monkeypatch.setattr(randkf.filter_core, "_gain",
+                        lambda c, h, S: gains.append(S.ndim) or real(c, h, S))
+    K, members = 2000, edge_nahi_models(EDGE_F)
+    stacked = stack_models(members)
+    states = covariance_recursion(lambda k: stacked, SIM1_IC, K)
+    assert gains.count(2) == len(EDGE_PROBS) * gains.count(3) > 0
+    M = len(members)
+    for i, m in enumerate(members):
+        own = covariance_recursion(constant_provider(m), SIM1_IC, K)
+        for s, o in zip(states, own, strict=True):
+            assert s.cov.shape == (M, 2, 2)
+            np.testing.assert_array_equal(s.cov[i], o.cov)
+            np.testing.assert_array_equal(
+                np.broadcast_to(s.second_moment, (M, 2, 2))[i],
+                o.second_moment)
+
+
+def test_long_horizon_covariances_stay_symmetric_psd():
+    """P, X and S over 10^4 stacked steps, p at and next to 0 and 1."""
+    K, M = 10_000, len(EDGE_PROBS)
+    st = stack_models(edge_nahi_models(EDGE_F))
+    plain = covariance_recursion(lambda k: st, SIM1_IC, K)
+    joseph = filter_sequence(lambda k: st, SIM1_IC, np.empty((0, K + 1, 2)),
+                             joseph=True)
+    P = np.array([np.broadcast_to(s.cov, (M, 2, 2)) for s in plain])
+    X = np.array([np.broadcast_to(s.second_moment, (M, 2, 2))
+                  for s in plain])
+    # each step's predicted P (the prior at step 0), and its S
+    Fbar, Hbar = st.F.mean, st.H.mean
+    P_pred = np.concatenate([
+        np.broadcast_to(SIM1_IC.cov, (1, M, 2, 2)),
+        Fbar @ P[:-1] @ Fbar.mT + st.Rv + quad_form(st.F, X[:-1])])
+    S = Hbar @ P_pred @ Hbar.mT + st.Rw + quad_form(st.H, X)
+    # tolerance fixed from the dtype, relative to each matrix's size
+    tol = 100 * np.finfo(P.dtype).eps
+    for name, A in (("P", P), ("X", X), ("S", S)):
+        scale = np.abs(A).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(A - A.mT) <= tol * scale), name
+        w = np.linalg.eigvalsh(0.5 * (A + A.mT))
+        assert np.all(w[..., 0] >= -tol * scale[..., 0, 0]), name
+    Pj = np.array([np.broadcast_to(s.cov, (M, 2, 2)) for s in joseph])
+    np.testing.assert_allclose(Pj, P, rtol=1e-9, atol=1e-10)
+    for s, j in zip(plain, joseph, strict=True):
+        np.testing.assert_array_equal(s.second_moment, j.second_moment)
 
 
 def test_covariance_recursion_is_data_independent(rng):

@@ -1,12 +1,12 @@
 """Kalman filtering for systems with random transition and measurement matrices."""
 
 from .random_matrix import (
+    BlockDropout,
     MatrixDist,
     RandomMatrixSpec,
     deterministic,
     moments_from_dist,
     quad_form,
-    quad_form_discrete,
     sample_matrix,
 )
 from .filter_core import (
@@ -32,7 +32,6 @@ from .adapters import (
     build_nahi,
     build_partitioned,
     build_uncertain_obs,
-    partitioned_quad_form,
 )
 from .sim_harness import (
     RunMetrics,

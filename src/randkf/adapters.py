@@ -3,15 +3,17 @@
 Each adapter turns a domain-level description (sensor dropout
 probabilities, a bank of candidate dynamics, ...) into the generic
 StepModel the filter consumes, by constructing the finite distribution
-of the random matrix and taking its moments.  A step's StepModel
-depends only on the model and that step's probability values, so each
-model keeps the last one it built and returns it while those values
-repeat: a model with constant probabilities is built once.
+of the random matrix and taking its moments.  Independently dropping
+measurement blocks form a ``BlockDropout``: B blocks give B deviation
+factors and are sampled with one Bernoulli draw per block, so neither
+the build nor a draw enumerates the 2^B on/off patterns.  A step's
+StepModel depends only on the model and that step's probability values,
+so each model keeps the last one it built and returns it while those
+values repeat: a model with constant probabilities is built once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -19,13 +21,12 @@ import numpy as np
 
 from .filter_core import StepModel, _check_psd
 from .random_matrix import (
+    BlockDropout,
     MatrixDist,
     RandomMatrixSpec,
     deterministic,
     moments_from_dist,
 )
-
-MAX_PARTITION_BLOCKS = 20
 
 ProbFn = Callable[[int], float] | float
 
@@ -160,61 +161,22 @@ def build_nahi(m: NahiModel, k: int) -> StepModel:
 def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
     """Stacked measurement with independent per-block dropout.
 
-    Enumerates all 2^B on/off block combinations with product
-    probabilities; the resulting quad form is block-diagonal with
-    blocks (1-p_i) p_i h_i X h_i^T, which partitioned_quad_form
-    computes directly as the fast path.
+    The blocks and their probabilities form a BlockDropout, whose B
+    deviation factors make the quad form block-diagonal with blocks
+    (1-p_i) p_i h_i X h_i^T.
     """
-    B = len(m.blocks)
-    if B < 1:
-        raise ValueError("need at least one block")
-    if B > MAX_PARTITION_BLOCKS:
-        raise ValueError(f"{B} blocks would enumerate 2^{B} samples")
     ps = [_prob_at(p, k, f"block {i} probability")
           for i, (_, p) in enumerate(m.blocks)]
 
     def build() -> StepModel:
-        hs = [np.atleast_2d(np.asarray(h, dtype=float)) for h, _ in m.blocks]
-        r = hs[0].shape[1]
-        if any(h.shape[1] != r for h in hs):
-            raise ValueError("blocks disagree on state dimension")
-        N = sum(h.shape[0] for h in hs)
-        Rw = np.asarray(m.Rw, dtype=float)
+        dist = BlockDropout(blocks=tuple(h for h, _ in m.blocks), probs=ps)
+        Rw, N = np.asarray(m.Rw, dtype=float), dist.stacked.shape[1]
         if Rw.shape != (N, N):
             raise ValueError(f"Rw is {Rw.shape}, stacked blocks give N={N}")
-        pairs = []
-        for on in itertools.product((1, 0), repeat=B):
-            H = np.vstack([h if bit else np.zeros_like(h)
-                           for h, bit in zip(hs, on)])
-            prob = float(np.prod([p if bit else 1.0 - p
-                                  for p, bit in zip(ps, on)]))
-            pairs.append((H, prob))
-        dist = MatrixDist.of(pairs)
         return StepModel(F=_f_spec(m.F), H=moments_from_dist(dist),
                          Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
 
     return _last_build(m, ps, build)
-
-
-def partitioned_quad_form(m: PartitionedObsModel, X, k: int = 0) -> np.ndarray:
-    """Block-diagonal E(H~ X H~^T) computed per block in O(B).
-
-    Cross-checked against the enumerated-distribution path in tests.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    blocks = []
-    for i, (h, p) in enumerate(m.blocks):
-        h = np.atleast_2d(np.asarray(h, dtype=float))
-        pi = _prob_at(p, k, f"block {i} probability")
-        blocks.append((1.0 - pi) * pi * h @ X @ h.T)
-    N = sum(b.shape[0] for b in blocks)
-    out = np.zeros((N, N))
-    at = 0
-    for b in blocks:
-        n = b.shape[0]
-        out[at:at + n, at:at + n] = b
-        at += n
-    return out
 
 
 def build_multimodel(m: MultiModelDynamics, k: int) -> StepModel:

@@ -25,17 +25,14 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .filter_core import filter_sequence
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Header, then each row of the 2-D array ``rows`` with 17 significant
+    digits per cell, comma-separated with CRLF line ends as csv writes."""
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([cell if isinstance(cell, str) else _fmt(cell)
-                        for cell in row])
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % tuple(row)
+                      for row in np.asarray(rows, dtype=float).tolist())
 
 
 def _read_measurements(path: Path, N: int) -> np.ndarray:
@@ -56,14 +53,12 @@ def _read_measurements(path: Path, N: int) -> np.ndarray:
         raise ConfigError(f"{path}: non-numeric measurement ({exc})") from exc
 
 
-def _upper_triangle(P: np.ndarray) -> list[float]:
-    r = P.shape[0]
-    return [P[i, j] for i in range(r) for j in range(i, r)]
-
-
-def _estimates_rows(states):
-    for s in states:
-        yield [s.step, *s.mean, *_upper_triangle(s.cov)]
+def _estimates_rows(states) -> np.ndarray:
+    """k, estimate and covariance upper triangle (by rows) of each state."""
+    covs = np.array([s.cov for s in states])
+    iu = np.triu_indices(covs.shape[-1])
+    return np.column_stack([[s.step for s in states],
+                            [s.mean for s in states], covs[:, iu[0], iu[1]]])
 
 
 def _estimates_header(r: int) -> list[str]:
@@ -91,16 +86,17 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         traj = sim_harness.simulate_truth(provider, ic, cfg.horizon, seed)
         _write_csv(out_dir / "truth.csv",
                    ["k"] + [f"x_{i + 1}" for i in range(r)],
-                   ([k, *x] for k, x in enumerate(traj.states)))
+                   np.column_stack([np.arange(cfg.horizon + 1),
+                                    traj.states]))
         _write_csv(out_dir / "measurements.csv",
                    [f"y{i + 1}" for i in range(N)], traj.measurements)
     elif cfg.mode == "montecarlo":
         metrics = sim_harness.monte_carlo(provider, ic, cfg.horizon,
                                           cfg.runs, cfg.seed)
         _write_csv(out_dir / "metrics.csv", ["k", "E_k2", "mean_nees"],
-                   ([k, e, nn] for k, (e, nn) in
-                    enumerate(zip(metrics.per_step_sq_error,
-                                  metrics.per_step_nees))))
+                   np.column_stack([np.arange(cfg.horizon + 1),
+                                    metrics.per_step_sq_error,
+                                    metrics.per_step_nees]))
         summary = {"runs": metrics.runs, "seed": cfg.seed,
                    "horizon": cfg.horizon, "config": cfg.raw}
         (out_dir / "summary.json").write_text(

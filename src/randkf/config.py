@@ -65,7 +65,7 @@ def _matrix(node: Any, where: str) -> np.ndarray:
         _require_keys(node, {"rotation"}, {"rotation"}, where)
         rot = node["rotation"]
         _require_keys(rot, {"period"}, {"period"}, f"{where}.rotation")
-        period = float(rot["period"])
+        period = _number(rot["period"], f"{where}.rotation.period")
         if period == 0:
             raise ConfigError(f"{where}.rotation.period: must be nonzero")
         return rotation_matrix(period)
@@ -78,11 +78,17 @@ def _matrix(node: Any, where: str) -> np.ndarray:
     return m
 
 
-def _prob(node: Any, where: str) -> float:
+def _number(node: Any, where: str, kind: type = float):
+    """node as a float (or an int), else a ConfigError naming where."""
     try:
-        p = float(node)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: not a number") from None
+        return kind(node)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{where}: not {what}") from None
+
+
+def _prob(node: Any, where: str) -> float:
+    p = _number(node, where)
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"{where}: probability {p} outside [0, 1]")
     return p
@@ -126,6 +132,8 @@ def _build_model(node: dict):
         rw = _matrix(node["rw"], "model.rw") if "rw" in node else None
         pmn = None
         if "per_model_noise" in node:
+            if not isinstance(node["per_model_noise"], list):
+                raise ConfigError("model.per_model_noise: expected a list")
             pmn = [_matrix(m, f"model.per_model_noise[{i}]")
                    for i, m in enumerate(node["per_model_noise"])]
         try:
@@ -212,10 +220,10 @@ def parse_config(text: str) -> ExperimentConfig:
     mode = doc["mode"]
     if mode not in MODES:
         raise ConfigError(f"mode: '{mode}' not one of {MODES}")
-    horizon = int(doc["horizon"])
+    horizon = _number(doc["horizon"], "horizon", int)
     if horizon < 1:
         raise ConfigError("horizon: must be >= 1")
-    runs = int(doc.get("runs", 50))
+    runs = _number(doc.get("runs", 50), "runs", int)
     if runs < 1:
         raise ConfigError("runs: must be >= 1")
     ini = doc["initial"]
@@ -224,15 +232,17 @@ def parse_config(text: str) -> ExperimentConfig:
         ic = InitialCondition(
             mean=np.asarray(ini["mean"], dtype=float),
             cov=_matrix(ini["cov"], "initial.cov"))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"initial: {exc}") from exc
+    if not isinstance(doc.get("gammas", []), list):
+        raise ConfigError("gammas: expected a list")
     gammas = [_prob(g, f"gammas[{i}]")
               for i, g in enumerate(doc.get("gammas", []))]
     model = _build_model(doc["model"])
 
     cfg = ExperimentConfig(mode=mode, model=model, initial=ic,
                            horizon=horizon, runs=runs,
-                           seed=int(doc.get("seed", 0)),
+                           seed=_number(doc.get("seed", 0), "seed", int),
                            output=doc.get("output"),
                            measurements=doc.get("measurements"),
                            gammas=gammas, raw=doc)

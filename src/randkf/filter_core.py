@@ -107,7 +107,8 @@ ModelProvider = Callable[[int], StepModel]
 
 def stack_models(models: Sequence[StepModel]) -> StepModel:
     """One StepModel whose arrays carry a leading model axis; member i
-    is models[i].  The members must share every array shape."""
+    is models[i].  The members must share every matrix shape; a member
+    with fewer deviation factors than another gets zero factors."""
     models = list(models)
     if not models:
         raise ValueError("need at least one model to stack")
@@ -118,8 +119,13 @@ def stack_models(models: Sequence[StepModel]) -> StepModel:
                          f"{sorted(shapes)}")
 
     def spec(specs: list[RandomMatrixSpec]) -> RandomMatrixSpec:
+        G = specs[0].factors
+        L = max(s.factors.shape[-3] for s in specs)
+        factors = np.zeros((len(specs),) + G.shape[:-3] + (L,) + G.shape[-2:])
+        for i, s in enumerate(specs):
+            factors[i, ..., :s.factors.shape[-3], :, :] = s.factors
         return RandomMatrixSpec(mean=np.stack([s.mean for s in specs]),
-                                dev_cov=np.stack([s.dev_cov for s in specs]))
+                                factors=factors)
 
     return StepModel(F=spec([m.F for m in models]),
                      H=spec([m.H for m in models]),
@@ -192,6 +198,12 @@ def _require_finite(step: int, **mats: np.ndarray) -> None:
             raise ValueError(f"{name} is not finite at step {step}")
 
 
+def _effective_noise(R: np.ndarray, spec: RandomMatrixSpec,
+                     X: np.ndarray) -> np.ndarray:
+    """R + E(M~ X M~^T); a matrix with no deviation factors adds nothing."""
+    return R + quad_form(spec, X) if spec.factors.shape[-3] else R
+
+
 def predict(s: FilterState | PredictedState, m: StepModel) -> PredictedState:
     """Time update through the random transition matrix.
 
@@ -202,9 +214,9 @@ def predict(s: FilterState | PredictedState, m: StepModel) -> PredictedState:
     Fbar = m.F.mean
     if Fbar.shape[-1] != s.mean.shape[-1]:
         raise ValueError("state dimension does not match transition matrix")
-    qf = quad_form(m.F, s.second_moment)
-    cov = symmetrize(Fbar @ s.cov @ Fbar.mT + m.Rv + qf)
-    second = symmetrize(Fbar @ s.second_moment @ Fbar.mT + qf + m.Rv)
+    Rv_eff = _effective_noise(m.Rv, m.F, s.second_moment)
+    cov = symmetrize(Fbar @ s.cov @ Fbar.mT + Rv_eff)
+    second = symmetrize(Fbar @ s.second_moment @ Fbar.mT + Rv_eff)
     _require_finite(s.step + 1, P=cov, X=second)
     return PredictedState(step=s.step + 1, mean=s.mean @ Fbar.mT, cov=cov,
                           second_moment=second)
@@ -213,13 +225,15 @@ def predict(s: FilterState | PredictedState, m: StepModel) -> PredictedState:
 def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
     """K = cov Hbar^T S^+, pseudo-inverting only when S is ill-conditioned.
 
-    A stack of S takes one solve when every member is well-conditioned,
-    and otherwise each member's own path.
+    A stack of S solves its well-conditioned members in one batch and
+    sends each other member through its own path.
     """
     w = np.linalg.eigvalsh(S)
     if S.ndim > 2:
         wmin = w[..., 0]
-        if np.all(wmin > 0) and np.all(w[..., -1] / wmin < COND_LIMIT):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            good = (wmin > 0) & (w[..., -1] / wmin < COND_LIMIT)
+        if np.all(good):
             return np.linalg.solve(S, Hbar @ cov).mT
         # the step-0 prior's cov (and a shared Hbar) carry no model axis:
         # broadcast them so that each member indexes its own matrix
@@ -227,7 +241,8 @@ def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
         cov = np.broadcast_to(cov, lead + cov.shape[-2:])
         Hbar = np.broadcast_to(Hbar, lead + Hbar.shape[-2:])
         K = np.empty(lead + (cov.shape[-1], S.shape[-1]))
-        for i in np.ndindex(lead):
+        K[good] = np.linalg.solve(S[good], Hbar[good] @ cov[good]).mT
+        for i in zip(*np.nonzero(~good)):
             K[i] = _gain(cov[i], Hbar[i], S[i])
         return K
     wmax = w.max(initial=0.0)
@@ -256,7 +271,7 @@ def update(p: PredictedState, y, m: StepModel, *,
         raise ValueError("measurement dimension mismatch")
     if Hbar.shape[-1] != p.mean.shape[-1]:
         raise ValueError("state dimension does not match measurement matrix")
-    Rw_eff = m.Rw + quad_form(m.H, p.second_moment)
+    Rw_eff = _effective_noise(m.Rw, m.H, p.second_moment)
     S = symmetrize(Hbar @ p.cov @ Hbar.mT + Rw_eff)
     _require_finite(p.step, measurement=y, S=S)
     K = _gain(p.cov, Hbar, S)

@@ -1,17 +1,15 @@
-"""Random matrices represented by moments or finite distributions.
+"""Random matrices represented by their mean and deviation factors.
 
-A random matrix enters the filter recursion only through its mean and the
-covariances of its entries.  ``RandomMatrixSpec`` carries exactly that:
-the mean matrix and a fourth-order tensor ``dev_cov`` with
+A random matrix M enters the filter recursion only through its mean and
+the extra covariance it injects, E(M~ X M~^T) with M~ = M - E(M).
+``RandomMatrixSpec`` carries exactly that: the mean and deviation factors
+G_l of the mean's shape, with E(M~ X M~^T) = sum_l G_l X G_l^T, which
+``quad_form`` evaluates.  A deterministic matrix has no factors.
 
-    dev_cov[i, j, m, n] = Cov(M_ij, M_mn).
-
-Finite distributions (a list of sample matrices with probabilities) are
-the constructor of record for all the application models; the tensor is
-the filter-facing interface.  ``quad_form`` evaluates the extra
-covariance injected by matrix randomness, E(M~ X M~^T), from the tensor;
-``quad_form_discrete`` evaluates the same quantity by mixture summation
-and serves as the internal cross-check of the tensor path.
+``moments_from_dist`` builds a spec from a finite distribution: a
+``MatrixDist`` (sample matrices with probabilities) gives one factor per
+sample, and a ``BlockDropout`` (stacked blocks, each present
+independently) one per block, so B blocks cost O(B), not 2^B patterns.
 """
 
 from __future__ import annotations
@@ -85,43 +83,69 @@ class MatrixDist:
 
 
 @dataclass(frozen=True)
-class RandomMatrixSpec:
-    """Mean and entrywise deviation covariance of a random matrix.
+class BlockDropout:
+    """Stacked blocks h_i, each present independently with probability p_i.
 
-    ``dev_cov`` has shape (p, q, p, q) and is symmetric under swapping
-    the index pairs; ``source`` records the finite distribution the
-    moments came from, when there was one.  A stack of specs carries
-    leading axes on both arrays, ``mean`` (..., p, q) and ``dev_cov``
-    (..., p, q, p, q); ``shape`` is that of one member.
+    A draw stacks b_i h_i, block after block, with independent
+    Bernoulli(p_i) variables b_i.  ``stacked`` is the (B, N, q) array
+    whose layer i is h_i in its own rows and zero elsewhere.
+    """
+
+    blocks: tuple[np.ndarray, ...]
+    probs: np.ndarray
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        blocks = tuple(_frozen(np.atleast_2d(h)) for h in self.blocks)
+        probs = _frozen(np.asarray(self.probs, dtype=float).ravel())
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "probs", probs)
+        if not blocks:
+            raise ValueError("need at least one block")
+        if len(blocks) != probs.size:
+            raise ValueError(
+                f"{len(blocks)} blocks but {probs.size} probabilities")
+        if len({h.shape[1] for h in blocks}) > 1:
+            raise ValueError("blocks disagree on state dimension")
+        if not np.all((probs >= 0) & (probs <= 1)):
+            raise ValueError("block probability outside [0, 1]")
+        rows = np.repeat(np.arange(probs.size), [h.shape[0] for h in blocks])
+        on = rows == np.arange(probs.size)[:, None]
+        stacked = np.where(on[..., None], np.vstack(blocks), 0.0)
+        stacked.setflags(write=False)
+        object.__setattr__(self, "stacked", stacked)
+
+
+@dataclass(frozen=True)
+class RandomMatrixSpec:
+    """Mean and deviation factors of a random matrix.
+
+    ``factors`` has shape (L, p, q): E(M~ X M~^T) = sum_l G_l X G_l^T,
+    and a deterministic matrix has L = 0.  ``source`` records the finite
+    distribution the moments came from, when there was one.  A stack of
+    specs carries leading axes on both arrays, ``mean`` (..., p, q) and
+    ``factors`` (..., L, p, q); ``shape`` is that of one member.
     """
 
     mean: np.ndarray
-    dev_cov: np.ndarray
-    source: MatrixDist | None = None
+    factors: np.ndarray
+    source: MatrixDist | BlockDropout | None = None
 
     def __post_init__(self):
         mean = _frozen(np.atleast_2d(self.mean))
-        dev = _frozen(self.dev_cov)
+        factors = _frozen(self.factors)
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "dev_cov", dev)
-        lead, (p, q) = mean.shape[:-2], mean.shape[-2:]
-        if dev.shape != lead + (p, q, p, q):
-            raise ValueError(
-                f"dev_cov shape {dev.shape} does not match mean {mean.shape}"
-            )
-        flat = dev.reshape(lead + (p * q, p * q))
-        if not np.allclose(flat, flat.mT, atol=MOMENT_TOL, rtol=0):
-            raise ValueError("dev_cov not symmetric under pair swap")
-        if np.any(np.diagonal(flat, axis1=-2, axis2=-1) < -MOMENT_TOL):
-            raise ValueError("negative entry variance in dev_cov")
+        object.__setattr__(self, "factors", factors)
+        if (factors.ndim != mean.ndim + 1
+                or factors.shape[:-3] + factors.shape[-2:] != mean.shape):
+            raise ValueError(f"factors shape {factors.shape} does not "
+                             f"match mean {mean.shape}")
         if self.source is not None:
-            ref_mean, ref_dev = _dist_moments(self.source)
-            scale = max(1.0, float(np.abs(ref_mean).max()))
-            if not (
-                np.allclose(mean, ref_mean, atol=MOMENT_TOL * scale, rtol=0)
-                and np.allclose(dev, ref_dev,
-                                atol=MOMENT_TOL * scale ** 2, rtol=0)
-            ):
+            ref_mean, ref_factors = _dist_moments(self.source)
+            tol = MOMENT_TOL * max(1.0, float(np.abs(ref_mean).max()))
+            if not (factors.shape == ref_factors.shape
+                    and np.allclose(mean, ref_mean, atol=tol, rtol=0)
+                    and np.allclose(factors, ref_factors, atol=tol, rtol=0)):
                 raise ValueError("moments inconsistent with source dist")
 
     @property
@@ -130,76 +154,65 @@ class RandomMatrixSpec:
 
     @property
     def is_deterministic(self) -> bool:
-        return not np.any(self.dev_cov)
+        return not np.any(self.factors)
 
 
 def deterministic(matrix) -> RandomMatrixSpec:
-    """Spec for a non-random matrix: zero deviation covariance."""
+    """Spec for a non-random matrix: no deviation factors."""
     mean = np.atleast_2d(np.asarray(matrix, dtype=float))
-    p, q = mean.shape
-    return RandomMatrixSpec(mean=mean, dev_cov=np.zeros((p, q, p, q)))
+    return RandomMatrixSpec(mean=mean, factors=np.zeros((0,) + mean.shape))
 
 
-def _dist_moments(dist: MatrixDist) -> tuple[np.ndarray, np.ndarray]:
+def _dist_moments(dist) -> tuple[np.ndarray, np.ndarray]:
+    if isinstance(dist, BlockDropout):
+        p = dist.probs
+        mean = np.einsum("b,bij->ij", p, dist.stacked)
+        return mean, np.sqrt(p * (1.0 - p))[:, None, None] * dist.stacked
     mean = np.einsum("t,tij->ij", dist.probs, dist.stacked)
-    devs = dist.stacked - mean
-    dev_cov = np.einsum("t,tij,tmn->ijmn", dist.probs, devs, devs)
-    return mean, dev_cov
+    return mean, np.sqrt(dist.probs)[:, None, None] * (dist.stacked - mean)
 
 
-def moments_from_dist(dist: MatrixDist) -> RandomMatrixSpec:
-    """First and second moments of a finite matrix distribution.
+def moments_from_dist(dist: MatrixDist | BlockDropout) -> RandomMatrixSpec:
+    """Mean and deviation factors of a finite matrix distribution.
 
-    mean = sum_j p_j M_j and
-    dev_cov[i,j,m,n] = sum_t p_t (M_t - mean)_ij (M_t - mean)_mn.
+    A MatrixDist has mean sum_t p_t M_t and factors sqrt(p_t) (M_t - mean);
+    a BlockDropout has mean [p_i h_i] and factors sqrt(p_i (1 - p_i)) h_i,
+    each zero-padded to the full rows.
     """
-    mean, dev_cov = _dist_moments(dist)
-    return RandomMatrixSpec(mean=mean, dev_cov=dev_cov, source=dist)
-
-
-def _check_quad_input(shape: tuple[int, int], X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    q = shape[1]
-    if X.shape[-2:] != (q, q):
-        raise ValueError(f"X has shape {X.shape}, expected ({q}, {q})")
-    return X
+    mean, factors = _dist_moments(dist)
+    return RandomMatrixSpec(mean=mean, factors=factors, source=dist)
 
 
 def quad_form(spec: RandomMatrixSpec, X) -> np.ndarray:
-    """E(M~ X M~^T) from the deviation covariance tensor.
+    """E(M~ X M~^T) = sum_l G_l X G_l^T over the deviation factors.
 
-    Entrywise, result[m, n] = sum_{i,j} Cov(M_mi, M_nj) X[i, j].  The
-    numeric result is symmetrized to kill round-off asymmetry since the
-    downstream Riccati steps assume symmetry.  Leading axes of a stacked
-    spec and of X broadcast; each member's result is bit-identical to
-    its own unstacked call.
+    The numeric result is symmetrized to kill round-off asymmetry since
+    the downstream Riccati steps assume symmetry.  Leading axes of a
+    stacked spec and of X broadcast; each member's result is
+    bit-identical to its own unstacked call.
     """
-    X = _check_quad_input(spec.shape, X)
-    out = np.einsum("...minj,...ij->...mn", spec.dev_cov, X)
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    q = spec.shape[1]
+    if X.shape[-2:] != (q, q):
+        raise ValueError(f"X has shape {X.shape}, expected ({q}, {q})")
+    G = spec.factors
+    out = (G @ X[..., None, :, :] @ G.mT).sum(axis=-3)
     return 0.5 * (out + out.mT)
 
 
-def quad_form_discrete(dist: MatrixDist, X) -> np.ndarray:
-    """E(M~ X M~^T) by direct mixture summation over the samples.
-
-    Equals quad_form(moments_from_dist(dist), X) up to round-off; the
-    two paths cross-check each other.
-    """
-    X = _check_quad_input(dist.shape, X)
-    mean = np.einsum("t,tij->ij", dist.probs, dist.stacked)
-    devs = dist.stacked - mean
-    out = np.einsum("t,tij,jk,tlk->il", dist.probs, devs, X, devs)
-    return 0.5 * (out + out.T)
-
-
-def sample_matrix(dist: MatrixDist, rng: np.random.Generator,
+def sample_matrix(dist: MatrixDist | BlockDropout, rng: np.random.Generator,
                   size: int | None = None) -> np.ndarray:
     """Draw one sample matrix, or a (size, p, q) stack of them.
 
-    Identical seeds yield identical draws.  This is ``rng.choice``'s
-    inverse-CDF draw without its validation of ``probs``, which costs
-    several times the draw.
+    Identical seeds yield identical draws.  A MatrixDist takes one
+    uniform per draw, by ``rng.choice``'s inverse-CDF method without its
+    validation of ``probs``, which costs several times the draw; a
+    BlockDropout takes one uniform per block and draw.
     """
+    if isinstance(dist, BlockDropout):
+        shape = () if size is None else (size,)
+        on = rng.random(shape + dist.probs.shape) < dist.probs
+        return np.tensordot(on, dist.stacked, axes=1)
     cdf = dist.probs.cumsum()
     cdf /= cdf[-1]
     return dist.stacked.take(cdf.searchsorted(rng.random(size), "right"),

@@ -70,9 +70,10 @@ def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _draw_groups(specs: Sequence, name: str) -> list:
     # (distribution, steps) of the steps whose matrix has a source
-    # distribution, grouped by its content in order of first use; one draw
-    # per run covers each.  Steps are grouped by object first, so a shared
-    # distribution's content is read once, not once per step.
+    # distribution (a MatrixDist or a BlockDropout), grouped by its type
+    # and content in order of first use; one draw per run covers each.
+    # Steps are grouped by object first, so a shared distribution's
+    # content is read once, not once per step.
     by_object: dict[int, tuple] = {}
     for k, spec in enumerate(specs):
         if (dist := spec.source) is not None:
@@ -82,7 +83,7 @@ def _draw_groups(specs: Sequence, name: str) -> list:
                              "source distribution to sample from")
     groups: dict = {}
     for dist, steps in by_object.values():
-        key = (dist.stacked.tobytes(), dist.probs.tobytes())
+        key = (type(dist), dist.stacked.tobytes(), dist.probs.tobytes())
         groups.setdefault(key, (dist, []))[1].extend(steps)
     return [(dist, sorted(steps)) for dist, steps in groups.values()]
 
@@ -92,9 +93,10 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     """Sample states, realized matrices and measurements for steps 0..K.
 
     ``seed`` is one seed, or a list of per-run seeds for arrays with a run
-    axis.  Each run's generator draws its whole block (the indices of its
-    random H, then F, matrices, then the normals of x_0 and every noise),
-    so a run depends on its own seed only.  A deterministic matrix takes
+    axis.  Each run's generator draws its whole block (its random H, then
+    F, matrices: a sample index per step, or an on/off bit per dropout
+    block and step; then the normals of x_0 and every noise), so a run
+    depends on its own seed only.  A deterministic matrix takes
     its mean; a random one without a source distribution raises a
     ValueError naming the matrix and the step.
     """

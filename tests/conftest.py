@@ -5,6 +5,8 @@ independently of the library's code paths, so tests comparing the two
 actually check something.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,61 @@ def nahi_reference(h, p, F, Rv, Rw, mu0, P0, ys):
         x = x + K @ (np.asarray(y, dtype=float).ravel() - p * h @ x)
         P = (I - p * K @ h) @ P
         out.append((x.copy(), P.copy(), X.copy()))
+    return out
+
+
+def quad_form_discrete(dist, X):
+    """E(M~ X M~^T) by direct summation over a MatrixDist's samples."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    mean = sum(p * M for p, M in zip(dist.probs, dist.samples))
+    out = sum(p * (M - mean) @ X @ (M - mean).T
+              for p, M in zip(dist.probs, dist.samples))
+    return 0.5 * (out + out.T)
+
+
+def dev_cov_tensor(dist):
+    """Cov(M_ij, M_mn) of a MatrixDist, as a (p, q, p, q) tensor."""
+    mean = sum(p * M for p, M in zip(dist.probs, dist.samples))
+    return sum(p * np.multiply.outer(M - mean, M - mean)
+               for p, M in zip(dist.probs, dist.samples))
+
+
+def factor_tensor(spec):
+    """The (p, q, p, q) covariance tensor a spec's deviation factors imply."""
+    return np.einsum("lij,lmn->ijmn", spec.factors, spec.factors)
+
+
+def enumerated_partition_dist(blocks):
+    """All 2^B on/off patterns of (h_i, p_i) dropout blocks, with product
+    probabilities, as one MatrixDist."""
+    hs = [np.atleast_2d(np.asarray(h, dtype=float)) for h, _ in blocks]
+    ps = [float(p) for _, p in blocks]
+    pairs = []
+    for on in itertools.product((1, 0), repeat=len(hs)):
+        H = np.vstack([h if bit else np.zeros_like(h)
+                       for h, bit in zip(hs, on)])
+        prob = float(np.prod([p if bit else 1.0 - p
+                              for p, bit in zip(ps, on)]))
+        pairs.append((H, prob))
+    return MatrixDist.of(pairs)
+
+
+def partitioned_quad_form(m, X, k=0):
+    """Block-diagonal E(H~ X H~^T) of a PartitionedObsModel, block by
+    block: (1 - p_i) p_i h_i X h_i^T."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    blocks = []
+    for h, p in m.blocks:
+        h = np.atleast_2d(np.asarray(h, dtype=float))
+        pi = float(p(k)) if callable(p) else float(p)
+        blocks.append((1.0 - pi) * pi * h @ X @ h.T)
+    N = sum(b.shape[0] for b in blocks)
+    out = np.zeros((N, N))
+    at = 0
+    for b in blocks:
+        n = b.shape[0]
+        out[at:at + n, at:at + n] = b
+        at += n
     return out
 
 

@@ -13,7 +13,10 @@ import numpy as np
 from scipy import stats
 
 from conftest import (
+    enumerated_partition_dist,
     nahi_reference,
+    partitioned_quad_form,
+    quad_form_discrete,
     rand_ic,
     rand_psd,
     rand_random_model,
@@ -33,7 +36,6 @@ from randkf import (
     filter_sequence,
     moments_from_dist,
     monte_carlo,
-    partitioned_quad_form,
     quad_form,
 )
 from randkf.cli import main as cli_main
@@ -234,8 +236,9 @@ def test_a6_converted_noises_are_white_with_stated_moments():
 
 
 def test_a7_independent_block_dropout_gives_block_diagonal_quad_form():
-    with _Check("A7", 5, "50 random block partitions: enumerated quad "
-                "form block-diagonal and equal to the per-block formula"):
+    with _Check("A7", 5, "50 random block partitions: factored quad form "
+                "block-diagonal and equal to the enumerated mixture and "
+                "the per-block formula"):
         rng = np.random.default_rng(707)
         for _ in range(50):
             r = int(rng.integers(1, 4))
@@ -249,7 +252,9 @@ def test_a7_independent_block_dropout_gives_block_diagonal_quad_form():
                                     Rv=np.eye(r), Rw=np.eye(N))
             X = rand_psd(rng, r, floor=0.1)
             full = quad_form(build_partitioned(m, 0).H, X)
+            enum = quad_form_discrete(enumerated_partition_dist(m.blocks), X)
             fast = partitioned_quad_form(m, X)
+            np.testing.assert_allclose(full, enum, rtol=0, atol=1e-12)
             np.testing.assert_allclose(full, fast, rtol=0, atol=1e-12)
             mask = np.ones((N, N), dtype=bool)
             at = 0

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 from pathlib import Path
 
@@ -87,6 +88,30 @@ def test_c_and_python_yaml_loaders_agree(path):
     text = path.read_text()
     assert (yaml.load(text, Loader=yaml.CSafeLoader)
             == yaml.load(text, Loader=yaml.SafeLoader))
+
+
+BAD_VALUES = [
+    ("horizon: 5", "horizon: abc", "horizon"),
+    ("horizon: 5", "horizon: 5\nruns: [1]", "runs"),
+    ("seed: 3", "seed: 1.5e3x", "seed"),
+    ("horizon: 5", "horizon: 5\ngammas: 0.5", "gammas"),
+    ("f: [[1, 0], [0, 1]]", "f: {rotation: {period: xyz}}",
+     "model.f.rotation.period"),
+]
+
+
+@pytest.mark.parametrize("old, new, field", BAD_VALUES,
+                         ids=[field for _, _, field in BAD_VALUES])
+def test_bad_value_fails_cleanly_naming_its_field(tmp_path, capsys, old, new,
+                                                  field):
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL.replace(old, new))
+    code = main(["simulate", "--config", str(cfg_file),
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {field}: ")
+    assert "Traceback" not in err
 
 
 def test_malformed_document_rejected():
@@ -215,3 +240,54 @@ def test_float_serialization_round_trips(tmp_path):
     traj = simulate_truth(cfg.provider(), cfg.initial, cfg.horizon, seed)
     _, ys = read_csv(out / "measurements.csv")
     np.testing.assert_array_equal(ys, traj.measurements)
+
+
+def test_csv_bytes_are_csv_module_rows_of_17_digit_cells(tmp_path):
+    # every output CSV holds the bytes a csv.writer gives for its values,
+    # each formatted with 17 significant digits (CRLF line ends)
+    cfg_file = tmp_path / "cfg.yaml"
+    cfg_file.write_text(MINIMAL + "gammas: [0.5, 0.9]\n")
+    out = tmp_path / "out"
+    for argv in (["simulate"], ["montecarlo", "--runs", "2"], ["sweep"],
+                 ["filter", "--measurements",
+                  str(out / "measurements.csv")]):
+        assert main(argv + ["--config", str(cfg_file),
+                            "--out", str(out)]) == 0
+    for name in ("truth.csv", "measurements.csv", "metrics.csv",
+                 "sweep.csv", "estimates.csv"):
+        header, rows = read_csv(out / name)
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(header)
+        w.writerows([format(float(x), ".17g") for x in row] for row in rows)
+        assert (out / name).read_bytes().decode() == expected.getvalue()
+
+
+def test_compare_outputs_script(tmp_path, capsys):
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", REPO / "scripts" / "compare_outputs.py")
+    cmp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cmp)
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.mkdir()
+    b.mkdir()
+
+    def write(d, text, name="x.csv"):
+        (d / name).write_text(text)
+
+    write(a, "k,v\r\n0,1000\r\n1,nan\r\n")
+    write(b, "k,v\r\n0,1000\r\n1,nan\r\n")
+    assert cmp.main([str(a), str(b)]) == 0
+    write(b, "k,v\r\n0,1000.0000000001\r\n1,nan\r\n")   # 1e-13 relative
+    assert cmp.main([str(a), str(b)]) == 0
+    assert "max relative difference 1e-13" in capsys.readouterr().out
+    for text in ("k,v\r\n0,1000.000001\r\n1,nan\r\n",   # 1e-9 relative
+                 "k,w\r\n0,1000\r\n1,nan\r\n",          # header
+                 "k,v\r\n0,1000\r\n",                   # shape
+                 "k,v\r\n0,1000\r\n1,2\r\n"):           # nan on one side
+        write(b, text)
+        assert cmp.main([str(a), str(b)]) == 1
+    write(b, "k,v\r\n0,1000\r\n1,nan\r\n")
+    write(a, "{}", "summary.json")
+    assert cmp.main([str(a), str(b)]) == 1

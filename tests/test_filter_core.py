@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import randkf.filter_core
 from conftest import rand_ic, rand_psd, rand_random_model, textbook_kf
 from randkf import (
     InitialCondition,
@@ -10,6 +11,7 @@ from randkf import (
     init,
     moments_from_dist,
     predict,
+    quad_form,
     step,
     update,
 )
@@ -30,10 +32,9 @@ def rotation(period):
 
 def scalar_spec(mean, var):
     """1x1 random matrix spec with given mean and deviation variance."""
-    dev = np.zeros((1, 1, 1, 1))
-    dev[0, 0, 0, 0] = var
     from randkf.random_matrix import RandomMatrixSpec
-    return RandomMatrixSpec(mean=np.array([[mean]]), dev_cov=dev)
+    return RandomMatrixSpec(mean=np.array([[mean]]),
+                            factors=np.full((1, 1, 1), np.sqrt(var)))
 
 
 class TestInit:
@@ -211,16 +212,48 @@ def test_batched_filter_matches_per_run_calls(rng):
                                        atol=1e-13 * np.abs(s.mean).max())
 
 
+def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
+    # a matrix without deviation factors adds exactly no noise, so only
+    # the random H's quad form runs: none in predict, one per update
+    calls = []
+    real = randkf.filter_core.quad_form
+    monkeypatch.setattr(randkf.filter_core, "quad_form",
+                        lambda spec, X: calls.append(spec) or real(spec, X))
+    H = moments_from_dist(MatrixDist.of([(np.eye(2), 0.9),
+                                         (np.zeros((2, 2)), 0.1)]))
+    m = StepModel(F=deterministic(rotation(50)), H=H, Rv=np.eye(2),
+                  Rw=np.eye(2))
+    s0 = init(InitialCondition(mean=np.ones(2), cov=np.eye(2)))
+    p = predict(s0, m)
+    assert calls == []
+    F = m.F.mean
+    for got, ref in ((p.cov, F @ s0.cov @ F.T + m.Rv),
+                     (p.second_moment, F @ s0.second_moment @ F.T + m.Rv)):
+        np.testing.assert_array_equal(got, 0.5 * (ref + ref.T))
+    update(p, np.ones(2), m)
+    assert calls == [H]
+
+
 class TestStackModels:
     def test_members_are_the_stacked_models(self, rng):
+        # members with 2 or 3 deviation factors, and one with none: fewer
+        # factors are padded with zero factors, which add nothing
         models = [rand_random_model(rng, 3, 2) for _ in range(4)]
+        models.append(deterministic_model(np.eye(3), np.ones((2, 3)),
+                                          np.eye(3), np.eye(2)))
         st = stack_models(models)
         assert st.F.shape == (3, 3) and st.H.shape == (2, 3)
+        X = rand_psd(rng, 3)
         for i, m in enumerate(models):
-            for a, b in ((st.F.mean, m.F.mean), (st.F.dev_cov, m.F.dev_cov),
-                         (st.H.mean, m.H.mean), (st.H.dev_cov, m.H.dev_cov),
+            for a, b in ((st.F.mean, m.F.mean), (st.H.mean, m.H.mean),
                          (st.Rv, m.Rv), (st.Rw, m.Rw)):
                 np.testing.assert_array_equal(a[i], b)
+            for a, b in ((st.F, m.F), (st.H, m.H)):
+                L = b.factors.shape[0]
+                np.testing.assert_array_equal(a.factors[i, :L], b.factors)
+                assert not a.factors[i, L:].any()
+                np.testing.assert_array_equal(quad_form(a, X)[i],
+                                              quad_form(b, X))
 
     def test_rejects_members_of_different_shapes(self):
         one = deterministic_model(np.eye(2), np.ones((1, 2)), np.eye(2),

@@ -3,14 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_dist, rand_psd
+from conftest import (
+    dev_cov_tensor,
+    enumerated_partition_dist,
+    factor_tensor,
+    quad_form_discrete,
+    rand_dist,
+    rand_psd,
+)
 from randkf import (
+    BlockDropout,
     MatrixDist,
     RandomMatrixSpec,
     deterministic,
     moments_from_dist,
     quad_form,
-    quad_form_discrete,
     sample_matrix,
 )
 
@@ -52,7 +59,7 @@ class TestMomentsFromDist:
         M = np.array([[1.0, 2.0], [3.0, 4.0]])
         spec = moments_from_dist(MatrixDist.of([(M, 1.0)]))
         np.testing.assert_array_equal(spec.mean, M)
-        assert not spec.dev_cov.any()
+        assert not spec.factors.any() and spec.is_deterministic
 
     def test_three_rotation_mix_golden(self):
         # probability-weighted sum of the three planar rotations,
@@ -66,31 +73,47 @@ class TestMomentsFromDist:
                                    rtol=0, atol=1e-15)
 
     def test_dev_cov_pair_swap_symmetry(self, rng):
+        # the factors imply the entry covariance tensor of the samples,
+        # which is symmetric under swapping its index pairs
         for _ in range(20):
-            spec = moments_from_dist(rand_dist(rng, 3, 2))
-            flat = spec.dev_cov.reshape(6, 6)
+            dist = rand_dist(rng, 3, 2)
+            dev = factor_tensor(moments_from_dist(dist))
+            np.testing.assert_allclose(dev, dev_cov_tensor(dist), rtol=0,
+                                       atol=1e-12)
+            flat = dev.reshape(6, 6)
             np.testing.assert_allclose(flat, flat.T, rtol=0, atol=1e-12)
 
 
 class TestSpecValidation:
-    def test_rejects_asymmetric_tensor(self):
-        dev = np.zeros((1, 2, 1, 2))
-        dev[0, 0, 0, 1] = 1.0  # swap partner left at zero
-        with pytest.raises(ValueError, match="symmetric"):
-            RandomMatrixSpec(mean=np.zeros((1, 2)), dev_cov=dev)
+    def test_rejects_factor_shape_mismatch(self):
+        # factors must be (..., L, p, q) for a (..., p, q) mean
+        for factors in (np.zeros((1, 2, 1)), np.zeros((2, 1)),
+                        np.zeros((3, 1, 1, 2))):
+            with pytest.raises(ValueError, match="does not match"):
+                RandomMatrixSpec(mean=np.zeros((1, 2)), factors=factors)
 
-    def test_rejects_negative_variance(self):
-        dev = np.zeros((1, 1, 1, 1))
-        dev[0, 0, 0, 0] = -1.0
-        with pytest.raises(ValueError, match="variance"):
-            RandomMatrixSpec(mean=np.zeros((1, 1)), dev_cov=dev)
+    def test_any_factors_give_symmetric_psd_noise(self, rng):
+        # sum_l G_l X G_l^T is PSD for every choice of factors, so unlike
+        # a covariance tensor the factors need no symmetry or sign check
+        for _ in range(20):
+            L, p, q = (int(n) for n in rng.integers(1, 4, size=3))
+            spec = RandomMatrixSpec(mean=np.zeros((p, q)),
+                                    factors=rng.standard_normal((L, p, q)))
+            out = quad_form(spec, rand_psd(rng, q))
+            np.testing.assert_array_equal(out, out.T)
+            assert np.linalg.eigvalsh(out).min() >= -1e-12 * np.trace(out)
 
     def test_rejects_inconsistent_source(self):
         dist = MatrixDist.of([(np.ones((1, 1)), 0.5),
                               (np.zeros((1, 1)), 0.5)])
         with pytest.raises(ValueError, match="inconsistent"):
             RandomMatrixSpec(mean=np.zeros((1, 1)),
-                             dev_cov=np.zeros((1, 1, 1, 1)), source=dist)
+                             factors=np.zeros((2, 1, 1)), source=dist)
+        # the right mean, but factors with the wrong deviation size or count
+        for factors in (np.full((2, 1, 1), 0.25), np.zeros((0, 1, 1))):
+            with pytest.raises(ValueError, match="inconsistent"):
+                RandomMatrixSpec(mean=np.full((1, 1), 0.5), factors=factors,
+                                 source=dist)
 
 
 class TestQuadForm:
@@ -118,10 +141,11 @@ class TestQuadForm:
             quad_form(spec, np.eye(2))
 
     def test_stacked_spec_matches_each_member_bit_for_bit(self, rng):
-        specs = [moments_from_dist(rand_dist(rng, 2, 3)) for _ in range(4)]
+        specs = [moments_from_dist(rand_dist(rng, 2, 3, n_samples=3))
+                 for _ in range(4)]
         stacked = RandomMatrixSpec(
             mean=np.stack([s.mean for s in specs]),
-            dev_cov=np.stack([s.dev_cov for s in specs]))
+            factors=np.stack([s.factors for s in specs]))
         assert stacked.shape == (2, 3)
         X = rand_psd(rng, 3)
         Xs = np.stack([rand_psd(rng, 3) for _ in specs])
@@ -133,32 +157,40 @@ class TestQuadForm:
 
 
 class TestQuadFormDiscrete:
+    """The mixture-summation reference (tests' ``quad_form_discrete``) and
+    the factored quad form on the same cases."""
+
     def test_single_sample_gives_zero(self):
         dist = MatrixDist.of([(H_SIM1, 1.0)])
-        np.testing.assert_array_equal(quad_form_discrete(dist, np.eye(2)),
-                                      np.zeros((2, 2)))
+        for out in (quad_form_discrete(dist, np.eye(2)),
+                    quad_form(moments_from_dist(dist), np.eye(2))):
+            np.testing.assert_array_equal(out, np.zeros((2, 2)))
 
     def test_two_independent_scalar_blocks(self):
         # stacked 2x1 blocks h1 = h2 = [1], each on/off w.p. 1/2:
-        # four samples with product probabilities
+        # four samples with product probabilities, or two dropout blocks
         one, zero = np.array([1.0]), np.array([0.0])
         pairs = [(np.vstack([a, b]), 0.25)
                  for a in (one, zero) for b in (one, zero)]
-        out = quad_form_discrete(MatrixDist.of(pairs), np.eye(1))
-        np.testing.assert_allclose(out, np.diag([0.25, 0.25]), rtol=0,
-                                   atol=1e-15)
+        blocks = BlockDropout(blocks=(one, one), probs=[0.5, 0.5])
+        for out in (quad_form_discrete(MatrixDist.of(pairs), np.eye(1)),
+                    quad_form(moments_from_dist(blocks), np.eye(1))):
+            np.testing.assert_allclose(out, np.diag([0.25, 0.25]), rtol=0,
+                                       atol=1e-15)
 
     def test_sim1_dropout_at_identity(self):
         dist = MatrixDist.of([(H_SIM1, 0.95), (np.zeros((2, 2)), 0.05)])
-        out = quad_form_discrete(dist, np.eye(2))
-        np.testing.assert_allclose(out, 0.0475 * H_SIM1 @ H_SIM1.T,
-                                   rtol=1e-13, atol=1e-15)
+        for out in (quad_form_discrete(dist, np.eye(2)),
+                    quad_form(moments_from_dist(dist), np.eye(2))):
+            np.testing.assert_allclose(out, 0.0475 * H_SIM1 @ H_SIM1.T,
+                                       rtol=1e-13, atol=1e-15)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 3),
        q=st.integers(1, 3))
 def test_tensor_and_mixture_paths_agree(seed, p, q):
+    # the factored quad form against the mixture-summation reference
     rng = np.random.default_rng(seed)
     dist = rand_dist(rng, p, q)
     X = rand_psd(rng, q)
@@ -203,6 +235,60 @@ class TestSampleMatrix:
         s1 = [sample_matrix(dist, r1)[0, 0] for _ in range(50)]
         s2 = [sample_matrix(dist, r2)[0, 0] for _ in range(50)]
         assert s1 == s2
+
+
+class TestBlockDropout:
+    @staticmethod
+    def rand_blocks(rng, r=3):
+        B = int(rng.integers(1, 5))
+        blocks = tuple(rng.standard_normal((int(rng.integers(1, 3)), r))
+                       for _ in range(B))
+        return blocks, rng.uniform(0.05, 0.95, size=B)
+
+    def test_moments_match_enumerated_mixture(self, rng):
+        for _ in range(20):
+            blocks, probs = self.rand_blocks(rng)
+            spec = moments_from_dist(BlockDropout(blocks=blocks,
+                                                  probs=probs))
+            enum = enumerated_partition_dist(list(zip(blocks, probs)))
+            assert spec.factors.shape == (len(blocks),) + spec.shape
+            np.testing.assert_allclose(spec.mean,
+                                       moments_from_dist(enum).mean,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(factor_tensor(spec),
+                                       dev_cov_tensor(enum), rtol=0,
+                                       atol=1e-12)
+
+    def test_rejects_invalid_blocks(self):
+        h = np.ones((1, 2))
+        for blocks, probs, match in (
+                ((), [], "at least one"),
+                ((h, h), [0.5], "2 blocks but 1"),
+                ((h, np.ones((1, 3))), [0.5, 0.5], "state dimension"),
+                ((h,), [1.5], "outside"),
+                ((h,), [np.nan], "outside")):
+            with pytest.raises(ValueError, match=match):
+                BlockDropout(blocks=blocks, probs=probs)
+
+    def test_draws_independent_blocks(self):
+        # blocks [1] and [[2], [3]]: each draw keeps or zeroes whole
+        # blocks, with the block frequencies and their products
+        dist = BlockDropout(blocks=(np.ones((1, 1)),
+                                    np.array([[2.0], [3.0]])),
+                            probs=[0.3, 0.8])
+        n = 100_000
+        draws = sample_matrix(dist, np.random.default_rng(5), size=n)
+        assert draws.shape == (n, 3, 1)
+        on1, on2 = draws[:, 0, 0] == 1.0, draws[:, 1, 0] == 2.0
+        assert np.all(draws[:, 0, 0] == np.where(on1, 1.0, 0.0))
+        assert np.all(draws[:, 1:, 0] == np.where(on2[:, None], [2.0, 3.0],
+                                                  0.0))
+        se = 0.5 / np.sqrt(n)
+        for freq, p in ((on1.mean(), 0.3), (on2.mean(), 0.8),
+                        ((on1 & on2).mean(), 0.24)):
+            assert abs(freq - p) < 5 * se
+        one = sample_matrix(dist, np.random.default_rng(5))
+        np.testing.assert_array_equal(one, draws[0])
 
 
 def test_product_moment_matches_analytic_lemma():

@@ -12,14 +12,17 @@ from conftest import (
     textbook_kf,
 )
 from randkf import (
+    BlockDropout,
     InitialCondition,
     MatrixDist,
     MultiModelDynamics,
     NahiModel,
+    PartitionedObsModel,
     RandomMatrixSpec,
     StepModel,
     build_multimodel,
     build_nahi,
+    build_partitioned,
     deterministic,
     deterministic_model,
     filter_sequence,
@@ -71,7 +74,7 @@ class TestSimulateTruth:
         # moments alone do not say how to draw the matrix; drawing its
         # mean would drop randomness that the filter accounts for
         random = RandomMatrixSpec(mean=np.ones((1, 1)),
-                                  dev_cov=np.full((1, 1, 1, 1), 0.25))
+                                  factors=np.full((1, 1, 1), 0.5))
         fixed = deterministic(np.ones((1, 1)))
         ic = InitialCondition(mean=np.zeros(1), cov=np.eye(1))
         for F, H, name in ((fixed, random, "H"), (random, fixed, "F")):
@@ -138,6 +141,44 @@ class TestSimulateTruth:
         groups = _draw_groups(specs, "H")
         assert [steps for _, steps in groups] == [[1, 5], [2, 3, 4, 6, 8]]
         assert groups[0][0] is b.source and groups[1][0] is a.source
+
+    def test_draw_groups_key_block_dropout_by_type_and_content(self):
+        # equal BlockDropouts share a group; a MatrixDist whose arrays hold
+        # the same bytes is a different distribution and keeps its own
+        def blocks():
+            return moments_from_dist(BlockDropout(blocks=(np.ones((1, 1)),),
+                                                  probs=[1.0]))
+        a, copy = blocks(), blocks()
+        mixture = moments_from_dist(MatrixDist.of([(np.ones((1, 1)), 1.0)]))
+        assert (a.source.stacked.tobytes() == mixture.source.stacked.tobytes()
+                and a.source.probs.tobytes() == mixture.source.probs.tobytes())
+        groups = _draw_groups([a, mixture, copy, mixture], "H")
+        assert [steps for _, steps in groups] == [[0, 2], [1, 3]]
+
+    def test_partitioned_draws_whole_blocks(self):
+        # each block is present (its rows equal h_i) or absent (zero rows)
+        # independently, at its own rate; a seed list equals single seeds
+        hs = (np.array([[1.0, 2.0]]), np.array([[3.0, 4.0], [5.0, 6.0]]))
+        m = PartitionedObsModel(blocks=((hs[0], 0.3), (hs[1], 0.8)),
+                                F=0.9 * np.eye(2), Rv=np.eye(2),
+                                Rw=np.eye(3))
+        prov = lambda k: build_partitioned(m, k)
+        seeds = derive_run_seeds(4, 50)
+        traj = simulate_truth(prov, SIM1_IC, 200, seeds)
+        H = traj.realized_H
+        on1 = (H[..., :1, :] == hs[0]).all(axis=(-2, -1))
+        on2 = (H[..., 1:, :] == hs[1]).all(axis=(-2, -1))
+        assert np.all(on1 | (H[..., :1, :] == 0).all(axis=(-2, -1)))
+        assert np.all(on2 | (H[..., 1:, :] == 0).all(axis=(-2, -1)))
+        se = 0.5 / np.sqrt(on1.size)
+        for freq, p in ((on1.mean(), 0.3), (on2.mean(), 0.8),
+                        ((on1 & on2).mean(), 0.24)):
+            assert abs(freq - p) < 5 * se
+        for i in (0, 17):
+            one = simulate_truth(prov, SIM1_IC, 200, seeds[i])
+            np.testing.assert_array_equal(one.realized_H, H[i])
+            np.testing.assert_array_equal(one.measurements,
+                                          traj.measurements[i])
 
     def test_shapes_consistent(self, rng):
         prov = constant_provider(rand_random_model(rng, 3, 2))
@@ -342,17 +383,29 @@ class TestGammaSweep:
 EDGE_F = 0.99 * rotation(300)
 
 
+def ill_conditioned(S):
+    w = np.linalg.eigvalsh(S)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ~((w[..., 0] > 0)
+                 & (w[..., -1] / w[..., 0] < randkf.filter_core.COND_LIMIT))
+
+
 def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
-    # the p = 0 member's singular S sends every step through the
-    # per-member gain fallback, whose step-0 prior is unstacked
+    # the p = 0 member's singular S sends it through the per-member gain
+    # fallback at every step, whose step-0 prior is unstacked; the other
+    # members are solved in one batch
     gains = []
     real = randkf.filter_core._gain
     monkeypatch.setattr(randkf.filter_core, "_gain",
-                        lambda c, h, S: gains.append(S.ndim) or real(c, h, S))
+                        lambda c, h, S: gains.append(S) or real(c, h, S))
     K, members = 2000, edge_nahi_models(EDGE_F)
     stacked = stack_models(members)
     states = covariance_recursion(lambda k: stacked, SIM1_IC, K)
-    assert gains.count(2) == len(EDGE_PROBS) * gains.count(3) > 0
+    per_member = [S for S in gains if S.ndim == 2]
+    expected = sum(int(ill_conditioned(S).sum())
+                   for S in gains if S.ndim == 3)
+    assert len(per_member) == expected > 0
+    assert all(ill_conditioned(S) for S in per_member)
     M = len(members)
     for i, m in enumerate(members):
         own = covariance_recursion(constant_provider(m), SIM1_IC, K)

@@ -12,7 +12,6 @@ from .random_matrix import (
 from .filter_core import (
     FilterState,
     InitialCondition,
-    PredictedState,
     StepModel,
     constant_provider,
     deterministic_model,
@@ -20,7 +19,6 @@ from .filter_core import (
     init,
     predict,
     stack_models,
-    step,
     update,
 )
 from .adapters import (
@@ -36,7 +34,6 @@ from .adapters import (
 from .sim_harness import (
     RunMetrics,
     TruthTrajectory,
-    batch_lmv_oracle,
     gamma_sweep,
     monte_carlo,
     naive_kf_provider,

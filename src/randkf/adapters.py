@@ -3,10 +3,11 @@
 Each adapter turns a domain-level description (sensor dropout
 probabilities, a bank of candidate dynamics, ...) into the generic
 StepModel the filter consumes, by constructing the finite distribution
-of the random matrix and taking its moments.  Independently dropping
-measurement blocks form a ``BlockDropout``: B blocks give B deviation
-factors and are sampled with one Bernoulli draw per block, so neither
-the build nor a draw enumerates the 2^B on/off patterns.  A step's
+of the random matrix and taking its moments.  Dropout is a
+``BlockDropout``: a single dropping sensor (Nahi) is one block, and
+independently dropping measurement blocks are B blocks, which give B
+deviation factors and are sampled with one Bernoulli draw per block, so
+neither the build nor a draw enumerates the 2^B on/off patterns.  A step's
 StepModel depends only on the model and that step's probability values,
 so each model keeps the last one it built and returns it while those
 values repeat: a model with constant probabilities is built once.
@@ -145,17 +146,13 @@ def build_uncertain_obs(m: UncertainObsModel, k: int) -> StepModel:
 
 
 def build_nahi(m: NahiModel, k: int) -> StepModel:
-    """Single-sensor dropout as the two-sample distribution {h, 0}."""
+    """Single-sensor dropout as the one-block BlockDropout of h: mean
+    p h and the one factor sqrt(p (1-p)) h."""
     p = _prob_at(m.p, k, "p(k)")
-
-    def build() -> StepModel:
-        h = np.atleast_2d(np.asarray(m.h, dtype=float))
-        dist = MatrixDist.of([(h, p), (np.zeros_like(h), 1.0 - p)])
-        general = UncertainObsModel(measurement_dist=dist, F=m.F,
-                                    Rv=m.Rv, Rw=m.Rw)
-        return build_uncertain_obs(general, k)
-
-    return _last_build(m, (p,), build)
+    return _last_build(m, (p,), lambda: StepModel(
+        F=_f_spec(m.F),
+        H=moments_from_dist(BlockDropout(blocks=(m.h,), probs=[p])),
+        Rv=np.asarray(m.Rv, dtype=float), Rw=np.asarray(m.Rw, dtype=float)))
 
 
 def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:

@@ -104,9 +104,8 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     elif cfg.mode == "sweep":
         if not cfg.gammas:
             raise ConfigError("sweep mode needs a non-empty 'gammas' list")
-        results = sim_harness.gamma_sweep(
-            lambda g: (cfg.provider_for_gamma(g), ic),
-            cfg.gammas, cfg.horizon)
+        results = sim_harness.gamma_sweep(cfg.provider_for_gamma, ic,
+                                          cfg.gammas, cfg.horizon)
         _write_csv(out_dir / "sweep.csv", ["gamma", "trace_P_K"], results)
     else:  # pragma: no cover - parse_config rejects unknown modes
         raise ConfigError(f"unsupported mode '{cfg.mode}'")

@@ -18,7 +18,7 @@ member, each bit-identical to its own unstacked run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,10 +37,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 def _check_psd(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
     """m symmetrized, after checking that it (each member of a stack
-    (..., n, n)) is square, symmetric and PSD to a trace-scaled tol."""
+    (..., n, n)) is square, finite, symmetric and PSD to a trace-scaled
+    tol."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} is not square: {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} is not finite")
     atol = tol * np.maximum(1.0, np.abs(np.trace(m, axis1=-2, axis2=-1)))
     if not np.allclose(m, m.mT, atol=atol[..., None, None]):
         raise ValueError(f"{name} is not symmetric")
@@ -59,6 +62,8 @@ class InitialCondition:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).ravel()
+        if not np.isfinite(mean).all():
+            raise ValueError("initial mean is not finite")
         cov = _check_psd(self.cov, "initial covariance")
         if cov.shape[0] != mean.size:
             raise ValueError("initial mean/cov dimension mismatch")
@@ -133,23 +138,6 @@ def stack_models(models: Sequence[StepModel]) -> StepModel:
                      Rw=np.stack([m.Rw for m in models]))
 
 
-def memoized(provider: ModelProvider) -> ModelProvider:
-    """Cache provider results per step.
-
-    The adapters already reuse their last StepModel; this serves
-    providers the library does not build, which may make a new model on
-    every call (e.g. ``naive_kf_provider``).
-    """
-    cache: dict[int, StepModel] = {}
-
-    def cached(k: int) -> StepModel:
-        if k not in cache:
-            cache[k] = provider(k)
-        return cache[k]
-
-    return cached
-
-
 def deterministic_model(F, H, Rv, Rw) -> StepModel:
     """StepModel with non-random F and H."""
     return StepModel(F=deterministic(F), H=deterministic(H),
@@ -163,7 +151,8 @@ def constant_provider(model: StepModel) -> ModelProvider:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Posterior mean/covariance plus the unconditional second moment.
+    """Mean/covariance plus the unconditional second moment, after a
+    measurement update or (from ``predict``) before one.
 
     ``mean`` is (r,), or (runs, r) with one row per run; ``cov`` and
     ``second_moment`` are data-independent and shared by all runs.  A
@@ -171,14 +160,6 @@ class FilterState:
     P_0 and X_0 are unstacked and broadcast).
     """
 
-    step: int
-    mean: np.ndarray
-    cov: np.ndarray
-    second_moment: np.ndarray
-
-
-@dataclass(frozen=True)
-class PredictedState:
     step: int
     mean: np.ndarray
     cov: np.ndarray
@@ -204,7 +185,7 @@ def _effective_noise(R: np.ndarray, spec: RandomMatrixSpec,
     return R + quad_form(spec, X) if spec.factors.shape[-3] else R
 
 
-def predict(s: FilterState | PredictedState, m: StepModel) -> PredictedState:
+def predict(s: FilterState, m: StepModel) -> FilterState:
     """Time update through the random transition matrix.
 
     Propagates the mean through Fbar, the covariance through the
@@ -218,8 +199,8 @@ def predict(s: FilterState | PredictedState, m: StepModel) -> PredictedState:
     cov = symmetrize(Fbar @ s.cov @ Fbar.mT + Rv_eff)
     second = symmetrize(Fbar @ s.second_moment @ Fbar.mT + Rv_eff)
     _require_finite(s.step + 1, P=cov, X=second)
-    return PredictedState(step=s.step + 1, mean=s.mean @ Fbar.mT, cov=cov,
-                          second_moment=second)
+    return FilterState(step=s.step + 1, mean=s.mean @ Fbar.mT, cov=cov,
+                       second_moment=second)
 
 
 def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -256,7 +237,7 @@ def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
     return cov @ Hbar.T @ S_pinv
 
 
-def update(p: PredictedState, y, m: StepModel, *,
+def update(p: FilterState, y, m: StepModel, *,
            joseph: bool = False) -> FilterState:
     """Measurement update with the random measurement matrix.
 
@@ -285,11 +266,6 @@ def update(p: PredictedState, y, m: StepModel, *,
                        second_moment=p.second_moment)
 
 
-def step(s: FilterState, y, m: StepModel, *, joseph: bool = False) -> FilterState:
-    """One predict/update cycle, step counter incremented."""
-    return update(predict(s, m), y, m, joseph=joseph)
-
-
 def filter_sequence(provider: ModelProvider, ic: InitialCondition,
                     measurements: Sequence, *,
                     joseph: bool = False) -> list[FilterState]:
@@ -313,16 +289,17 @@ def _recursion(provider: ModelProvider, ic: InitialCondition, ys: np.ndarray,
                *, joseph: bool = False) -> list[FilterState]:
     """P/X/S/K once per step, and the mean of every run in ys (..., K+1, N).
 
-    With no runs (an empty leading axis) only the data-independent part
-    is left.
+    provider(k) is called once per step, in order; step k's model serves
+    its update and then the prediction to step k+1.  With no runs (an
+    empty leading axis) only the data-independent part is left.
     """
-    provider = memoized(provider)
     s0 = init(ic)
     mean = np.broadcast_to(s0.mean, ys.shape[:-2] + s0.mean.shape)
-    prior = PredictedState(step=0, mean=mean, cov=s0.cov,
-                           second_moment=s0.second_moment)
-    states = [update(prior, ys[..., 0, :], provider(0), joseph=joseph)]
+    prior = replace(s0, mean=mean)
+    m = provider(0)
+    states = [update(prior, ys[..., 0, :], m, joseph=joseph)]
     for k in range(1, ys.shape[-2]):
-        p = predict(states[-1], provider(k - 1))
-        states.append(update(p, ys[..., k, :], provider(k), joseph=joseph))
+        p = predict(states[-1], m)
+        m = provider(k)
+        states.append(update(p, ys[..., k, :], m, joseph=joseph))
     return states

@@ -57,6 +57,8 @@ class MatrixDist:
                 raise ValueError(
                     f"sample shape mismatch: {s.shape} vs {shape}"
                 )
+        if not np.isfinite(probs).all():
+            raise ValueError("non-finite probability in MatrixDist")
         if np.any(probs < 0):
             raise ValueError("negative probability in MatrixDist")
         total = float(probs.sum())

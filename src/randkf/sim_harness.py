@@ -1,4 +1,4 @@
-"""Truth simulation, Monte-Carlo experiments and the batch oracle.
+"""Truth simulation, Monte-Carlo experiments and probability sweeps.
 
 Everything here is a pure function of (configuration, seed): trajectories
 regenerate bit-identically from their seed, and Monte-Carlo runs derive
@@ -21,13 +21,9 @@ from .filter_core import (
     _recursion,
     deterministic_model,
     filter_sequence,
-    memoized,
     stack_models,
-    symmetrize,
 )
-from .random_matrix import quad_form, sample_matrix
-
-MAX_ORACLE_HORIZON = 4
+from .random_matrix import sample_matrix
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,6 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     """
     if K < 1:
         raise ValueError("need K >= 1")
-    provider = memoized(provider)
     models = [provider(k) for k in range(K + 1)]
     seeds = list(seed) if np.ndim(seed) else [seed]
     runs, r, N = len(seeds), ic.mean.size, models[0].H.shape[0]
@@ -156,33 +151,22 @@ def run_filter_on(traj: TruthTrajectory, provider: ModelProvider,
     return states, np.sum(errs ** 2, axis=-1), nees(errs, covs)
 
 
-Estimator = Callable[[TruthTrajectory], tuple[np.ndarray, np.ndarray]]
-
-
 def monte_carlo(provider: ModelProvider, ic: InitialCondition, K: int,
                 runs: int, base_seed: int, *,
-                filter_provider: ModelProvider | None = None,
-                estimator: Estimator | None = None) -> RunMetrics:
+                filter_provider: ModelProvider | None = None) -> RunMetrics:
     """Average squared error and NEES over independent seeded runs.
 
     All runs are sampled as one trajectory with a run axis and filtered
-    in one pass.  ``filter_provider`` lets a mismatched filter (e.g. a
-    naive standard KF that ignores parameter randomness) run against
-    truth sampled from ``provider``.  ``estimator`` overrides the filter
-    entirely: it maps that trajectory to means shaped like its states
-    and covariances that broadcast against them.
+    in one pass; the K+1 models are built once and serve both.
+    ``filter_provider`` lets a mismatched filter (e.g. a naive standard
+    KF that ignores parameter randomness) run against truth sampled from
+    ``provider``.
     """
     if runs < 1:
         raise ValueError("need runs >= 1")
-    provider = memoized(provider)
-    traj = simulate_truth(provider, ic, K, derive_run_seeds(base_seed, runs))
-    if estimator is not None:
-        means, covs = estimator(traj)
-        errs = means - traj.states
-        sq, nn = np.sum(errs ** 2, axis=-1), nees(errs, covs)
-    else:
-        fp = filter_provider if filter_provider is not None else provider
-        _, sq, nn = run_filter_on(traj, fp, ic)
+    model_at = [provider(k) for k in range(K + 1)].__getitem__
+    traj = simulate_truth(model_at, ic, K, derive_run_seeds(base_seed, runs))
+    _, sq, nn = run_filter_on(traj, filter_provider or model_at, ic)
     return RunMetrics(per_step_sq_error=sq.mean(axis=0),
                       per_step_nees=nn.mean(axis=0), runs=runs)
 
@@ -195,100 +179,23 @@ def naive_kf_provider(provider: ModelProvider) -> ModelProvider:
     return naive
 
 
-def batch_lmv_oracle(provider: ModelProvider, ic: InitialCondition,
-                     measurements: Sequence, *,
-                     max_horizon: int = MAX_ORACLE_HORIZON):
-    """Batch linear-minimum-variance estimate of x_K from y_0..y_K.
-
-    Builds the exact joint second moments of (x_K, y_0, ..., y_K) under
-    the converted system, whose effective noises are white and
-    uncorrelated with the initial state, then evaluates
-
-        E(x_K) + Cov(x_K, Y) Cov(Y)^+ (Y - E(Y))
-
-    and its error covariance.  Deliberately a different computational
-    path from the recursive filter; used to certify it.
-    """
-    ys = [np.asarray(y, dtype=float).ravel() for y in measurements]
-    K = len(ys) - 1
-    if K < 0:
-        raise ValueError("need at least one measurement")
-    if K > max_horizon:
-        raise ValueError(f"horizon {K} exceeds oracle limit {max_horizon}")
-    models = [provider(k) for k in range(K + 1)]
-
-    mean_x = [np.asarray(ic.mean, dtype=float)]
-    X = [np.outer(ic.mean, ic.mean) + ic.cov]
-    var_x = [np.asarray(ic.cov, dtype=float)]
-    for k in range(K):
-        Fbar = models[k].F.mean
-        qf = quad_form(models[k].F, X[k])
-        mean_x.append(Fbar @ mean_x[k])
-        X.append(symmetrize(Fbar @ X[k] @ Fbar.T + qf + models[k].Rv))
-        var_x.append(symmetrize(X[k + 1] - np.outer(mean_x[k + 1],
-                                                    mean_x[k + 1])))
-
-    r = mean_x[0].size
-    # phi[k][l] = Fbar_{k-1} ... Fbar_l (state transition from l to k)
-    phi = [[None] * (K + 1) for _ in range(K + 1)]
-    for l in range(K + 1):
-        acc = np.eye(r)
-        phi[l][l] = acc
-        for k in range(l, K):
-            acc = models[k].F.mean @ acc
-            phi[k + 1][l] = acc
-
-    def cov_xx(i: int, j: int) -> np.ndarray:
-        if i >= j:
-            return phi[i][j] @ var_x[j]
-        return (phi[j][i] @ var_x[i]).T
-
-    Ns = [m.H.shape[0] for m in models]
-    offs = np.concatenate(([0], np.cumsum(Ns)))
-    total = int(offs[-1])
-    Hbars = [m.H.mean for m in models]
-    Rw_eff = [models[k].Rw + quad_form(models[k].H, X[k])
-              for k in range(K + 1)]
-
-    EY = np.concatenate([Hbars[k] @ mean_x[k] for k in range(K + 1)])
-    Y = np.concatenate(ys)
-    if Y.size != total:
-        raise ValueError("measurement dimensions do not match the model")
-    covY = np.zeros((total, total))
-    covXY = np.zeros((r, total))
-    for i in range(K + 1):
-        si = slice(offs[i], offs[i + 1])
-        covXY[:, si] = cov_xx(K, i) @ Hbars[i].T
-        for j in range(K + 1):
-            sj = slice(offs[j], offs[j + 1])
-            block = Hbars[i] @ cov_xx(i, j) @ Hbars[j].T
-            if i == j:
-                block = block + Rw_eff[i]
-            covY[si, sj] = block
-    covY = symmetrize(covY)
-    gain = covXY @ np.linalg.pinv(covY)
-    mean = mean_x[K] + gain @ (Y - EY)
-    cov = symmetrize(var_x[K] - gain @ covXY.T)
-    return mean, cov
-
-
 def covariance_recursion(provider: ModelProvider, ic: InitialCondition,
                          K: int) -> list[FilterState]:
     """Data-independent P/X recursion: the filter's, for zero runs."""
-    provider = memoized(provider)
-    N = provider(0).H.shape[0]
-    return _recursion(provider, ic, np.empty((0, K + 1, N)))
+    models = [provider(k) for k in range(K + 1)]
+    N = models[0].H.shape[0]
+    return _recursion(models.__getitem__, ic, np.empty((0, K + 1, N)))
 
 
-def gamma_sweep(model_for_gamma: Callable[[float], tuple[ModelProvider,
-                                                         InitialCondition]],
-                gammas: Sequence[float], K: int) -> list[tuple[float, float]]:
+def gamma_sweep(provider_for_gamma: Callable[[float], ModelProvider],
+                ic: InitialCondition, gammas: Sequence[float],
+                K: int) -> list[tuple[float, float]]:
     """trace(P_K) of the deterministic recursion for each probability.
 
-    One recursion runs every gamma: each step's models are stacked along
-    a leading model axis, and restacked only when some gamma's provider
-    returns a different model object than at the previous step.  All
-    gammas must share one initial condition.
+    One recursion from ``ic`` runs every gamma: each step's models are
+    stacked along a leading model axis, and restacked only when some
+    gamma's provider returns a different model object than at the
+    previous step.
     """
     gammas = [float(g) for g in gammas]
     if any(b < a for a, b in zip(gammas, gammas[1:])):
@@ -297,12 +204,7 @@ def gamma_sweep(model_for_gamma: Callable[[float], tuple[ModelProvider,
         raise ValueError("gammas must lie in (0, 1]")
     if not gammas:
         return []
-    providers, ics = zip(*(model_for_gamma(g) for g in gammas))
-    ic = ics[0]
-    if any(not (np.array_equal(ic.mean, o.mean)
-                and np.array_equal(ic.cov, o.cov)) for o in ics[1:]):
-        raise ValueError("gamma_sweep needs one initial condition for "
-                         "every gamma")
+    providers = [provider_for_gamma(g) for g in gammas]
     last_members, last_stack = None, None
 
     def stacked(k: int) -> StepModel:
@@ -315,22 +217,3 @@ def gamma_sweep(model_for_gamma: Callable[[float], tuple[ModelProvider,
 
     final = covariance_recursion(stacked, ic, K)[-1]
     return [(g, float(np.trace(cov))) for g, cov in zip(gammas, final.cov)]
-
-
-def sample_converted_noises(provider: ModelProvider, ic: InitialCondition,
-                            K: int, n: int, seed: int):
-    """Draws of the converted-system noises for moment checks.
-
-    Returns (x0, nu_tilde, omega_tilde) with shapes (n, r), (n, K, r) and
-    (n, K+1, N), where nu_tilde_k = x_{k+1} - Fbar_k x_k and
-    omega_tilde_k = y_k - Hbar_k x_k across n trajectories that
-    simulate_truth samples from per-run seeds derived from ``seed``.
-    """
-    provider = memoized(provider)
-    traj = simulate_truth(provider, ic, K, derive_run_seeds(seed, n))
-    Fbar = np.array([provider(k).F.mean for k in range(K)])
-    Hbar = np.array([provider(k).H.mean for k in range(K + 1)])
-    x = traj.states
-    nu = x[:, 1:] - np.einsum("kij,nkj->nki", Fbar, x[:, :-1])
-    om = traj.measurements - np.einsum("kij,nkj->nki", Hbar, x)
-    return x[:, 0], nu, om

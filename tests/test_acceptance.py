@@ -22,6 +22,7 @@ from conftest import (
     rand_random_model,
     textbook_kf,
 )
+from lmv_oracle import batch_lmv_oracle, sample_converted_noises
 from randkf import (
     InitialCondition,
     MatrixDist,
@@ -41,11 +42,9 @@ from randkf import (
 from randkf.cli import main as cli_main
 from randkf.filter_core import StepModel, constant_provider
 from randkf.sim_harness import (
-    batch_lmv_oracle,
     covariance_recursion,
     gamma_sweep,
     naive_kf_provider,
-    sample_converted_noises,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -188,7 +187,7 @@ def test_a4_multimodel_dynamics_consistent_and_beats_naive_kf():
 def test_a5_steady_state_covariance_decreases_with_arrival_rate():
     with _Check("A5", 1, "trace(P_300) strictly decreasing in the "
                 "measurement arrival probability"):
-        res = gamma_sweep(lambda g: (sim1_provider(g), TRACK_IC),
+        res = gamma_sweep(sim1_provider, TRACK_IC,
                           [0.5, 0.7, 0.9, 0.95, 1.0], K=300)
         traces = [t for _, t in res]
         assert all(a > b for a, b in zip(traces, traces[1:])), traces

@@ -121,8 +121,11 @@ class TestNahi:
             UncertainObsModel(measurement_dist=dist, F=rotation(300),
                               Rv=2 * np.eye(2), Rw=np.eye(2)), 0)
         n = build_nahi(m, 0)
+        # p h exactly on both routes; Nahi's one block factor against the
+        # two-sample distribution's two imply the same covariance tensor
         np.testing.assert_array_equal(n.H.mean, g.H.mean)
-        np.testing.assert_array_equal(n.H.factors, g.H.factors)
+        np.testing.assert_allclose(factor_tensor(n.H), factor_tensor(g.H),
+                                   rtol=0, atol=1e-15)
 
     def test_time_varying_probability(self):
         m = NahiModel(h=H_SIM1, p=lambda k: 1.0 / (k + 1), F=np.eye(2),
@@ -174,10 +177,9 @@ class TestPartitioned:
         m2 = NahiModel(h=H_SIM1, p=0.7, F=rotation(300), Rv=np.eye(2),
                        Rw=np.eye(2))
         a, b = build_partitioned(m1, 0), build_nahi(m2, 0)
-        np.testing.assert_allclose(a.H.mean, b.H.mean, atol=1e-15)
-        # one block factor against the two-sample distribution's two
-        np.testing.assert_allclose(factor_tensor(a.H), factor_tensor(b.H),
-                                   atol=1e-15)
+        # both are the one-block BlockDropout of h
+        np.testing.assert_array_equal(a.H.mean, b.H.mean)
+        np.testing.assert_array_equal(a.H.factors, b.H.factors)
 
     def test_rw_dimension_mismatch_rejected(self):
         m = PartitionedObsModel(

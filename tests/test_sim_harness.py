@@ -11,6 +11,7 @@ from conftest import (
     rand_random_model,
     textbook_kf,
 )
+from lmv_oracle import batch_lmv_oracle, sample_converted_noises
 from randkf import (
     BlockDropout,
     InitialCondition,
@@ -35,12 +36,10 @@ from randkf.filter_core import constant_provider, stack_models
 from randkf.random_matrix import quad_form
 from randkf.sim_harness import (
     _draw_groups,
-    batch_lmv_oracle,
     covariance_recursion,
     derive_run_seeds,
     gamma_sweep,
     nees,
-    sample_converted_noises,
 )
 
 
@@ -239,15 +238,6 @@ def test_batched_nees_matches_per_run_pinv(rng):
 
 
 class TestMonteCarlo:
-    def test_truth_estimator_gives_zero_error(self, rng):
-        prov = constant_provider(rand_random_model(rng, 2, 2))
-        ic = rand_ic(rng, 2)
-        truth_double = lambda traj: (traj.states,
-                                     np.stack([np.eye(2)] * len(traj.states)))
-        metrics = monte_carlo(prov, ic, 10, 1, 42, estimator=truth_double)
-        np.testing.assert_array_equal(metrics.per_step_sq_error,
-                                      np.zeros(11))
-
     def test_prefix_runs_unchanged_when_doubling(self):
         prov = sim1_provider()
         # per-run seeds are prefix-stable, so doubling the run count
@@ -322,41 +312,30 @@ class TestBatchOracle:
 
 
 class TestGammaSweep:
-    @staticmethod
-    def _factory(gamma):
-        return sim1_provider(gamma), SIM1_IC
-
     def test_full_information_has_smallest_trace(self):
-        res = gamma_sweep(self._factory, [0.5, 0.8, 1.0], K=60)
+        res = gamma_sweep(sim1_provider, SIM1_IC, [0.5, 0.8, 1.0], K=60)
         traces = [t for _, t in res]
         assert traces[-1] == min(traces)
 
     def test_strictly_decreasing_on_tracking_model(self):
-        res = gamma_sweep(self._factory, [0.5, 0.7, 0.9, 0.95, 1.0], K=300)
+        res = gamma_sweep(sim1_provider, SIM1_IC,
+                          [0.5, 0.7, 0.9, 0.95, 1.0], K=300)
         traces = [t for _, t in res]
         assert all(a > b for a, b in zip(traces, traces[1:]))
 
     def test_equal_gammas_equal_traces(self):
-        res = gamma_sweep(self._factory, [0.7, 0.7], K=30)
+        res = gamma_sweep(sim1_provider, SIM1_IC, [0.7, 0.7], K=30)
         assert res[0][1] == res[1][1]
 
     def test_rejects_unsorted_or_out_of_range(self):
         with pytest.raises(ValueError, match="sorted"):
-            gamma_sweep(self._factory, [0.9, 0.5], K=5)
+            gamma_sweep(sim1_provider, SIM1_IC, [0.9, 0.5], K=5)
         with pytest.raises(ValueError, match="0, 1"):
-            gamma_sweep(self._factory, [0.0, 0.5], K=5)
-
-    def test_rejects_differing_initial_conditions(self):
-        def factory(gamma):
-            ic = InitialCondition(mean=np.array([50.0, gamma]),
-                                  cov=0.5 * np.eye(2))
-            return sim1_provider(gamma), ic
-        with pytest.raises(ValueError, match="one initial condition"):
-            gamma_sweep(factory, [0.5, 0.7], K=5)
+            gamma_sweep(sim1_provider, SIM1_IC, [0.0, 0.5], K=5)
 
     def test_matches_one_recursion_per_gamma(self):
         gammas = [0.3, 0.5, 0.5, 0.8, 1.0]
-        res = gamma_sweep(self._factory, gammas, K=40)
+        res = gamma_sweep(sim1_provider, SIM1_IC, gammas, K=40)
         for (g, t), gamma in zip(res, gammas, strict=True):
             own = covariance_recursion(sim1_provider(gamma), SIM1_IC, 40)
             assert g == gamma and t == float(np.trace(own[-1].cov))
@@ -365,18 +344,18 @@ class TestGammaSweep:
         # p(k) of one gamma changes at k = 10; the others are constant
         def factory(gamma):
             if gamma < 0.6:
-                return sim1_provider(gamma), SIM1_IC
+                return sim1_provider(gamma)
             m = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
                           p=lambda k: gamma if k < 10 else 0.9,
                           F=rotation(300), Rv=2 * np.eye(2), Rw=np.eye(2))
-            return (lambda k: build_nahi(m, k)), SIM1_IC
+            return lambda k: build_nahi(m, k)
         stacks = []
         real = randkf.sim_harness.stack_models
         monkeypatch.setattr(randkf.sim_harness, "stack_models",
                             lambda ms: stacks.append(ms) or real(ms))
-        res = gamma_sweep(factory, [0.5, 0.7], K=30)
+        res = gamma_sweep(factory, SIM1_IC, [0.5, 0.7], K=30)
         assert len(stacks) == 2
-        own = covariance_recursion(factory(0.7)[0], SIM1_IC, 30)
+        own = covariance_recursion(factory(0.7), SIM1_IC, 30)
         assert res[1][1] == float(np.trace(own[-1].cov))
 
 

@@ -24,7 +24,6 @@ from .filter_core import StepModel, _check_psd
 from .random_matrix import (
     BlockDropout,
     MatrixDist,
-    RandomMatrixSpec,
     deterministic,
     moments_from_dist,
 )
@@ -51,14 +50,6 @@ def _last_build(m, probs: Sequence[float],
     return last[1]
 
 
-def _f_spec(F) -> RandomMatrixSpec:
-    if isinstance(F, RandomMatrixSpec):
-        return F
-    if isinstance(F, MatrixDist):
-        return moments_from_dist(F)
-    return deterministic(F)
-
-
 @dataclass(frozen=True)
 class UncertainObsModel:
     """Measurement matrix drawn from a known finite set each step.
@@ -68,7 +59,7 @@ class UncertainObsModel:
     """
 
     measurement_dist: MatrixDist
-    F: object
+    F: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray | None = None
     per_model_noise: Sequence[np.ndarray] | None = None
@@ -92,7 +83,7 @@ class NahiModel:
 
     h: np.ndarray
     p: ProbFn
-    F: object
+    F: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray
     _last: tuple[bytes, StepModel] | None = field(
@@ -104,7 +95,7 @@ class PartitionedObsModel:
     """Measurement split into independent blocks, each with its own dropout."""
 
     blocks: Sequence[tuple[np.ndarray, ProbFn]]
-    F: object
+    F: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray
     _last: tuple[bytes, StepModel] | None = field(
@@ -138,7 +129,7 @@ def build_uncertain_obs(m: UncertainObsModel, k: int) -> StepModel:
                                      m.per_model_noise))
         else:
             Rw = np.asarray(m.Rw, dtype=float)
-        return StepModel(F=_f_spec(m.F),
+        return StepModel(F=deterministic(m.F),
                          H=moments_from_dist(m.measurement_dist),
                          Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
 
@@ -150,7 +141,7 @@ def build_nahi(m: NahiModel, k: int) -> StepModel:
     p h and the one factor sqrt(p (1-p)) h."""
     p = _prob_at(m.p, k, "p(k)")
     return _last_build(m, (p,), lambda: StepModel(
-        F=_f_spec(m.F),
+        F=deterministic(m.F),
         H=moments_from_dist(BlockDropout(blocks=(m.h,), probs=[p])),
         Rv=np.asarray(m.Rv, dtype=float), Rw=np.asarray(m.Rw, dtype=float)))
 
@@ -170,7 +161,7 @@ def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
         Rw, N = np.asarray(m.Rw, dtype=float), dist.stacked.shape[1]
         if Rw.shape != (N, N):
             raise ValueError(f"Rw is {Rw.shape}, stacked blocks give N={N}")
-        return StepModel(F=_f_spec(m.F), H=moments_from_dist(dist),
+        return StepModel(F=deterministic(m.F), H=moments_from_dist(dist),
                          Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
 
     return _last_build(m, ps, build)

@@ -44,7 +44,12 @@ def _read_measurements(path: Path, N: int) -> np.ndarray:
             raise ConfigError(
                 f"{path}: expected header {','.join(expected)}, "
                 f"got {','.join(header or [])}")
-        rows = [row for row in reader if row]
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != N:
+                raise ConfigError(f"{path}: line {reader.line_num} has "
+                                  f"{len(row)} cells, expected {N}")
+            rows.append(row)
     if not rows:
         raise ConfigError(f"{path}: no measurement rows")
     try:

@@ -187,7 +187,6 @@ class ExperimentConfig:
     horizon: int
     runs: int = 50
     seed: int = 0
-    output: str | None = None
     measurements: str | None = None
     gammas: list[float] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
@@ -206,7 +205,7 @@ class ExperimentConfig:
 
 
 _TOP_ALLOWED = {"mode", "model", "initial", "horizon", "runs", "seed",
-                "output", "measurements", "gammas"}
+                "measurements", "gammas"}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -243,7 +242,6 @@ def parse_config(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(mode=mode, model=model, initial=ic,
                            horizon=horizon, runs=runs,
                            seed=_number(doc.get("seed", 0), "seed", int),
-                           output=doc.get("output"),
                            measurements=doc.get("measurements"),
                            gammas=gammas, raw=doc)
     # surface dimension mismatches at parse time

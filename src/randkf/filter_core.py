@@ -156,8 +156,7 @@ class FilterState:
 
     ``mean`` is (r,), or (runs, r) with one row per run; ``cov`` and
     ``second_moment`` are data-independent and shared by all runs.  A
-    stacked model puts its model axes in front of all three (the prior's
-    P_0 and X_0 are unstacked and broadcast).
+    stacked model puts its model axes in front of all three.
     """
 
     step: int
@@ -204,37 +203,23 @@ def predict(s: FilterState, m: StepModel) -> FilterState:
 
 
 def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """K = cov Hbar^T S^+, pseudo-inverting only when S is ill-conditioned.
+    """K = cov Hbar^T S^+ for one S (N, N) or a stack (..., N, N).
 
-    A stack of S solves its well-conditioned members in one batch and
-    sends each other member through its own path.
+    The well-conditioned members are solved in one batch, the others get
+    one batched eigenvalue-truncated pseudo-inverse (K = 0 where S = 0).
     """
+    HP = Hbar @ cov
     w = np.linalg.eigvalsh(S)
-    if S.ndim > 2:
-        wmin = w[..., 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            good = (wmin > 0) & (w[..., -1] / wmin < COND_LIMIT)
-        if np.all(good):
-            return np.linalg.solve(S, Hbar @ cov).mT
-        # the step-0 prior's cov (and a shared Hbar) carry no model axis:
-        # broadcast them so that each member indexes its own matrix
-        lead = S.shape[:-2]
-        cov = np.broadcast_to(cov, lead + cov.shape[-2:])
-        Hbar = np.broadcast_to(Hbar, lead + Hbar.shape[-2:])
-        K = np.empty(lead + (cov.shape[-1], S.shape[-1]))
-        K[good] = np.linalg.solve(S[good], Hbar[good] @ cov[good]).mT
-        for i in zip(*np.nonzero(~good)):
-            K[i] = _gain(cov[i], Hbar[i], S[i])
-        return K
-    wmax = w.max(initial=0.0)
-    if wmax <= 0.0:
-        return np.zeros((cov.shape[0], S.shape[0]))
-    if w.min() > 0 and wmax / w.min() < COND_LIMIT:
-        return np.linalg.solve(S, Hbar @ cov).T
-    w, V = np.linalg.eigh(S)
-    keep = w > PINV_CUTOFF * wmax
-    S_pinv = (V[:, keep] / w[keep]) @ V[:, keep].T
-    return cov @ Hbar.T @ S_pinv
+    good = (w[..., 0] > 0) & (w[..., -1] < COND_LIMIT * w[..., 0])
+    if good.all():
+        return np.linalg.solve(S, HP).mT
+    K = np.empty(HP.mT.shape)
+    K[good] = np.linalg.solve(S[good], HP[good]).mT
+    w, V = np.linalg.eigh(S[~good])
+    keep = (w > PINV_CUTOFF * w[..., -1:])[..., None, :]
+    Vw = np.divide(V, w[..., None, :], where=keep, out=np.zeros_like(V))
+    K[~good] = HP[~good].mT @ Vw @ V.mT
+    return K
 
 
 def update(p: FilterState, y, m: StepModel, *,
@@ -276,27 +261,21 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     by a measurement-only update of the prior at step 0 (the prior plays
     the role of the step-0 prediction); each later y_k follows a predict
     through provider(k-1) and an update with provider(k)'s measurement
-    model.  A non-finite measurement, P, X or S raises a ValueError that
-    names its step.
+    model.  provider(k) is called once per step, in order, and the prior
+    takes provider(0)'s model axes.  With no runs (runs = 0) only the
+    data-independent P, X, S, K are left.  A non-finite measurement, P, X
+    or S raises a ValueError that names its step.
     """
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
         raise ValueError("need (K+1, N) or (runs, K+1, N) measurements")
-    return _recursion(provider, ic, ys, joseph=joseph)
-
-
-def _recursion(provider: ModelProvider, ic: InitialCondition, ys: np.ndarray,
-               *, joseph: bool = False) -> list[FilterState]:
-    """P/X/S/K once per step, and the mean of every run in ys (..., K+1, N).
-
-    provider(k) is called once per step, in order; step k's model serves
-    its update and then the prediction to step k+1.  With no runs (an
-    empty leading axis) only the data-independent part is left.
-    """
-    s0 = init(ic)
-    mean = np.broadcast_to(s0.mean, ys.shape[:-2] + s0.mean.shape)
-    prior = replace(s0, mean=mean)
     m = provider(0)
+    s0, lead = init(ic), m.Rv.shape[:-2]
+    prior = replace(
+        s0, mean=np.broadcast_to(s0.mean, ys.shape[:-2] + s0.mean.shape),
+        cov=np.broadcast_to(s0.cov, lead + s0.cov.shape),
+        second_moment=np.broadcast_to(s0.second_moment,
+                                      lead + s0.second_moment.shape))
     states = [update(prior, ys[..., 0, :], m, joseph=joseph)]
     for k in range(1, ys.shape[-2]):
         p = predict(states[-1], m)

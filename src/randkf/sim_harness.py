@@ -18,7 +18,6 @@ from .filter_core import (
     InitialCondition,
     ModelProvider,
     StepModel,
-    _recursion,
     deterministic_model,
     filter_sequence,
     stack_models,
@@ -182,9 +181,8 @@ def naive_kf_provider(provider: ModelProvider) -> ModelProvider:
 def covariance_recursion(provider: ModelProvider, ic: InitialCondition,
                          K: int) -> list[FilterState]:
     """Data-independent P/X recursion: the filter's, for zero runs."""
-    models = [provider(k) for k in range(K + 1)]
-    N = models[0].H.shape[0]
-    return _recursion(models.__getitem__, ic, np.empty((0, K + 1, N)))
+    N = provider(0).H.shape[0]
+    return filter_sequence(provider, ic, np.empty((0, K + 1, N)))
 
 
 def gamma_sweep(provider_for_gamma: Callable[[float], ModelProvider],

@@ -155,6 +155,19 @@ class TestRunModes:
         assert code != 0
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row, cells", [("0.5", 1), ("0.5,1,2", 3)],
+                             ids=["short", "long"])
+    def test_filter_ragged_row_fails_naming_line(self, tmp_path, capsys,
+                                                 row, cells):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"y1,y2\n1.0,2.0\n\n{row}\n1.5,0.5\n")
+        code = main(["filter", "--config", str(SIM1),
+                     "--out", str(tmp_path / "out"),
+                     "--measurements", str(bad)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 4 has {cells} cells, expected 2\n")
+
     def test_filter_non_finite_measurement_fails_with_step(self, tmp_path,
                                                           capsys):
         cfg_file = tmp_path / "cfg.yaml"
@@ -220,6 +233,17 @@ class TestRunModes:
         assert main(["sweep", "--config", str(SIM1),
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == cfg.horizon
+
+    def test_output_field_rejected(self, tmp_path, capsys):
+        # the output directory is --out; a config field for it was ignored
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text(SIM1.read_text() + "output: /nonexistent/x\n")
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(cfg_file), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "error: config: unknown field 'output'\n"
+        assert not out.exists()
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):
         code = main(["simulate", "--config", str(tmp_path / "nope.yaml"),

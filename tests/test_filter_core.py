@@ -281,6 +281,28 @@ class TestStackModels:
                       Rw=np.stack([np.eye(2), -np.eye(2)]))
 
 
+def test_gain_over_a_mixed_stack(rng):
+    # well-conditioned, singular, ill-conditioned but nonsingular, zero
+    Q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+    ill = Q @ np.diag([1.0, 1e-14]) @ Q.T
+    S = np.stack([rand_psd(rng, 2) + np.eye(2), np.diag([1.0, 0.0]),
+                  0.5 * (ill + ill.T), np.zeros((2, 2))])
+    w = np.linalg.eigvalsh(S[2])
+    assert w[0] > 0 and w[1] / w[0] > randkf.filter_core.COND_LIMIT
+    cov = np.stack([rand_psd(rng, 3) for _ in S])
+    Hbar = rng.standard_normal((len(S), 2, 3))
+    K = randkf.filter_core._gain(cov, Hbar, S)
+    for i in range(len(S)):
+        np.testing.assert_array_equal(
+            K[i], randkf.filter_core._gain(cov[i], Hbar[i], S[i]))
+    assert not K[3].any() and not np.signbit(K[3]).any()
+    for i in (1, 2):
+        S_pinv = np.linalg.pinv(S[i], rcond=randkf.filter_core.PINV_CUTOFF,
+                                hermitian=True)
+        np.testing.assert_allclose(K[i], cov[i] @ Hbar[i].T @ S_pinv,
+                                   rtol=1e-12, atol=1e-12)
+
+
 def test_covariance_monotone_in_measurement_noise(rng):
     # PSD-larger Rw never shrinks trace(P_k) at fixed data, deterministic H
     F = rotation(200)

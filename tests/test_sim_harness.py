@@ -370,9 +370,8 @@ def ill_conditioned(S):
 
 
 def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
-    # the p = 0 member's singular S sends it through the per-member gain
-    # fallback at every step, whose step-0 prior is unstacked; the other
-    # members are solved in one batch
+    # the p = 0 member's singular S takes the pseudo-inverse at every
+    # step while the other members are solved in one batch
     gains = []
     real = randkf.filter_core._gain
     monkeypatch.setattr(randkf.filter_core, "_gain",
@@ -380,20 +379,24 @@ def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
     K, members = 2000, edge_nahi_models(EDGE_F)
     stacked = stack_models(members)
     states = covariance_recursion(lambda k: stacked, SIM1_IC, K)
-    per_member = [S for S in gains if S.ndim == 2]
-    expected = sum(int(ill_conditioned(S).sum())
-                   for S in gains if S.ndim == 3)
-    assert len(per_member) == expected > 0
-    assert all(ill_conditioned(S) for S in per_member)
+    assert len(gains) == K + 1
+    assert all(ill_conditioned(S).any() for S in gains)
     M = len(members)
     for i, m in enumerate(members):
         own = covariance_recursion(constant_provider(m), SIM1_IC, K)
         for s, o in zip(states, own, strict=True):
             assert s.cov.shape == (M, 2, 2)
             np.testing.assert_array_equal(s.cov[i], o.cov)
-            np.testing.assert_array_equal(
-                np.broadcast_to(s.second_moment, (M, 2, 2))[i],
-                o.second_moment)
+            np.testing.assert_array_equal(s.second_moment[i],
+                                          o.second_moment)
+
+
+def test_stacked_prior_carries_the_model_axis():
+    M = len(EDGE_PROBS)
+    stacked = stack_models(edge_nahi_models(EDGE_F))
+    states = covariance_recursion(lambda k: stacked, SIM1_IC, 3)
+    for s in states:
+        assert s.cov.shape == s.second_moment.shape == (M, 2, 2)
 
 
 def test_long_horizon_covariances_stay_symmetric_psd():
@@ -403,9 +406,8 @@ def test_long_horizon_covariances_stay_symmetric_psd():
     plain = covariance_recursion(lambda k: st, SIM1_IC, K)
     joseph = filter_sequence(lambda k: st, SIM1_IC, np.empty((0, K + 1, 2)),
                              joseph=True)
-    P = np.array([np.broadcast_to(s.cov, (M, 2, 2)) for s in plain])
-    X = np.array([np.broadcast_to(s.second_moment, (M, 2, 2))
-                  for s in plain])
+    P = np.array([s.cov for s in plain])
+    X = np.array([s.second_moment for s in plain])
     # each step's predicted P (the prior at step 0), and its S
     Fbar, Hbar = st.F.mean, st.H.mean
     P_pred = np.concatenate([
@@ -419,7 +421,7 @@ def test_long_horizon_covariances_stay_symmetric_psd():
         assert np.all(np.abs(A - A.mT) <= tol * scale), name
         w = np.linalg.eigvalsh(0.5 * (A + A.mT))
         assert np.all(w[..., 0] >= -tol * scale[..., 0, 0]), name
-    Pj = np.array([np.broadcast_to(s.cov, (M, 2, 2)) for s in joseph])
+    Pj = np.array([s.cov for s in joseph])
     np.testing.assert_allclose(Pj, P, rtol=1e-9, atol=1e-10)
     for s, j in zip(plain, joseph, strict=True):
         np.testing.assert_array_equal(s.second_moment, j.second_moment)

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sim_harness
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import ConfigError, ExperimentConfig, _number, parse_config
 from .filter_core import filter_sequence
 
 
@@ -102,7 +102,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
                    np.column_stack([np.arange(cfg.horizon + 1),
                                     metrics.per_step_sq_error,
                                     metrics.per_step_nees]))
-        summary = {"runs": metrics.runs, "seed": cfg.seed,
+        summary = {"runs": cfg.runs, "seed": cfg.seed,
                    "horizon": cfg.horizon, "config": cfg.raw}
         (out_dir / "summary.json").write_text(
             json.dumps(summary, indent=2, default=str) + "\n")
@@ -142,9 +142,9 @@ def main(argv=None) -> int:
         cfg = parse_config(Path(args.config).read_text())
         cfg.mode = args.command
         if args.seed is not None:
-            cfg.seed = args.seed
+            cfg.seed = _number(args.seed, "--seed", int, 0)
         if args.runs is not None:
-            cfg.runs = args.runs
+            cfg.runs = _number(args.runs, "--runs", int, 1)
         if getattr(args, "measurements", None):
             cfg.measurements = args.measurements
         return run(cfg, Path(args.out))

@@ -78,13 +78,20 @@ def _matrix(node: Any, where: str) -> np.ndarray:
     return m
 
 
-def _number(node: Any, where: str, kind: type = float):
-    """node as a float (or an int), else a ConfigError naming where."""
+def _number(node: Any, where: str, kind: type = float,
+            low: float = -math.inf):
+    """node as a float, or an int (neither a boolean nor a fraction),
+    >= low; else a ConfigError naming where."""
     try:
-        return kind(node)
+        value = kind(node)
+        if isinstance(node, bool) or isinstance(node, float) and value != node:
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where}: not {what}") from None
+    if value < low:
+        raise ConfigError(f"{where}: must be >= {low}")
+    return value
 
 
 def _prob(node: Any, where: str) -> float:
@@ -219,12 +226,8 @@ def parse_config(text: str) -> ExperimentConfig:
     mode = doc["mode"]
     if mode not in MODES:
         raise ConfigError(f"mode: '{mode}' not one of {MODES}")
-    horizon = _number(doc["horizon"], "horizon", int)
-    if horizon < 1:
-        raise ConfigError("horizon: must be >= 1")
-    runs = _number(doc.get("runs", 50), "runs", int)
-    if runs < 1:
-        raise ConfigError("runs: must be >= 1")
+    horizon = _number(doc["horizon"], "horizon", int, 1)
+    runs = _number(doc.get("runs", 50), "runs", int, 1)
     ini = doc["initial"]
     _require_keys(ini, {"mean", "cov"}, {"mean", "cov"}, "initial")
     try:
@@ -241,7 +244,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(mode=mode, model=model, initial=ic,
                            horizon=horizon, runs=runs,
-                           seed=_number(doc.get("seed", 0), "seed", int),
+                           seed=_number(doc.get("seed", 0), "seed", int, 0),
                            measurements=doc.get("measurements"),
                            gammas=gammas, raw=doc)
     # surface dimension mismatches at parse time

@@ -29,22 +29,23 @@ from .random_matrix import RandomMatrixSpec, deterministic, quad_form
 # pseudo-inverse when the innovation covariance gets this ill-conditioned.
 COND_LIMIT = 1e12
 PINV_CUTOFF = 1e-12
+# trace-scaled tolerance of the symmetry and PSD checks on covariances
+PSD_TOL = 1e-10
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.mT)
 
 
-def _check_psd(m: np.ndarray, name: str, tol: float = 1e-10) -> np.ndarray:
+def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
     """m symmetrized, after checking that it (each member of a stack
-    (..., n, n)) is square, finite, symmetric and PSD to a trace-scaled
-    tol."""
+    (..., n, n)) is square, finite, symmetric and PSD to PSD_TOL."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} is not square: {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} is not finite")
-    atol = tol * np.maximum(1.0, np.abs(np.trace(m, axis1=-2, axis2=-1)))
+    atol = PSD_TOL * np.maximum(1.0, np.abs(np.trace(m, axis1=-2, axis2=-1)))
     if not np.allclose(m, m.mT, atol=atol[..., None, None]):
         raise ValueError(f"{name} is not symmetric")
     w = np.linalg.eigvalsh(symmetrize(m))
@@ -112,25 +113,20 @@ ModelProvider = Callable[[int], StepModel]
 
 def stack_models(models: Sequence[StepModel]) -> StepModel:
     """One StepModel whose arrays carry a leading model axis; member i
-    is models[i].  The members must share every matrix shape; a member
-    with fewer deviation factors than another gets zero factors."""
+    is models[i].  The members must share every matrix shape and their
+    numbers of deviation factors."""
     models = list(models)
     if not models:
         raise ValueError("need at least one model to stack")
-    shapes = {(m.F.mean.shape, m.H.mean.shape, m.Rv.shape, m.Rw.shape)
+    shapes = {(m.F.factors.shape, m.H.factors.shape, m.Rv.shape, m.Rw.shape)
               for m in models}
     if len(shapes) > 1:
         raise ValueError(f"cannot stack models of different shapes: "
                          f"{sorted(shapes)}")
 
     def spec(specs: list[RandomMatrixSpec]) -> RandomMatrixSpec:
-        G = specs[0].factors
-        L = max(s.factors.shape[-3] for s in specs)
-        factors = np.zeros((len(specs),) + G.shape[:-3] + (L,) + G.shape[-2:])
-        for i, s in enumerate(specs):
-            factors[i, ..., :s.factors.shape[-3], :, :] = s.factors
         return RandomMatrixSpec(mean=np.stack([s.mean for s in specs]),
-                                factors=factors)
+                                factors=np.stack([s.factors for s in specs]))
 
     return StepModel(F=spec([m.F for m in models]),
                      H=spec([m.H for m in models]),
@@ -214,7 +210,8 @@ def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
     if good.all():
         return np.linalg.solve(S, HP).mT
     K = np.empty(HP.mT.shape)
-    K[good] = np.linalg.solve(S[good], HP[good]).mT
+    if good.any():
+        K[good] = np.linalg.solve(S[good], HP[good]).mT
     w, V = np.linalg.eigh(S[~good])
     keep = (w > PINV_CUTOFF * w[..., -1:])[..., None, :]
     Vw = np.divide(V, w[..., None, :], where=keep, out=np.zeros_like(V))

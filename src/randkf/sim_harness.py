@@ -42,7 +42,6 @@ class RunMetrics:
 
     per_step_sq_error: np.ndarray
     per_step_nees: np.ndarray
-    runs: int
 
 
 def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
@@ -151,23 +150,19 @@ def run_filter_on(traj: TruthTrajectory, provider: ModelProvider,
 
 
 def monte_carlo(provider: ModelProvider, ic: InitialCondition, K: int,
-                runs: int, base_seed: int, *,
-                filter_provider: ModelProvider | None = None) -> RunMetrics:
+                runs: int, base_seed: int) -> RunMetrics:
     """Average squared error and NEES over independent seeded runs.
 
     All runs are sampled as one trajectory with a run axis and filtered
     in one pass; the K+1 models are built once and serve both.
-    ``filter_provider`` lets a mismatched filter (e.g. a naive standard
-    KF that ignores parameter randomness) run against truth sampled from
-    ``provider``.
     """
     if runs < 1:
         raise ValueError("need runs >= 1")
     model_at = [provider(k) for k in range(K + 1)].__getitem__
     traj = simulate_truth(model_at, ic, K, derive_run_seeds(base_seed, runs))
-    _, sq, nn = run_filter_on(traj, filter_provider or model_at, ic)
+    _, sq, nn = run_filter_on(traj, model_at, ic)
     return RunMetrics(per_step_sq_error=sq.mean(axis=0),
-                      per_step_nees=nn.mean(axis=0), runs=runs)
+                      per_step_nees=nn.mean(axis=0))
 
 
 def naive_kf_provider(provider: ModelProvider) -> ModelProvider:

@@ -1,0 +1,51 @@
+"""The benchmark's contract with the library.
+
+The benchmark under perfbench/ wraps library functions by name and drives
+the CLI with its own seeded inputs.  These tests import it as it stands
+(its directory goes on sys.path, nothing in it changes) and check that
+every name it traces still exists, that each workload's CLI call passes
+the workload's own output check, and that the scaling rows still run.
+"""
+
+import importlib
+import math
+from pathlib import Path
+
+import pytest
+
+from randkf.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+SEED = 811
+
+
+@pytest.fixture(scope="module")
+def bench():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(REPO / "perfbench"))
+        yield {name: importlib.import_module(name)
+               for name in ("tracing", "workloads", "scale")}
+
+
+def test_every_traced_function_exists(bench):
+    for module, functions in bench["tracing"].TRACED.items():
+        mod = importlib.import_module(f"randkf.{module}")
+        for function in functions:
+            assert callable(getattr(mod, function, None)), (
+                f"randkf.{module}.{function}")
+
+
+def test_each_workload_passes_its_own_check(bench, tmp_path):
+    for name, make in bench["workloads"].WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        wl = make(REPO, work, SEED)
+        out = work / "out"
+        assert main([*wl.argv, "--out", str(out)]) == 0, name
+        wl.check(out)
+
+
+def test_scale_rows_run(bench):
+    rows = bench["scale"].scale_rows(SEED)
+    assert rows
+    assert all(math.isfinite(value) for value, _ in rows.values())

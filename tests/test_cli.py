@@ -90,24 +90,33 @@ def test_c_and_python_yaml_loaders_agree(path):
             == yaml.load(text, Loader=yaml.SafeLoader))
 
 
-BAD_VALUES = [
-    ("horizon: 5", "horizon: abc", "horizon"),
-    ("horizon: 5", "horizon: 5\nruns: [1]", "runs"),
-    ("seed: 3", "seed: 1.5e3x", "seed"),
-    ("horizon: 5", "horizon: 5\ngammas: 0.5", "gammas"),
-    ("f: [[1, 0], [0, 1]]", "f: {rotation: {period: xyz}}",
-     "model.f.rotation.period"),
-]
+# id: (config text replaced, its replacement, field named, extra CLI args)
+BAD_VALUES = {
+    "horizon": ("horizon: 5", "horizon: abc", "horizon", []),
+    "runs": ("horizon: 5", "horizon: 5\nruns: [1]", "runs", []),
+    "seed": ("seed: 3", "seed: 1.5e3x", "seed", []),
+    "gammas": ("horizon: 5", "horizon: 5\ngammas: 0.5", "gammas", []),
+    "model.f.rotation.period": ("f: [[1, 0], [0, 1]]",
+                                "f: {rotation: {period: xyz}}",
+                                "model.f.rotation.period", []),
+    "horizon-fraction": ("horizon: 5", "horizon: 20.7", "horizon", []),
+    "horizon-boolean": ("horizon: 5", "horizon: true", "horizon", []),
+    "runs-fraction": ("horizon: 5", "horizon: 5\nruns: 1.9", "runs", []),
+    "seed-fraction": ("seed: 3", "seed: 2.5", "seed", []),
+    "seed-negative": ("seed: 3", "seed: -3", "seed", []),
+    "seed-override-negative": ("seed: 3", "seed: 3", "--seed",
+                               ["--seed", "-3"]),
+}
 
 
-@pytest.mark.parametrize("old, new, field", BAD_VALUES,
-                         ids=[field for _, _, field in BAD_VALUES])
+@pytest.mark.parametrize("old, new, field, args", BAD_VALUES.values(),
+                         ids=list(BAD_VALUES))
 def test_bad_value_fails_cleanly_naming_its_field(tmp_path, capsys, old, new,
-                                                  field):
+                                                  field, args):
     cfg_file = tmp_path / "cfg.yaml"
     cfg_file.write_text(MINIMAL.replace(old, new))
     code = main(["simulate", "--config", str(cfg_file),
-                 "--out", str(tmp_path / "out")])
+                 "--out", str(tmp_path / "out"), *args])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {field}: ")

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import randkf.filter_core
-from conftest import rand_ic, rand_psd, rand_random_model, textbook_kf
+from conftest import (
+    rand_dist,
+    rand_ic,
+    rand_psd,
+    rand_random_model,
+    textbook_kf,
+)
 from randkf import (
     InitialCondition,
     MatrixDist,
@@ -240,11 +246,11 @@ def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
 
 class TestStackModels:
     def test_members_are_the_stacked_models(self, rng):
-        # members with 2 or 3 deviation factors, and one with none: fewer
-        # factors are padded with zero factors, which add nothing
-        models = [rand_random_model(rng, 3, 2) for _ in range(4)]
-        models.append(deterministic_model(np.eye(3), np.ones((2, 3)),
-                                          np.eye(3), np.eye(2)))
+        # every member has 3 deviation factors on F and 2 on H
+        models = [StepModel(F=moments_from_dist(rand_dist(rng, 3, 3, 3)),
+                            H=moments_from_dist(rand_dist(rng, 2, 3, 2)),
+                            Rv=rand_psd(rng, 3), Rw=rand_psd(rng, 2))
+                  for _ in range(4)]
         st = stack_models(models)
         assert st.F.shape == (3, 3) and st.H.shape == (2, 3)
         X = rand_psd(rng, 3)
@@ -253,9 +259,7 @@ class TestStackModels:
                          (st.Rv, m.Rv), (st.Rw, m.Rw)):
                 np.testing.assert_array_equal(a[i], b)
             for a, b in ((st.F, m.F), (st.H, m.H)):
-                L = b.factors.shape[0]
-                np.testing.assert_array_equal(a.factors[i, :L], b.factors)
-                assert not a.factors[i, L:].any()
+                np.testing.assert_array_equal(a.factors[i], b.factors)
                 np.testing.assert_array_equal(quad_form(a, X)[i],
                                               quad_form(b, X))
 
@@ -263,8 +267,14 @@ class TestStackModels:
         one = deterministic_model(np.eye(2), np.ones((1, 2)), np.eye(2),
                                   np.eye(1))
         two = deterministic_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
-        with pytest.raises(ValueError, match="different shapes"):
-            stack_models([one, two])
+        # one's matrix shapes, but an H with two deviation factors
+        dropout = MatrixDist.of([(np.ones((1, 2)), 0.5),
+                                 (np.zeros((1, 2)), 0.5)])
+        random_h = StepModel(F=one.F, H=moments_from_dist(dropout),
+                             Rv=one.Rv, Rw=one.Rw)
+        for other in (two, random_h):
+            with pytest.raises(ValueError, match="different shapes"):
+                stack_models([one, other])
         with pytest.raises(ValueError, match="at least one"):
             stack_models([])
 

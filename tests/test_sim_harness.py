@@ -257,7 +257,6 @@ class TestMonteCarlo:
         metrics = monte_carlo(sim1_provider(), SIM1_IC, 50, 5, 123)
         assert np.all(np.isfinite(metrics.per_step_sq_error))
         assert np.all(metrics.per_step_sq_error >= 0)
-        assert metrics.runs == 5
 
 
 class TestBatchOracle:

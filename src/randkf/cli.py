@@ -58,12 +58,11 @@ def _read_measurements(path: Path, N: int) -> np.ndarray:
         raise ConfigError(f"{path}: non-numeric measurement ({exc})") from exc
 
 
-def _estimates_rows(states) -> np.ndarray:
-    """k, estimate and covariance upper triangle (by rows) of each state."""
-    covs = np.array([s.cov for s in states])
-    iu = np.triu_indices(covs.shape[-1])
-    return np.column_stack([[s.step for s in states],
-                            [s.mean for s in states], covs[:, iu[0], iu[1]]])
+def _estimates_rows(rec) -> np.ndarray:
+    """k, estimate and covariance upper triangle (by rows) of each step."""
+    iu = np.triu_indices(rec.cov.shape[-1])
+    return np.column_stack([np.arange(len(rec)), rec.mean,
+                            rec.cov[:, iu[0], iu[1]]])
 
 
 def _estimates_header(r: int) -> list[str]:
@@ -83,9 +82,8 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         if not cfg.measurements:
             raise ConfigError("filter mode needs a 'measurements' CSV path")
         ys = _read_measurements(Path(cfg.measurements), N)
-        states = filter_sequence(provider, ic, ys)
         _write_csv(out_dir / "estimates.csv", _estimates_header(r),
-                   _estimates_rows(states))
+                   _estimates_rows(filter_sequence(provider, ic, ys)))
     elif cfg.mode == "simulate":
         seed = sim_harness.derive_run_seeds(cfg.seed, 1)[0]
         traj = sim_harness.simulate_truth(provider, ic, cfg.horizon, seed)

@@ -26,7 +26,7 @@ from .adapters import (
     build_partitioned,
     build_uncertain_obs,
 )
-from .filter_core import InitialCondition, ModelProvider
+from .filter_core import InitialCondition, ModelProvider, constant_provider
 from .random_matrix import MatrixDist
 
 MODES = ("filter", "simulate", "montecarlo", "sweep")
@@ -198,17 +198,16 @@ class ExperimentConfig:
     gammas: list[float] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
 
+    # YAML probabilities are numbers: a config's model is the same every step
     def provider(self) -> ModelProvider:
-        build = _BUILDERS[type(self.model)]
-        model = self.model
-        return lambda k: build(model, k)
+        return constant_provider(_BUILDERS[type(self.model)](self.model, 0))
 
     def provider_for_gamma(self, gamma: float) -> ModelProvider:
         if not isinstance(self.model, NahiModel):
             raise ConfigError("sweep mode requires a 'nahi' model")
         swapped = NahiModel(h=self.model.h, p=float(gamma), F=self.model.F,
                             Rv=self.model.Rv, Rw=self.model.Rw)
-        return lambda k: build_nahi(swapped, k)
+        return constant_provider(build_nahi(swapped, 0))
 
 
 _TOP_ALLOWED = {"mode", "model", "initial", "horizon", "runs", "seed",

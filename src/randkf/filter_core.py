@@ -6,9 +6,10 @@ Fbar, Hbar and inflated noise covariances
 
     Rv_eff = Rv + E(F~ X F~^T),    Rw_eff = Rw + E(H~ X H~^T),
 
-where X_k = E(x_k x_k^T) is propagated by its own data-independent
-recursion alongside the usual mean/covariance pair.  With deterministic
-parameter matrices everything reduces to a standard Kalman filter.
+where X_k = E(x_k x_k^T) takes the same time update as P_k; the two are
+stacked as one ``moments`` array, and ``filter_sequence`` records every
+step's in one ``FilterRecord`` (De Koning's gain schedule).  With
+deterministic parameter matrices it reduces to a standard Kalman filter.
 
 The data-independent half (P, X, S, K) accepts an optional leading model
 axis: ``stack_models`` turns several StepModels of one shape into one
@@ -18,12 +19,14 @@ member, each bit-identical to its own unstacked run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .random_matrix import RandomMatrixSpec, deterministic, quad_form
+from .random_matrix import RandomMatrixSpec, _frozen, deterministic, quad_form
 
 # Gain path switches from a symmetric solve to an eigendecomposition
 # pseudo-inverse when the innovation covariance gets this ill-conditioned.
@@ -33,8 +36,15 @@ PINV_CUTOFF = 1e-12
 PSD_TOL = 1e-10
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.mT)
+def symmetrize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(a + a^T) / 2, halved in place or written into ``out``."""
+    s = a + a.mT
+    return np.multiply(s, 0.5, out=s if out is None else out)
+
+
+@cache
+def _eye(n: int) -> np.ndarray:
+    return _frozen(np.eye(n))
 
 
 def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
@@ -145,33 +155,49 @@ def constant_provider(model: StepModel) -> ModelProvider:
     return lambda k: model
 
 
+class _Moments:
+    """``cov`` (P) and ``second_moment`` (X) as views of ``moments``."""
+
+    cov = property(lambda self: self.moments[..., 0, :, :])
+    second_moment = property(lambda self: self.moments[..., 1, :, :])
+
+
 @dataclass(frozen=True)
-class FilterState:
-    """Mean/covariance plus the unconditional second moment, after a
+class FilterState(_Moments):
+    """Mean, covariance and unconditional second moment after a
     measurement update or (from ``predict``) before one.
 
-    ``mean`` is (r,), or (runs, r) with one row per run; ``cov`` and
-    ``second_moment`` are data-independent and shared by all runs.  A
-    stacked model puts its model axes in front of all three.
+    ``mean`` is (r,), or (runs, r) with one row per run; ``moments`` is
+    [P, X] (2, r, r), data-independent and shared by all runs.  A
+    stacked model puts its model axes in front of both.
     """
 
     step: int
     mean: np.ndarray
-    cov: np.ndarray
-    second_moment: np.ndarray
+    moments: np.ndarray
+
+
+@dataclass(frozen=True)
+class FilterRecord(_Moments):
+    """Every step's ``mean`` ([models,] [runs,] K+1, r) and ``moments``
+    (K+1, [models,] 2, r, r); ``rec[k]`` is step k's FilterState, whose
+    arrays are views of the record's."""
+
+    mean: np.ndarray
+    moments: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.moments)
+
+    def __getitem__(self, k: int) -> FilterState:
+        k = range(len(self.moments))[operator.index(k)]
+        return FilterState(k, self.mean[..., k, :], self.moments[k])
 
 
 def init(ic: InitialCondition) -> FilterState:
     """Initial filter state; X_0 = mu_0 mu_0^T + P_0."""
     x0 = np.outer(ic.mean, ic.mean) + ic.cov
-    return FilterState(step=0, mean=ic.mean.copy(), cov=ic.cov.copy(),
-                       second_moment=x0)
-
-
-def _require_finite(step: int, **mats: np.ndarray) -> None:
-    for name, a in mats.items():
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} is not finite at step {step}")
+    return FilterState(0, ic.mean.copy(), np.stack([ic.cov, x0]))
 
 
 def _effective_noise(R: np.ndarray, spec: RandomMatrixSpec,
@@ -181,21 +207,20 @@ def _effective_noise(R: np.ndarray, spec: RandomMatrixSpec,
 
 
 def predict(s: FilterState, m: StepModel) -> FilterState:
-    """Time update through the random transition matrix.
-
-    Propagates the mean through Fbar, the covariance through the
-    Riccati step with the inflated process noise Rv + E(F~ X F~^T),
-    and the unconditional second moment through its own recursion.
-    """
+    """Time update through the random transition matrix: P and X both
+    take Fbar M Fbar^T + Rv + E(F~ X F~^T), in one product over the
+    stacked moments, and the means (if any runs) go through Fbar."""
     Fbar = m.F.mean
     if Fbar.shape[-1] != s.mean.shape[-1]:
         raise ValueError("state dimension does not match transition matrix")
     Rv_eff = _effective_noise(m.Rv, m.F, s.second_moment)
-    cov = symmetrize(Fbar @ s.cov @ Fbar.mT + Rv_eff)
-    second = symmetrize(Fbar @ s.second_moment @ Fbar.mT + Rv_eff)
-    _require_finite(s.step + 1, P=cov, X=second)
-    return FilterState(step=s.step + 1, mean=s.mean @ Fbar.mT, cov=cov,
-                       second_moment=second)
+    F = Fbar[..., None, :, :]
+    moments = symmetrize(F @ s.moments @ F.mT + Rv_eff[..., None, :, :])
+    if not np.isfinite(moments).all():
+        name = "X" if np.isfinite(moments[..., 0, :, :]).all() else "P"
+        raise ValueError(f"{name} is not finite at step {s.step + 1}")
+    mean = s.mean @ Fbar.mT if s.mean.size else s.mean
+    return FilterState(step=s.step + 1, mean=mean, moments=moments)
 
 
 def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -206,7 +231,8 @@ def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
     """
     HP = Hbar @ cov
     w = np.linalg.eigvalsh(S)
-    good = (w[..., 0] > 0) & (w[..., -1] < COND_LIMIT * w[..., 0])
+    # ascending eigenvalues: this also requires w_min > 0
+    good = w[..., -1] < COND_LIMIT * w[..., 0]
     if good.all():
         return np.linalg.solve(S, HP).mT
     K = np.empty(HP.mT.shape)
@@ -219,14 +245,16 @@ def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
     return K
 
 
-def update(p: FilterState, y, m: StepModel, *,
-           joseph: bool = False) -> FilterState:
+def update(p: FilterState, y, m: StepModel, *, joseph: bool = False,
+           out: FilterState | None = None) -> FilterState:
     """Measurement update with the random measurement matrix.
 
     The innovation covariance uses Rw + E(H~ X H~^T) evaluated at the
     predicted second moment; it and the gain serve every run (row) of
     the mean and of ``y``.  The second moment itself is unconditional
-    and passes through unchanged.
+    and passes through unchanged.  The result is written into ``out``
+    (a FilterRecord's step) if given, else into new arrays.  ``y`` is
+    not checked here: ``filter_sequence`` checks all measurements once.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     Hbar = m.H.mean
@@ -234,23 +262,27 @@ def update(p: FilterState, y, m: StepModel, *,
         raise ValueError("measurement dimension mismatch")
     if Hbar.shape[-1] != p.mean.shape[-1]:
         raise ValueError("state dimension does not match measurement matrix")
+    P = p.cov
     Rw_eff = _effective_noise(m.Rw, m.H, p.second_moment)
-    S = symmetrize(Hbar @ p.cov @ Hbar.mT + Rw_eff)
-    _require_finite(p.step, measurement=y, S=S)
-    K = _gain(p.cov, Hbar, S)
-    mean = p.mean + (y - p.mean @ Hbar.mT) @ K.mT
-    if joseph:
-        A = np.eye(Hbar.shape[-1]) - K @ Hbar
-        cov = A @ p.cov @ A.mT + K @ Rw_eff @ K.mT
-    else:
-        cov = (np.eye(Hbar.shape[-1]) - K @ Hbar) @ p.cov
-    return FilterState(step=p.step, mean=mean, cov=symmetrize(cov),
-                       second_moment=p.second_moment)
+    S = symmetrize(Hbar @ P @ Hbar.mT + Rw_eff)
+    if not np.isfinite(S).all():
+        raise ValueError(f"S is not finite at step {p.step}")
+    K = _gain(P, Hbar, S)
+    A = _eye(Hbar.shape[-1]) - K @ Hbar
+    cov = A @ P @ A.mT + K @ Rw_eff @ K.mT if joseph else A @ P
+    mean = p.mean + (y - p.mean @ Hbar.mT) @ K.mT if p.mean.size else p.mean
+    if out is None:
+        out = FilterState(p.step, np.empty(mean.shape),
+                          np.empty(cov.shape[:-2] + p.moments.shape[-3:]))
+    out.mean[...] = mean
+    symmetrize(cov, out=out.cov)
+    out.second_moment[...] = p.second_moment
+    return out
 
 
 def filter_sequence(provider: ModelProvider, ic: InitialCondition,
                     measurements: Sequence, *,
-                    joseph: bool = False) -> list[FilterState]:
+                    joseph: bool = False) -> FilterRecord:
     """Run the filter over measurements y_0 ... y_K.
 
     ``measurements`` is (K+1, N), or (runs, K+1, N) for runs of one model
@@ -261,21 +293,24 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     model.  provider(k) is called once per step, in order, and the prior
     takes provider(0)'s model axes.  With no runs (runs = 0) only the
     data-independent P, X, S, K are left.  A non-finite measurement, P, X
-    or S raises a ValueError that names its step.
+    or S raises a ValueError that names its (first) step.
     """
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
         raise ValueError("need (K+1, N) or (runs, K+1, N) measurements")
+    if not np.isfinite(ys).all():
+        step = np.nonzero(~np.isfinite(ys))[-2].min()
+        raise ValueError(f"measurement is not finite at step {step}")
     m = provider(0)
-    s0, lead = init(ic), m.Rv.shape[:-2]
-    prior = replace(
-        s0, mean=np.broadcast_to(s0.mean, ys.shape[:-2] + s0.mean.shape),
-        cov=np.broadcast_to(s0.cov, lead + s0.cov.shape),
-        second_moment=np.broadcast_to(s0.second_moment,
-                                      lead + s0.second_moment.shape))
-    states = [update(prior, ys[..., 0, :], m, joseph=joseph)]
-    for k in range(1, ys.shape[-2]):
-        p = predict(states[-1], m)
+    s, lead, steps = init(ic), m.Rv.shape[:-2], ys.shape[-2]
+    runs = ys.shape[:-2] + s.mean.shape
+    rec = FilterRecord(np.empty(lead + runs[:-1] + (steps,) + runs[-1:]),
+                       np.empty((steps,) + lead + s.moments.shape))
+    s = FilterState(0, np.broadcast_to(s.mean, runs),
+                    np.broadcast_to(s.moments, lead + s.moments.shape))
+    s = update(s, ys[..., 0, :], m, joseph=joseph, out=rec[0])
+    for k in range(1, steps):
+        p = predict(s, m)
         m = provider(k)
-        states.append(update(p, ys[..., k, :], m, joseph=joseph))
-    return states
+        s = update(p, ys[..., k, :], m, joseph=joseph, out=rec[k])
+    return rec

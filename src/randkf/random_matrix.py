@@ -33,12 +33,14 @@ class MatrixDist:
 
     ``samples`` is a tuple of p-by-q arrays, ``probs`` the matching
     probability vector (nonnegative, summing to one).  ``stacked`` is
-    the (l, p, q) array whose rows the samples are.
+    the (l, p, q) array whose rows the samples are, ``cdf`` the
+    cumulative probabilities that ``sample_matrix`` inverts.
     """
 
     samples: tuple[np.ndarray, ...]
     probs: np.ndarray
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         samples = tuple(_frozen(np.atleast_2d(s)) for s in self.samples)
@@ -64,9 +66,10 @@ class MatrixDist:
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        stacked = np.stack(samples)
-        stacked.setflags(write=False)
-        object.__setattr__(self, "stacked", stacked)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "stacked", _frozen(np.stack(samples)))
+        object.__setattr__(self, "cdf", _frozen(cdf))
 
     @classmethod
     def of(cls, pairs) -> "MatrixDist":
@@ -179,12 +182,12 @@ def quad_form(spec: RandomMatrixSpec, X) -> np.ndarray:
     stacked spec and of X broadcast; each member's result is
     bit-identical to its own unstacked call.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    q = spec.shape[1]
+    X = np.asarray(X, dtype=float)
+    G = spec.factors
+    q = G.shape[-1]
     if X.shape[-2:] != (q, q):
         raise ValueError(f"X has shape {X.shape}, expected ({q}, {q})")
-    G = spec.factors
-    out = (G @ X[..., None, :, :] @ G.mT).sum(axis=-3)
+    out = np.add.reduce(G @ X[..., None, :, :] @ G.mT, axis=-3)
     return 0.5 * (out + out.mT)
 
 
@@ -200,7 +203,5 @@ def sample_matrix(dist: MatrixDist | BlockDropout, rng: np.random.Generator,
     if isinstance(dist, BlockDropout):
         on = rng.random((size,) + dist.probs.shape) < dist.probs
         return np.tensordot(on, dist.stacked, axes=1)
-    cdf = dist.probs.cumsum()
-    cdf /= cdf[-1]
-    return dist.stacked.take(cdf.searchsorted(rng.random(size), "right"),
-                             axis=0)
+    return dist.stacked.take(
+        dist.cdf.searchsorted(rng.random(size), "right"), axis=0)

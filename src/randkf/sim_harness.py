@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .filter_core import (
-    FilterState,
+    FilterRecord,
     InitialCondition,
     ModelProvider,
     StepModel,
@@ -101,14 +101,17 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     runs, r, N = len(seeds), ic.mean.size, models[0].H.shape[0]
     Hs = np.repeat([[m.H.mean for m in models]], runs, axis=0)
     Fs = np.repeat([[m.F.mean for m in models[:K]]], runs, axis=0)
-    draws = [(Hs, _draw_groups([m.H for m in models], "H")),
-             (Fs, _draw_groups([m.F for m in models[:K]], "F"))]
+    # (output, distribution, count, index), a slice if it covers every step
+    draws = [(out, dist, len(steps), slice(None) if len(steps) == len(specs)
+              else np.array(steps))
+             for out, specs, name in ((Hs, [m.H for m in models], "H"),
+                                      (Fs, [m.F for m in models[:K]], "F"))
+             for dist, steps in _draw_groups(specs, name)]
     z = np.empty((runs, r + (K + 1) * N + K * r))
     for i, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        for out, groups in draws:
-            for dist, steps in groups:
-                out[i, steps] = sample_matrix(dist, rng, size=len(steps))
+        rng = np.random.Generator(np.random.PCG64(s))  # default_rng(s)
+        for out, dist, size, index in draws:
+            out[i, index] = sample_matrix(dist, rng, size)
         z[i] = rng.standard_normal(z.shape[1])
     z0, zw, zv = np.split(z, [r, r + (K + 1) * N], axis=1)
     zw, zv = zw.reshape(runs, K + 1, N), zv.reshape(runs, K, r)
@@ -121,14 +124,13 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
             factors[key] = _gauss_factor(cov)
         return factors[key]
 
+    wn = _mv(np.array([factor_of(m.Rw) for m in models]), zw)
+    vn = _mv(np.array([factor_of(m.Rv) for m in models[:K]]), zv)
     states = np.empty((runs, K + 1, r))
-    ys = np.empty((runs, K + 1, N))
-    x = ic.mean + _mv(factor_of(ic.cov), z0)
-    for k, m in enumerate(models):
-        states[:, k] = x
-        ys[:, k] = _mv(Hs[:, k], x) + _mv(factor_of(m.Rw), zw[:, k])
-        if k < K:
-            x = _mv(Fs[:, k], x) + _mv(factor_of(m.Rv), zv[:, k])
+    states[:, 0] = x = ic.mean + _mv(factor_of(ic.cov), z0)
+    for k in range(K):
+        states[:, k + 1] = x = _mv(Fs[:, k], x) + vn[:, k]
+    ys = _mv(Hs, states) + wn
     if np.ndim(seed):
         return TruthTrajectory(states, Fs, Hs, ys, tuple(seeds))
     return TruthTrajectory(states[0], Fs[0], Hs[0], ys[0], seed)
@@ -143,10 +145,9 @@ def nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
 def run_filter_on(traj: TruthTrajectory, provider: ModelProvider,
                   ic: InitialCondition):
     """Filter the recorded measurements; report squared errors and NEES."""
-    states = filter_sequence(provider, ic, traj.measurements)
-    errs = np.stack([s.mean for s in states], axis=-2) - traj.states
-    covs = np.array([s.cov for s in states])
-    return states, np.sum(errs ** 2, axis=-1), nees(errs, covs)
+    rec = filter_sequence(provider, ic, traj.measurements)
+    errs = rec.mean - traj.states
+    return rec, np.sum(errs ** 2, axis=-1), nees(errs, rec.cov)
 
 
 def monte_carlo(provider: ModelProvider, ic: InitialCondition, K: int,
@@ -174,7 +175,7 @@ def naive_kf_provider(provider: ModelProvider) -> ModelProvider:
 
 
 def covariance_recursion(provider: ModelProvider, ic: InitialCondition,
-                         K: int) -> list[FilterState]:
+                         K: int) -> FilterRecord:
     """Data-independent P/X recursion: the filter's, for zero runs."""
     N = provider(0).H.shape[0]
     return filter_sequence(provider, ic, np.empty((0, K + 1, N)))
@@ -208,5 +209,5 @@ def gamma_sweep(provider_for_gamma: Callable[[float], ModelProvider],
             last_members, last_stack = members, stack_models(members)
         return last_stack
 
-    final = covariance_recursion(stacked, ic, K)[-1]
-    return [(g, float(np.trace(cov))) for g, cov in zip(gammas, final.cov)]
+    final = covariance_recursion(stacked, ic, K).cov[-1]
+    return [(g, float(np.trace(cov))) for g, cov in zip(gammas, final)]

@@ -190,6 +190,14 @@ class TestRunModes:
         assert "error: measurement is not finite at step 1" in \
             capsys.readouterr().err
         assert not (out / "estimates.csv").exists()
+        # with a run axis: the first step at which any run is non-finite
+        cfg = parse_config(MINIMAL)
+        ys = np.ones((3, 6, 2))
+        ys[1, 2, 0] = ys[2, 4, 1] = np.nan
+        with pytest.raises(ValueError,
+                           match="^measurement is not finite at step 2$"):
+            randkf.filter_core.filter_sequence(cfg.provider(), cfg.initial,
+                                               ys)
 
     def test_montecarlo_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

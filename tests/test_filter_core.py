@@ -3,6 +3,8 @@ import pytest
 
 import randkf.filter_core
 from conftest import (
+    EDGE_PROBS,
+    edge_nahi_models,
     rand_dist,
     rand_ic,
     rand_psd,
@@ -108,8 +110,8 @@ class TestPredict:
         # cov' = 1*1*1 + 0 + 1*2 = 3, X' = 1*2*1 + 1*2 + 0 = 4
         m = StepModel(F=scalar_spec(1.0, 1.0), H=deterministic([[1.0]]),
                       Rv=np.zeros((1, 1)), Rw=np.eye(1))
-        s = FilterState(step=0, mean=np.array([1.0]), cov=np.array([[1.0]]),
-                        second_moment=np.array([[2.0]]))
+        s = FilterState(step=0, mean=np.array([1.0]),
+                        moments=np.array([[[1.0]], [[2.0]]]))
         p = predict(s, m)
         np.testing.assert_allclose(p.mean, [1.0])
         np.testing.assert_allclose(p.cov, [[3.0]])
@@ -118,8 +120,8 @@ class TestPredict:
     def test_rotation_preserves_scaled_identity(self):
         m = deterministic_model(rotation(300), np.eye(2), 2.0 * np.eye(2),
                                 np.eye(2))
-        s = FilterState(step=0, mean=np.zeros(2), cov=0.5 * np.eye(2),
-                        second_moment=0.5 * np.eye(2))
+        s = FilterState(step=0, mean=np.zeros(2),
+                        moments=np.stack([0.5 * np.eye(2)] * 2))
         p = predict(s, m)
         np.testing.assert_allclose(p.cov, 2.5 * np.eye(2), atol=1e-14)
 
@@ -134,16 +136,15 @@ class TestUpdate:
     def test_zero_innovation_keeps_mean(self, rng):
         m = rand_random_model(rng, 2, 2)
         p = FilterState(step=1, mean=rng.standard_normal(2),
-                        cov=rand_psd(rng, 2, floor=0.1),
-                        second_moment=rand_psd(rng, 2, floor=0.5))
+                        moments=np.stack([rand_psd(rng, 2, floor=0.1),
+                                          rand_psd(rng, 2, floor=0.5)]))
         s = update(p, m.H.mean @ p.mean, m)
         np.testing.assert_allclose(s.mean, p.mean, atol=1e-12)
 
     def test_scalar_hand_evaluated(self):
         m = deterministic_model([[1.0]], [[1.0]], [[1.0]], [[1.0]])
         p = FilterState(step=1, mean=np.array([0.0]),
-                        cov=np.array([[1.0]]),
-                        second_moment=np.array([[1.0]]))
+                        moments=np.array([[[1.0]], [[1.0]]]))
         s = update(p, np.array([1.0]), m)
         np.testing.assert_allclose(s.mean, [0.5])
         np.testing.assert_allclose(s.cov, [[0.5]])
@@ -163,8 +164,8 @@ class TestUpdate:
 
     def test_second_moment_not_conditioned_on_data(self, rng):
         m = rand_random_model(rng, 2, 2)
-        p = FilterState(step=1, mean=np.zeros(2), cov=np.eye(2),
-                        second_moment=rand_psd(rng, 2, 1.0))
+        p = FilterState(step=1, mean=np.zeros(2),
+                        moments=np.stack([np.eye(2), rand_psd(rng, 2, 1.0)]))
         s = update(p, rng.standard_normal(2), m)
         np.testing.assert_array_equal(s.second_moment, p.second_moment)
 
@@ -173,8 +174,8 @@ class TestUpdate:
         m = StepModel(F=deterministic(np.eye(2)),
                       H=deterministic(np.zeros((1, 2))),
                       Rv=np.zeros((2, 2)), Rw=np.zeros((1, 1)))
-        p = FilterState(step=1, mean=np.array([1.0, 2.0]), cov=np.eye(2),
-                        second_moment=2 * np.eye(2))
+        p = FilterState(step=1, mean=np.array([1.0, 2.0]),
+                        moments=np.stack([np.eye(2), 2 * np.eye(2)]))
         s = update(p, np.array([0.3]), m)
         np.testing.assert_array_equal(s.mean, p.mean)
         np.testing.assert_allclose(s.cov, p.cov)
@@ -220,6 +221,37 @@ def test_batched_filter_matches_per_run_calls(rng):
             np.testing.assert_array_equal(b.second_moment, s.second_moment)
             np.testing.assert_allclose(b.mean[i], s.mean, rtol=0,
                                        atol=1e-13 * np.abs(s.mean).max())
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
+    # filter_sequence's arrays against init/predict/update on new arrays;
+    # the stacked edge models take both gain paths at every step
+    runs, K = 3, 25
+    members = edge_nahi_models(0.99 * rotation(300))
+    m = stack_models(members) if stacked else members[2]
+    ic = rand_ic(rng, 2)
+    ys = 3 * rng.standard_normal((runs, K + 1, 2))
+    lead = (len(EDGE_PROBS),) if stacked else ()
+    s0 = init(ic)
+    prior = FilterState(step=0, mean=np.broadcast_to(s0.mean, (runs, 2)),
+                        moments=np.broadcast_to(s0.moments, lead + (2, 2, 2)))
+    hand = [update(prior, ys[:, 0], m)]
+    for k in range(1, K + 1):
+        hand.append(update(predict(hand[-1], m), ys[:, k], m))
+    rec = filter_sequence(lambda k: m, ic, ys)
+    assert rec.mean.shape == lead + (runs, K + 1, 2)
+    assert rec.moments.shape == (K + 1,) + lead + (2, 2, 2)
+    assert len(rec) == K + 1 and rec[-1].step == K
+    with pytest.raises(TypeError):
+        rec[1:]
+    for k, (s, h) in enumerate(zip(rec, hand, strict=True)):
+        assert s.step == h.step == k
+        np.testing.assert_array_equal(rec.mean[..., k, :], h.mean)
+        np.testing.assert_array_equal(rec.moments[k], h.moments)
+        np.testing.assert_array_equal(rec.cov[k], h.cov)
+        np.testing.assert_array_equal(rec.second_moment[k], h.second_moment)
+        np.testing.assert_array_equal(s.moments, h.moments)
 
 
 def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):

@@ -398,6 +398,18 @@ def test_stacked_prior_carries_the_model_axis():
         assert s.cov.shape == s.second_moment.shape == (M, 2, 2)
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+def test_covariance_recursion_record_shapes(stacked):
+    # no runs: an empty mean array, and P and X of every step
+    members = edge_nahi_models(EDGE_F)
+    m = stack_models(members) if stacked else members[0]
+    lead = (len(members),) if stacked else ()
+    rec = covariance_recursion(lambda k: m, SIM1_IC, 7)
+    assert rec.mean.shape == lead + (0, 8, 2)
+    assert rec.cov.shape == rec.second_moment.shape == (8,) + lead + (2, 2)
+    assert len(rec) == 8 and rec[-1].cov.shape == lead + (2, 2)
+
+
 def test_long_horizon_covariances_stay_symmetric_psd():
     """P, X and S over 10^4 stacked steps, p at and next to 0 and 1."""
     K, M = 10_000, len(EDGE_PROBS)

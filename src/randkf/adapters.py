@@ -7,15 +7,18 @@ of the random matrix and taking its moments.  Dropout is a
 ``BlockDropout``: a single dropping sensor (Nahi) is one block, and
 independently dropping measurement blocks are B blocks, which give B
 deviation factors and are sampled with one Bernoulli draw per block, so
-neither the build nor a draw enumerates the 2^B on/off patterns.  A step's
-StepModel depends only on the model and that step's probability values,
-so each model keeps the last one it built and returns it while those
-values repeat: a model with constant probabilities is built once.
+neither the build nor a draw enumerates the 2^B on/off patterns.
+
+Each ``build_*(m, k)`` is a plain function of the model and the step: it
+builds and validates a new StepModel on every call.  A model with
+constant probabilities is the same every step, so its caller builds it
+once and serves it with ``constant_provider(build_x(m, 0))``; a p(k)
+schedule is served per step by ``lambda k: build_x(m, k)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,18 +41,6 @@ def _prob_at(p: ProbFn, k: int, name: str) -> float:
     return val
 
 
-def _last_build(m, probs: Sequence[float],
-                build: Callable[[], StepModel]) -> StepModel:
-    """m's StepModel for these probability values, built only if they
-    differ bitwise from those of m's previous build."""
-    key = np.asarray(probs, dtype=float).tobytes()
-    last = m._last
-    if last is None or last[0] != key:
-        last = (key, build())
-        object.__setattr__(m, "_last", last)
-    return last[1]
-
-
 @dataclass(frozen=True)
 class UncertainObsModel:
     """Measurement matrix drawn from a known finite set each step.
@@ -63,8 +54,6 @@ class UncertainObsModel:
     Rv: np.ndarray
     Rw: np.ndarray | None = None
     per_model_noise: Sequence[np.ndarray] | None = None
-    _last: tuple[bytes, StepModel] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.Rw is None) == (self.per_model_noise is None):
@@ -86,8 +75,6 @@ class NahiModel:
     F: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray
-    _last: tuple[bytes, StepModel] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -98,8 +85,6 @@ class PartitionedObsModel:
     F: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray
-    _last: tuple[bytes, StepModel] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -110,8 +95,6 @@ class MultiModelDynamics:
     H: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray
-    _last: tuple[bytes, StepModel] | None = field(
-        default=None, init=False, repr=False, compare=False)
 
 
 def build_uncertain_obs(m: UncertainObsModel, k: int) -> StepModel:
@@ -122,28 +105,19 @@ def build_uncertain_obs(m: UncertainObsModel, k: int) -> StepModel:
     H-deviation and the selected noise vanishes because each noise is
     zero-mean and independent of the state.
     """
-    def build() -> StepModel:
-        if m.per_model_noise is not None:
-            Rw = sum(p * _check_psd(R, "per-model Rw")
-                     for p, R in zip(m.measurement_dist.probs,
-                                     m.per_model_noise))
-        else:
-            Rw = np.asarray(m.Rw, dtype=float)
-        return StepModel(F=deterministic(m.F),
-                         H=moments_from_dist(m.measurement_dist),
-                         Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
-
-    return _last_build(m, (), build)
+    Rw = m.Rw if m.per_model_noise is None else sum(
+        p * _check_psd(R, "per-model Rw")
+        for p, R in zip(m.measurement_dist.probs, m.per_model_noise))
+    return StepModel(F=deterministic(m.F),
+                     H=moments_from_dist(m.measurement_dist), Rv=m.Rv, Rw=Rw)
 
 
 def build_nahi(m: NahiModel, k: int) -> StepModel:
     """Single-sensor dropout as the one-block BlockDropout of h: mean
     p h and the one factor sqrt(p (1-p)) h."""
-    p = _prob_at(m.p, k, "p(k)")
-    return _last_build(m, (p,), lambda: StepModel(
-        F=deterministic(m.F),
-        H=moments_from_dist(BlockDropout(blocks=(m.h,), probs=[p])),
-        Rv=np.asarray(m.Rv, dtype=float), Rw=np.asarray(m.Rw, dtype=float)))
+    dist = BlockDropout(blocks=(m.h,), probs=[_prob_at(m.p, k, "p(k)")])
+    return StepModel(F=deterministic(m.F), H=moments_from_dist(dist),
+                     Rv=m.Rv, Rw=m.Rw)
 
 
 def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
@@ -155,20 +129,15 @@ def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
     """
     ps = [_prob_at(p, k, f"block {i} probability")
           for i, (_, p) in enumerate(m.blocks)]
-
-    def build() -> StepModel:
-        dist = BlockDropout(blocks=tuple(h for h, _ in m.blocks), probs=ps)
-        Rw, N = np.asarray(m.Rw, dtype=float), dist.stacked.shape[1]
-        if Rw.shape != (N, N):
-            raise ValueError(f"Rw is {Rw.shape}, stacked blocks give N={N}")
-        return StepModel(F=deterministic(m.F), H=moments_from_dist(dist),
-                         Rv=np.asarray(m.Rv, dtype=float), Rw=Rw)
-
-    return _last_build(m, ps, build)
+    dist = BlockDropout(blocks=tuple(h for h, _ in m.blocks), probs=ps)
+    Rw, N = np.asarray(m.Rw, dtype=float), dist.stacked.shape[1]
+    if Rw.shape != (N, N):
+        raise ValueError(f"Rw is {Rw.shape}, stacked blocks give N={N}")
+    return StepModel(F=deterministic(m.F), H=moments_from_dist(dist),
+                     Rv=m.Rv, Rw=Rw)
 
 
 def build_multimodel(m: MultiModelDynamics, k: int) -> StepModel:
     """Random transition from a finite model bank, deterministic H."""
-    return _last_build(m, (), lambda: StepModel(
-        F=moments_from_dist(m.transition_dist), H=deterministic(m.H),
-        Rv=np.asarray(m.Rv, dtype=float), Rw=np.asarray(m.Rw, dtype=float)))
+    return StepModel(F=moments_from_dist(m.transition_dist),
+                     H=deterministic(m.H), Rv=m.Rv, Rw=m.Rw)

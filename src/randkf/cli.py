@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     elif cfg.mode == "sweep":
         if not cfg.gammas:
             raise ConfigError("sweep mode needs a non-empty 'gammas' list")
-        results = sim_harness.gamma_sweep(cfg.provider_for_gamma, ic,
+        results = sim_harness.gamma_sweep(cfg.model_for_gamma, ic,
                                           cfg.gammas, cfg.horizon)
         _write_csv(out_dir / "sweep.csv", ["gamma", "trace_P_K"], results)
     else:  # pragma: no cover - parse_config rejects unknown modes
@@ -115,6 +116,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="randkf",

@@ -10,7 +10,8 @@ Unknown fields are rejected, naming the offending key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -26,7 +27,12 @@ from .adapters import (
     build_partitioned,
     build_uncertain_obs,
 )
-from .filter_core import InitialCondition, ModelProvider, constant_provider
+from .filter_core import (
+    InitialCondition,
+    ModelProvider,
+    StepModel,
+    constant_provider,
+)
 from .random_matrix import MatrixDist
 
 MODES = ("filter", "simulate", "montecarlo", "sweep")
@@ -198,16 +204,19 @@ class ExperimentConfig:
     gammas: list[float] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
 
-    # YAML probabilities are numbers: a config's model is the same every step
-    def provider(self) -> ModelProvider:
-        return constant_provider(_BUILDERS[type(self.model)](self.model, 0))
+    # YAML probabilities are numbers: a config's model is the same every
+    # step, so it is built once and serves every step
+    @cached_property
+    def step_model(self) -> StepModel:
+        return _BUILDERS[type(self.model)](self.model, 0)
 
-    def provider_for_gamma(self, gamma: float) -> ModelProvider:
+    def provider(self) -> ModelProvider:
+        return constant_provider(self.step_model)
+
+    def model_for_gamma(self, gamma: float) -> StepModel:
         if not isinstance(self.model, NahiModel):
             raise ConfigError("sweep mode requires a 'nahi' model")
-        swapped = NahiModel(h=self.model.h, p=float(gamma), F=self.model.F,
-                            Rv=self.model.Rv, Rw=self.model.Rw)
-        return constant_provider(build_nahi(swapped, 0))
+        return build_nahi(replace(self.model, p=float(gamma)), 0)
 
 
 _TOP_ALLOWED = {"mode", "model", "initial", "horizon", "runs", "seed",
@@ -239,16 +248,18 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("gammas: expected a list")
     gammas = [_prob(g, f"gammas[{i}]")
               for i, g in enumerate(doc.get("gammas", []))]
+    measurements = doc.get("measurements")
+    if measurements is not None and not isinstance(measurements, str):
+        raise ConfigError("measurements: expected a file path")
     model = _build_model(doc["model"])
 
     cfg = ExperimentConfig(mode=mode, model=model, initial=ic,
                            horizon=horizon, runs=runs,
                            seed=_number(doc.get("seed", 0), "seed", int, 0),
-                           measurements=doc.get("measurements"),
-                           gammas=gammas, raw=doc)
+                           measurements=measurements, gammas=gammas, raw=doc)
     # surface dimension mismatches at parse time
     try:
-        m0 = cfg.provider()(0)
+        m0 = cfg.step_model
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     if m0.F.shape[0] != ic.mean.size:

@@ -206,13 +206,22 @@ def _effective_noise(R: np.ndarray, spec: RandomMatrixSpec,
     return R + quad_form(spec, X) if spec.factors.shape[-3] else R
 
 
+def _check_mean(mean: np.ndarray, M: np.ndarray, what: str) -> None:
+    if M.shape[-1] != mean.shape[-1]:
+        raise ValueError(f"state dimension does not match {what}")
+    # a 1-D mean would meet the model axis twice (through M, then
+    # through the gain) and come out with a wrong shape
+    if M.ndim > 2 and mean.ndim == 1:
+        raise ValueError("a stacked model needs a run axis on the mean: "
+                         "(runs, K+1, N) measurements")
+
+
 def predict(s: FilterState, m: StepModel) -> FilterState:
     """Time update through the random transition matrix: P and X both
     take Fbar M Fbar^T + Rv + E(F~ X F~^T), in one product over the
     stacked moments, and the means (if any runs) go through Fbar."""
     Fbar = m.F.mean
-    if Fbar.shape[-1] != s.mean.shape[-1]:
-        raise ValueError("state dimension does not match transition matrix")
+    _check_mean(s.mean, Fbar, "transition matrix")
     Rv_eff = _effective_noise(m.Rv, m.F, s.second_moment)
     F = Fbar[..., None, :, :]
     moments = symmetrize(F @ s.moments @ F.mT + Rv_eff[..., None, :, :])
@@ -260,8 +269,7 @@ def update(p: FilterState, y, m: StepModel, *, joseph: bool = False,
     Hbar = m.H.mean
     if y.shape[-1] != Hbar.shape[-2]:
         raise ValueError("measurement dimension mismatch")
-    if Hbar.shape[-1] != p.mean.shape[-1]:
-        raise ValueError("state dimension does not match measurement matrix")
+    _check_mean(p.mean, Hbar, "measurement matrix")
     P = p.cov
     Rw_eff = _effective_noise(m.Rw, m.H, p.second_moment)
     S = symmetrize(Hbar @ P @ Hbar.mT + Rw_eff)

@@ -18,6 +18,7 @@ from .filter_core import (
     InitialCondition,
     ModelProvider,
     StepModel,
+    constant_provider,
     deterministic_model,
     filter_sequence,
     stack_models,
@@ -181,15 +182,14 @@ def covariance_recursion(provider: ModelProvider, ic: InitialCondition,
     return filter_sequence(provider, ic, np.empty((0, K + 1, N)))
 
 
-def gamma_sweep(provider_for_gamma: Callable[[float], ModelProvider],
+def gamma_sweep(model_for_gamma: Callable[[float], StepModel],
                 ic: InitialCondition, gammas: Sequence[float],
                 K: int) -> list[tuple[float, float]]:
     """trace(P_K) of the deterministic recursion for each probability.
 
-    One recursion from ``ic`` runs every gamma: each step's models are
-    stacked along a leading model axis, and restacked only when some
-    gamma's provider returns a different model object than at the
-    previous step.
+    ``model_for_gamma`` gives the time-invariant model of one gamma.  The
+    models are stacked once along a leading model axis, and one recursion
+    from ``ic`` runs every gamma.
     """
     gammas = [float(g) for g in gammas]
     if any(b < a for a, b in zip(gammas, gammas[1:])):
@@ -198,16 +198,6 @@ def gamma_sweep(provider_for_gamma: Callable[[float], ModelProvider],
         raise ValueError("gammas must lie in (0, 1]")
     if not gammas:
         return []
-    providers = [provider_for_gamma(g) for g in gammas]
-    last_members, last_stack = None, None
-
-    def stacked(k: int) -> StepModel:
-        nonlocal last_members, last_stack
-        members = [p(k) for p in providers]
-        if last_members is None or any(
-                a is not b for a, b in zip(members, last_members)):
-            last_members, last_stack = members, stack_models(members)
-        return last_stack
-
-    final = covariance_recursion(stacked, ic, K).cov[-1]
+    stack = stack_models([model_for_gamma(g) for g in gammas])
+    final = covariance_recursion(constant_provider(stack), ic, K).cov[-1]
     return [(g, float(np.trace(cov))) for g, cov in zip(gammas, final)]

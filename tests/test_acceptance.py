@@ -69,10 +69,13 @@ def rotation(period):
     return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
 
 
+def sim1_model(gamma=0.95):
+    return build_nahi(NahiModel(h=H_TRACK, p=gamma, F=rotation(300),
+                                Rv=2 * np.eye(2), Rw=np.eye(2)), 0)
+
+
 def sim1_provider(gamma=0.95):
-    m = NahiModel(h=H_TRACK, p=gamma, F=rotation(300), Rv=2 * np.eye(2),
-                  Rw=np.eye(2))
-    return lambda k: build_nahi(m, k)
+    return constant_provider(sim1_model(gamma))
 
 
 def sim2_provider():
@@ -80,7 +83,7 @@ def sim2_provider():
                           (rotation(100), 0.7)])
     m = MultiModelDynamics(transition_dist=dist, H=H_TRACK,
                            Rv=2 * np.eye(2), Rw=np.eye(2))
-    return lambda k: build_multimodel(m, k)
+    return constant_provider(build_multimodel(m, 0))
 
 
 class _Check:
@@ -193,7 +196,7 @@ def test_a4_multimodel_dynamics_consistent_and_beats_naive_kf():
 def test_a5_steady_state_covariance_decreases_with_arrival_rate():
     with _Check("A5", 1, "trace(P_300) strictly decreasing in the "
                 "measurement arrival probability"):
-        res = gamma_sweep(sim1_provider, TRACK_IC,
+        res = gamma_sweep(sim1_model, TRACK_IC,
                           [0.5, 0.7, 0.9, 0.95, 1.0], K=300)
         traces = [t for _, t in res]
         assert all(a > b for a, b in zip(traces, traces[1:])), traces

@@ -106,6 +106,8 @@ BAD_VALUES = {
     "seed-negative": ("seed: 3", "seed: -3", "seed", []),
     "seed-override-negative": ("seed: 3", "seed: 3", "--seed",
                                ["--seed", "-3"]),
+    "measurements": ("horizon: 5", "horizon: 5\nmeasurements: 5",
+                     "measurements", []),
 }
 
 

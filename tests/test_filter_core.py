@@ -25,10 +25,16 @@ from randkf import (
 from randkf.filter_core import (
     FilterState,
     StepModel,
+    constant_provider,
     deterministic_model,
     stack_models,
 )
-from randkf.sim_harness import derive_run_seeds, run_filter_on, simulate_truth
+from randkf.sim_harness import (
+    covariance_recursion,
+    derive_run_seeds,
+    run_filter_on,
+    simulate_truth,
+)
 
 
 def rotation(period):
@@ -252,6 +258,35 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
         np.testing.assert_array_equal(rec.cov[k], h.cov)
         np.testing.assert_array_equal(rec.second_moment[k], h.second_moment)
         np.testing.assert_array_equal(s.moments, h.moments)
+
+
+STACKED_NEEDS_RUNS = r"stacked model needs .*\(runs, K\+1, N\) measurements"
+
+
+@pytest.mark.parametrize("step", ["predict", "update"])
+def test_stacked_model_with_unstacked_mean_raises(rng, step):
+    # a 1-D mean would take the model axis twice: update gave (M, M, r)
+    m = stack_models(edge_nahi_models(0.99 * rotation(300)))
+    s = init(rand_ic(rng, 2))
+    with pytest.raises(ValueError, match=STACKED_NEEDS_RUNS):
+        predict(s, m) if step == "predict" else update(s, np.ones(2), m)
+
+
+def test_filter_sequence_of_a_stack_needs_a_run_axis(rng):
+    K, members = 6, edge_nahi_models(0.99 * rotation(300))
+    prov = constant_provider(stack_models(members))
+    ic = rand_ic(rng, 2)
+    ys = 3 * rng.standard_normal((K + 1, 2))
+    with pytest.raises(ValueError, match=STACKED_NEEDS_RUNS):
+        filter_sequence(prov, ic, ys)
+    rec = filter_sequence(prov, ic, ys[None])
+    assert rec.mean.shape == (len(members), 1, K + 1, 2)
+    np.testing.assert_array_equal(rec.cov,
+                                  covariance_recursion(prov, ic, K).cov)
+    for i, m in enumerate(members):
+        own = filter_sequence(constant_provider(m), ic, ys)
+        np.testing.assert_allclose(rec.mean[i, 0], own.mean, rtol=0,
+                                   atol=1e-12 * np.abs(own.mean).max())
 
 
 def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):

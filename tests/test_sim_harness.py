@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import randkf.filter_core
-import randkf.sim_harness
 from conftest import (
     EDGE_PROBS,
     edge_nahi_models,
@@ -48,10 +47,14 @@ def rotation(period):
     return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
 
 
+def sim1_model(gamma=0.95):
+    return build_nahi(NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                p=gamma, F=rotation(300), Rv=2 * np.eye(2),
+                                Rw=np.eye(2)), 0)
+
+
 def sim1_provider(gamma=0.95):
-    m = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]), p=gamma,
-                  F=rotation(300), Rv=2 * np.eye(2), Rw=np.eye(2))
-    return lambda k: build_nahi(m, k)
+    return constant_provider(sim1_model(gamma))
 
 
 SIM1_IC = InitialCondition(mean=np.array([50.0, 0.0]), cov=0.5 * np.eye(2))
@@ -312,50 +315,32 @@ class TestBatchOracle:
 
 class TestGammaSweep:
     def test_full_information_has_smallest_trace(self):
-        res = gamma_sweep(sim1_provider, SIM1_IC, [0.5, 0.8, 1.0], K=60)
+        res = gamma_sweep(sim1_model, SIM1_IC, [0.5, 0.8, 1.0], K=60)
         traces = [t for _, t in res]
         assert traces[-1] == min(traces)
 
     def test_strictly_decreasing_on_tracking_model(self):
-        res = gamma_sweep(sim1_provider, SIM1_IC,
+        res = gamma_sweep(sim1_model, SIM1_IC,
                           [0.5, 0.7, 0.9, 0.95, 1.0], K=300)
         traces = [t for _, t in res]
         assert all(a > b for a, b in zip(traces, traces[1:]))
 
     def test_equal_gammas_equal_traces(self):
-        res = gamma_sweep(sim1_provider, SIM1_IC, [0.7, 0.7], K=30)
+        res = gamma_sweep(sim1_model, SIM1_IC, [0.7, 0.7], K=30)
         assert res[0][1] == res[1][1]
 
     def test_rejects_unsorted_or_out_of_range(self):
         with pytest.raises(ValueError, match="sorted"):
-            gamma_sweep(sim1_provider, SIM1_IC, [0.9, 0.5], K=5)
+            gamma_sweep(sim1_model, SIM1_IC, [0.9, 0.5], K=5)
         with pytest.raises(ValueError, match="0, 1"):
-            gamma_sweep(sim1_provider, SIM1_IC, [0.0, 0.5], K=5)
+            gamma_sweep(sim1_model, SIM1_IC, [0.0, 0.5], K=5)
 
     def test_matches_one_recursion_per_gamma(self):
         gammas = [0.3, 0.5, 0.5, 0.8, 1.0]
-        res = gamma_sweep(sim1_provider, SIM1_IC, gammas, K=40)
+        res = gamma_sweep(sim1_model, SIM1_IC, gammas, K=40)
         for (g, t), gamma in zip(res, gammas, strict=True):
             own = covariance_recursion(sim1_provider(gamma), SIM1_IC, 40)
             assert g == gamma and t == float(np.trace(own[-1].cov))
-
-    def test_restacks_only_when_a_member_changes(self, monkeypatch):
-        # p(k) of one gamma changes at k = 10; the others are constant
-        def factory(gamma):
-            if gamma < 0.6:
-                return sim1_provider(gamma)
-            m = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                          p=lambda k: gamma if k < 10 else 0.9,
-                          F=rotation(300), Rv=2 * np.eye(2), Rw=np.eye(2))
-            return lambda k: build_nahi(m, k)
-        stacks = []
-        real = randkf.sim_harness.stack_models
-        monkeypatch.setattr(randkf.sim_harness, "stack_models",
-                            lambda ms: stacks.append(ms) or real(ms))
-        res = gamma_sweep(factory, SIM1_IC, [0.5, 0.7], K=30)
-        assert len(stacks) == 2
-        own = covariance_recursion(factory(0.7), SIM1_IC, 30)
-        assert res[1][1] == float(np.trace(own[-1].cov))
 
 
 EDGE_F = 0.99 * rotation(300)

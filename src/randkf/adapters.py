@@ -130,11 +130,8 @@ def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
     ps = [_prob_at(p, k, f"block {i} probability")
           for i, (_, p) in enumerate(m.blocks)]
     dist = BlockDropout(blocks=tuple(h for h, _ in m.blocks), probs=ps)
-    Rw, N = np.asarray(m.Rw, dtype=float), dist.stacked.shape[1]
-    if Rw.shape != (N, N):
-        raise ValueError(f"Rw is {Rw.shape}, stacked blocks give N={N}")
     return StepModel(F=deterministic(m.F), H=moments_from_dist(dist),
-                     Rv=m.Rv, Rw=Rw)
+                     Rv=m.Rv, Rw=m.Rw)
 
 
 def build_multimodel(m: MultiModelDynamics, k: int) -> StepModel:

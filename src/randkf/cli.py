@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sim_harness
-from .config import ConfigError, ExperimentConfig, _number, parse_config
+from .config import ConfigError, ExperimentConfig, parse_config
 from .filter_core import filter_sequence
 
 
@@ -139,14 +139,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = parse_config(Path(args.config).read_text())
-        cfg.mode = args.command
-        if args.seed is not None:
-            cfg.seed = _number(args.seed, "--seed", int, 0)
-        if args.runs is not None:
-            cfg.runs = _number(args.runs, "--runs", int, 1)
-        if getattr(args, "measurements", None):
-            cfg.measurements = args.measurements
+        cfg = parse_config(Path(args.config).read_text(), mode=args.command,
+                           seed=args.seed, runs=args.runs,
+                           measurements=getattr(args, "measurements", None))
         return run(cfg, Path(args.out))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -190,9 +190,10 @@ _BUILDERS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, ready to run."""
+    """Validated experiment description, ready to run; frozen, so the
+    model built once by ``step_model`` stays the config's model."""
 
     mode: str
     model: object
@@ -223,19 +224,26 @@ _TOP_ALLOWED = {"mode", "model", "initial", "horizon", "runs", "seed",
                 "measurements", "gammas"}
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse and validate a config document; strict about unknown fields."""
+def parse_config(text: str, *, mode: str | None = None,
+                 seed: int | None = None, runs: int | None = None,
+                 measurements: str | None = None) -> ExperimentConfig:
+    """Parse and validate a config document; strict about unknown fields.
+
+    The keywords are the command line's overrides, each checked as its
+    field is and named by its option (``--seed``); ``raw`` stays the
+    document as written.
+    """
     try:
         doc = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config document: {exc}") from exc
     _require_keys(doc, _TOP_ALLOWED, {"mode", "model", "initial", "horizon"},
                   "config")
-    mode = doc["mode"]
-    if mode not in MODES:
-        raise ConfigError(f"mode: '{mode}' not one of {MODES}")
+    for value in (doc["mode"], mode):
+        if value is not None and value not in MODES:
+            raise ConfigError(f"mode: '{value}' not one of {MODES}")
     horizon = _number(doc["horizon"], "horizon", int, 1)
-    runs = _number(doc.get("runs", 50), "runs", int, 1)
+    doc_runs = _number(doc.get("runs", 50), "runs", int, 1)
     ini = doc["initial"]
     _require_keys(ini, {"mean", "cov"}, {"mean", "cov"}, "initial")
     try:
@@ -248,15 +256,17 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("gammas: expected a list")
     gammas = [_prob(g, f"gammas[{i}]")
               for i, g in enumerate(doc.get("gammas", []))]
-    measurements = doc.get("measurements")
-    if measurements is not None and not isinstance(measurements, str):
+    if not isinstance(doc.get("measurements"), (str, type(None))):
         raise ConfigError("measurements: expected a file path")
     model = _build_model(doc["model"])
+    doc_seed = _number(doc.get("seed", 0), "seed", int, 0)
 
-    cfg = ExperimentConfig(mode=mode, model=model, initial=ic,
-                           horizon=horizon, runs=runs,
-                           seed=_number(doc.get("seed", 0), "seed", int, 0),
-                           measurements=measurements, gammas=gammas, raw=doc)
+    cfg = ExperimentConfig(
+        mode=mode or doc["mode"], model=model, initial=ic, horizon=horizon,
+        runs=doc_runs if runs is None else _number(runs, "--runs", int, 1),
+        seed=doc_seed if seed is None else _number(seed, "--seed", int, 0),
+        measurements=measurements or doc.get("measurements"), gammas=gammas,
+        raw=doc)
     # surface dimension mismatches at parse time
     try:
         m0 = cfg.step_model

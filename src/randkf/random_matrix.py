@@ -191,17 +191,16 @@ def quad_form(spec: RandomMatrixSpec, X) -> np.ndarray:
     return 0.5 * (out + out.mT)
 
 
-def sample_matrix(dist: MatrixDist | BlockDropout, rng: np.random.Generator,
-                  size: int) -> np.ndarray:
-    """Draw a (size, p, q) stack of sample matrices.
+def sample_matrix(dist: MatrixDist | BlockDropout,
+                  u: np.ndarray) -> np.ndarray:
+    """Map uniforms ``u`` of shape (..., n) to matrices of shape (..., p, q).
 
-    Identical seeds yield identical draws.  A MatrixDist takes one
-    uniform per draw, by ``rng.choice``'s inverse-CDF method without its
-    validation of ``probs``, which costs several times the draw; a
-    BlockDropout takes one uniform per block and draw.
+    A MatrixDist takes n = 1 uniform per draw, inverted through its CDF as
+    ``rng.choice`` does, without that method's validation of ``probs``; a
+    BlockDropout takes n = B, one per block, and keeps block i where its
+    uniform is below p_i.  Equal uniforms give equal draws.
     """
     if isinstance(dist, BlockDropout):
-        on = rng.random((size,) + dist.probs.shape) < dist.probs
-        return np.tensordot(on, dist.stacked, axes=1)
-    return dist.stacked.take(
-        dist.cdf.searchsorted(rng.random(size), "right"), axis=0)
+        return np.tensordot(u < dist.probs, dist.stacked, axes=1)
+    return dist.stacked.take(dist.cdf.searchsorted(u[..., 0], "right"),
+                             axis=0)

@@ -23,16 +23,15 @@ from .filter_core import (
     filter_sequence,
     stack_models,
 )
-from .random_matrix import sample_matrix
+from .random_matrix import BlockDropout, sample_matrix
 
 
 @dataclass(frozen=True)
 class TruthTrajectory:
-    """Sampled realizations; from a list of seeds, with a run axis first."""
+    """Sampled states and measurements; from a list of seeds, with a run
+    axis first."""
 
     states: np.ndarray        # ([runs,] K+1, r)
-    realized_F: np.ndarray    # ([runs,] K, r, r)
-    realized_H: np.ndarray    # ([runs,] K+1, N, r)
     measurements: np.ndarray  # ([runs,] K+1, N)
     seed: int | tuple[int, ...]
 
@@ -63,78 +62,76 @@ def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", A, x)
 
 
-def _draw_groups(specs: Sequence, name: str) -> list:
-    # (distribution, steps) of the steps whose matrix has a source
-    # distribution (a MatrixDist or a BlockDropout), grouped by its type
-    # and content in order of first use; one draw per run covers each.
-    # Steps are grouped by object first, so a shared distribution's
-    # content is read once, not once per step.
-    by_object: dict[int, tuple] = {}
-    for k, spec in enumerate(specs):
-        if (dist := spec.source) is not None:
-            by_object.setdefault(id(dist), (dist, []))[1].append(k)
-        elif not spec.is_deterministic:
-            raise ValueError(f"{name} at step {k} is random but has no "
-                             "source distribution to sample from")
-    groups: dict = {}
-    for dist, steps in by_object.values():
-        key = (type(dist), dist.stacked.tobytes(), dist.probs.tobytes())
-        groups.setdefault(key, (dist, []))[1].extend(steps)
-    return [(dist, sorted(steps)) for dist, steps in groups.values()]
+def _draw_width(spec, name: str, k: int) -> int:
+    # uniforms one draw of the matrix takes: one per block of a
+    # BlockDropout, one for a MatrixDist, none for a deterministic matrix
+    if isinstance(spec.source, BlockDropout):
+        return spec.source.probs.size
+    if spec.source is None and not spec.is_deterministic:
+        raise ValueError(f"{name} at step {k} is random but has no "
+                         "source distribution to sample from")
+    return int(spec.source is not None)
 
 
 def simulate_truth(provider: ModelProvider, ic: InitialCondition,
                    K: int, seed: int | Sequence[int]) -> TruthTrajectory:
-    """Sample states, realized matrices and measurements for steps 0..K.
+    """Sample states and measurements for steps 0..K.
 
     ``seed`` is one seed, or a list of per-run seeds for arrays with a run
-    axis.  Each run's generator draws its whole block (its random H, then
-    F, matrices: a sample index per step, or an on/off bit per dropout
-    block and step; then the normals of x_0 and every noise), so a run
-    depends on its own seed only.  A deterministic matrix takes
-    its mean; a random one without a source distribution raises a
-    ValueError naming the matrix and the step.
+    axis.  Each run's generator draws the uniforms of its random matrices
+    in step order, H_0..H_K then F_0..F_{K-1} (one per step for a
+    MatrixDist, one per block and step for a BlockDropout), then the
+    normals of x_0 and every noise, so a run depends on its own seed only.
+    F is realized one step at a time inside the state recursion; H and
+    the noise factors once per distinct step model.  A deterministic
+    matrix takes its mean; a random one without a source distribution
+    raises a ValueError naming the matrix and the step.
     """
     if K < 1:
         raise ValueError("need K >= 1")
     models = [provider(k) for k in range(K + 1)]
     seeds = list(seed) if np.ndim(seed) else [seed]
     runs, r, N = len(seeds), ic.mean.size, models[0].H.shape[0]
-    Hs = np.repeat([[m.H.mean for m in models]], runs, axis=0)
-    Fs = np.repeat([[m.F.mean for m in models[:K]]], runs, axis=0)
-    # (output, distribution, count, index), a slice if it covers every step
-    draws = [(out, dist, len(steps), slice(None) if len(steps) == len(specs)
-              else np.array(steps))
-             for out, specs, name in ((Hs, [m.H for m in models], "H"),
-                                      (Fs, [m.F for m in models[:K]], "F"))
-             for dist, steps in _draw_groups(specs, name)]
+    steps_of: dict[int, list[int]] = {}
+    for k, m in enumerate(models):
+        steps_of.setdefault(id(m), []).append(k)
+    groups = [(models[s[0]], np.array(s)) for s in steps_of.values()]
+    nH = {id(m): _draw_width(m.H, "H", s[0]) for m, s in groups}
+    nF = {id(m): _draw_width(m.F, "F", s[0]) for m, s in groups if s[0] < K}
+    # where each step's uniforms start: H_0..H_K, then F_0..F_{K-1}
+    start = np.cumsum([0] + [nH[id(m)] for m in models]
+                      + [nF[id(m)] for m in models[:K]])
+    u = np.empty((runs, start[-1]))
     z = np.empty((runs, r + (K + 1) * N + K * r))
     for i, s in enumerate(seeds):
         rng = np.random.Generator(np.random.PCG64(s))  # default_rng(s)
-        for out, dist, size, index in draws:
-            out[i, index] = sample_matrix(dist, rng, size)
+        u[i] = rng.random(u.shape[1])
         z[i] = rng.standard_normal(z.shape[1])
     z0, zw, zv = np.split(z, [r, r + (K + 1) * N], axis=1)
     zw, zv = zw.reshape(runs, K + 1, N), zv.reshape(runs, K, r)
 
-    factors: dict[bytes, np.ndarray] = {}
-
-    def factor_of(cov: np.ndarray) -> np.ndarray:
-        key = cov.tobytes()
-        if key not in factors:
-            factors[key] = _gauss_factor(cov)
-        return factors[key]
-
-    wn = _mv(np.array([factor_of(m.Rw) for m in models]), zw)
-    vn = _mv(np.array([factor_of(m.Rv) for m in models[:K]]), zv)
+    vn = np.empty_like(zv)
+    for m, steps in groups:
+        f = steps[steps < K]
+        vn[:, f] = _mv(_gauss_factor(m.Rv), zv[:, f])
     states = np.empty((runs, K + 1, r))
-    states[:, 0] = x = ic.mean + _mv(factor_of(ic.cov), z0)
-    for k in range(K):
-        states[:, k + 1] = x = _mv(Fs[:, k], x) + vn[:, k]
-    ys = _mv(Hs, states) + wn
+    states[:, 0] = x = ic.mean + _mv(_gauss_factor(ic.cov), z0)
+    f_at = start[K + 1:]
+    for k, m in enumerate(models[:K]):
+        a, b = f_at[k], f_at[k + 1]
+        F = sample_matrix(m.F.source, u[:, a:b]) if b > a else m.F.mean
+        states[:, k + 1] = x = _mv(F, x) + vn[:, k]
+    ys = np.empty((runs, K + 1, N))
+    for m, steps in groups:
+        H, n = m.H.mean, nH[id(m)]
+        if n:
+            H = sample_matrix(m.H.source,
+                              u[:, start[steps, None] + np.arange(n)])
+        ys[:, steps] = (_mv(H, states[:, steps])
+                        + _mv(_gauss_factor(m.Rw), zw[:, steps]))
     if np.ndim(seed):
-        return TruthTrajectory(states, Fs, Hs, ys, tuple(seeds))
-    return TruthTrajectory(states[0], Fs[0], Hs[0], ys[0], seed)
+        return TruthTrajectory(states, ys, tuple(seeds))
+    return TruthTrajectory(states[0], ys[0], seed)
 
 
 def nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -50,6 +51,23 @@ class TestParseConfig:
             m.H.mean, 0.95 * np.array([[1.0, 1.0], [1.0, -1.0]]))
         np.testing.assert_allclose(m.F.mean, rotation_matrix(300))
         np.testing.assert_array_equal(m.Rv, 2 * np.eye(2))
+
+    def test_config_is_frozen(self):
+        # step_model is built once, so a config's model cannot be swapped
+        # under it: the provider keeps serving the parsed model
+        cfg = parse_config(SIM1.read_text())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.model = dataclasses.replace(cfg.model, p=0.5)
+        np.testing.assert_allclose(cfg.provider()(0).H.mean[0], [0.95, 0.95])
+
+    def test_overrides_apply_at_parse_and_keep_the_document(self):
+        text = SIM1.read_text()
+        cfg = parse_config(text, mode="filter", seed=5, runs=2,
+                           measurements="ys.csv")
+        assert (cfg.mode, cfg.seed, cfg.runs, cfg.measurements) == (
+            "filter", 5, 2, "ys.csv")
+        assert cfg.raw == yaml.safe_load(text)
+        assert cfg.raw["mode"] == "montecarlo"
 
     def test_simulation2_bundle(self):
         cfg = parse_config(SIM2.read_text())

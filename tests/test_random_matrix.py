@@ -220,14 +220,14 @@ def test_quad_form_symmetric_psd(seed):
 class TestSampleMatrix:
     def test_certain_sample_always_drawn(self):
         dist = MatrixDist.of([(H_SIM1, 1.0)])
-        draws = sample_matrix(dist, np.random.default_rng(0), size=10)
+        draws = sample_matrix(dist, np.random.default_rng(0).random((10, 1)))
         assert draws.shape == (10, 2, 2) and np.all(draws == H_SIM1)
 
     def test_empirical_frequency(self):
         A, B = np.array([[1.0]]), np.array([[0.0]])
         dist = MatrixDist.of([(A, 0.5), (B, 0.5)])
-        draws = sample_matrix(dist, np.random.default_rng(1234),
-                              size=100_000)
+        draws = sample_matrix(dist,
+                              np.random.default_rng(1234).random((100_000, 1)))
         hits = int(np.sum(draws[:, 0, 0] == 1.0))
         assert 0.49 <= hits / 100_000 <= 0.51
         # the count 100,000 one-draw calls on this seed gave: one call of
@@ -239,9 +239,23 @@ class TestSampleMatrix:
                               for i in range(4)])
         r1 = np.random.default_rng(7)
         r2 = np.random.default_rng(7)
-        s1 = sample_matrix(dist, r1, size=50)
-        s2 = sample_matrix(dist, r2, size=50)
+        s1 = sample_matrix(dist, r1.random((50, 1)))
+        s2 = sample_matrix(dist, r2.random((50, 1)))
         np.testing.assert_array_equal(s1, s2)
+
+    @pytest.mark.parametrize("dist", [
+        MatrixDist.of([(np.eye(2), 0.3), (H_SIM1, 0.7)]),
+        BlockDropout(blocks=(np.ones((1, 2)), H_SIM1), probs=[0.4, 0.9])])
+    def test_leading_axes_map_each_draw(self, dist):
+        # uniforms (3, 4, n) give the (3, 4, p, q) stack of the draws of
+        # their rows, each taken alone
+        n = 2 if isinstance(dist, BlockDropout) else 1
+        u = np.random.default_rng(3).random((3, 4, n))
+        draws = sample_matrix(dist, u)
+        assert draws.shape == (3, 4) + dist.stacked.shape[-2:]
+        for idx in np.ndindex(3, 4):
+            np.testing.assert_array_equal(draws[idx],
+                                          sample_matrix(dist, u[idx]))
 
 
 class TestBlockDropout:
@@ -284,7 +298,7 @@ class TestBlockDropout:
                                     np.array([[2.0], [3.0]])),
                             probs=[0.3, 0.8])
         n = 100_000
-        draws = sample_matrix(dist, np.random.default_rng(5), size=n)
+        draws = sample_matrix(dist, np.random.default_rng(5).random((n, 2)))
         assert draws.shape == (n, 3, 1)
         on1, on2 = draws[:, 0, 0] == 1.0, draws[:, 1, 0] == 2.0
         assert np.all(draws[:, 0, 0] == np.where(on1, 1.0, 0.0))
@@ -294,7 +308,7 @@ class TestBlockDropout:
         for freq, p in ((on1.mean(), 0.3), (on2.mean(), 0.8),
                         ((on1 & on2).mean(), 0.24)):
             assert abs(freq - p) < 5 * se
-        one = sample_matrix(dist, np.random.default_rng(5), size=1)
+        one = sample_matrix(dist, np.random.default_rng(5).random((1, 2)))
         np.testing.assert_array_equal(one[0], draws[0])
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from conftest import (
 )
 from lmv_oracle import batch_lmv_oracle, sample_converted_noises
 from randkf import (
-    BlockDropout,
     InitialCondition,
     MatrixDist,
     MultiModelDynamics,
@@ -26,7 +27,6 @@ from randkf import (
     deterministic,
     deterministic_model,
     filter_sequence,
-    moments_from_dist,
     monte_carlo,
     run_filter_on,
     simulate_truth,
@@ -34,7 +34,6 @@ from randkf import (
 from randkf.filter_core import constant_provider, stack_models
 from randkf.random_matrix import quad_form
 from randkf.sim_harness import (
-    _draw_groups,
     covariance_recursion,
     derive_run_seeds,
     gamma_sweep,
@@ -103,8 +102,6 @@ class TestSimulateTruth:
         b = simulate_truth(prov, ic, 20, seed=11)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.measurements, b.measurements)
-        np.testing.assert_array_equal(a.realized_F, b.realized_F)
-        np.testing.assert_array_equal(a.realized_H, b.realized_H)
 
     def test_seed_list_equals_stacked_single_seeds(self):
         m2 = MultiModelDynamics(
@@ -113,7 +110,7 @@ class TestSimulateTruth:
                                            (rotation(100), 0.7)]),
             H=np.array([[1.0, 1.0], [1.0, -1.0]]), Rv=2 * np.eye(2),
             Rw=np.eye(2))
-        # time-varying arrival probability: several draw groups per run
+        # time-varying arrival probability: a model of its own each step
         m3 = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
                        p=lambda k: 0.5 + 0.1 * (k % 4), F=rotation(300),
                        Rv=2 * np.eye(2), Rw=np.eye(2))
@@ -124,61 +121,38 @@ class TestSimulateTruth:
             assert batched.seed == tuple(seeds)
             for i, s in enumerate(seeds):
                 one = simulate_truth(prov, SIM1_IC, 40, s)
-                for field in ("states", "realized_F", "realized_H",
-                              "measurements"):
+                for field in ("states", "measurements"):
                     np.testing.assert_array_equal(
                         getattr(batched, field)[i], getattr(one, field))
 
-    def test_draw_groups_merge_equal_content_across_objects(self):
-        # a shared distribution object, an equal copy of it and another
-        # one: groups in order of first use, steps ascending in each
-        a = moments_from_dist(MatrixDist.of([(np.eye(2), 0.3),
-                                             (np.zeros((2, 2)), 0.7)]))
-        copy = moments_from_dist(MatrixDist.of([(np.eye(2), 0.3),
-                                                (np.zeros((2, 2)), 0.7)]))
-        b = moments_from_dist(MatrixDist.of([(np.eye(2), 0.6),
-                                             (np.zeros((2, 2)), 0.4)]))
-        fixed = deterministic(np.eye(2))
-        specs = [fixed, b, a, copy, a, b, copy, fixed, a]
-        groups = _draw_groups(specs, "H")
-        assert [steps for _, steps in groups] == [[1, 5], [2, 3, 4, 6, 8]]
-        assert groups[0][0] is b.source and groups[1][0] is a.source
-
-    def test_draw_groups_key_block_dropout_by_type_and_content(self):
-        # equal BlockDropouts share a group; a MatrixDist whose arrays hold
-        # the same bytes is a different distribution and keeps its own
-        def blocks():
-            return moments_from_dist(BlockDropout(blocks=(np.ones((1, 1)),),
-                                                  probs=[1.0]))
-        a, copy = blocks(), blocks()
-        mixture = moments_from_dist(MatrixDist.of([(np.ones((1, 1)), 1.0)]))
-        assert (a.source.stacked.tobytes() == mixture.source.stacked.tobytes()
-                and a.source.probs.tobytes() == mixture.source.probs.tobytes())
-        groups = _draw_groups([a, mixture, copy, mixture], "H")
-        assert [steps for _, steps in groups] == [[0, 2], [1, 3]]
-
     def test_partitioned_draws_whole_blocks(self):
-        # each block is present (its rows equal h_i) or absent (zero rows)
-        # independently, at its own rate; a seed list equals single seeds
+        # noise-free measurements: each block's rows are h_i x (present)
+        # or zero (absent), independently, at its own rate; a seed list
+        # equals single seeds
         hs = (np.array([[1.0, 2.0]]), np.array([[3.0, 4.0], [5.0, 6.0]]))
         m = PartitionedObsModel(blocks=((hs[0], 0.3), (hs[1], 0.8)),
                                 F=0.9 * np.eye(2), Rv=np.eye(2),
-                                Rw=np.eye(3))
+                                Rw=np.zeros((3, 3)))
         prov = lambda k: build_partitioned(m, k)
         seeds = derive_run_seeds(4, 50)
         traj = simulate_truth(prov, SIM1_IC, 200, seeds)
-        H = traj.realized_H
-        on1 = (H[..., :1, :] == hs[0]).all(axis=(-2, -1))
-        on2 = (H[..., 1:, :] == hs[1]).all(axis=(-2, -1))
-        assert np.all(on1 | (H[..., :1, :] == 0).all(axis=(-2, -1)))
-        assert np.all(on2 | (H[..., 1:, :] == 0).all(axis=(-2, -1)))
+        ys = traj.measurements
+
+        def present_absent(h, rows):
+            hx = np.einsum("ij,...j->...i", h, traj.states)
+            on = np.isclose(ys[..., rows], hx, rtol=1e-12, atol=0).all(-1)
+            return on, (ys[..., rows] == 0).all(-1)
+
+        (on1, off1), (on2, off2) = (present_absent(hs[0], slice(0, 1)),
+                                    present_absent(hs[1], slice(1, 3)))
+        assert np.all(on1 != off1) and np.all(on2 != off2)
         se = 0.5 / np.sqrt(on1.size)
         for freq, p in ((on1.mean(), 0.3), (on2.mean(), 0.8),
                         ((on1 & on2).mean(), 0.24)):
             assert abs(freq - p) < 5 * se
         for i in (0, 17):
             one = simulate_truth(prov, SIM1_IC, 200, seeds[i])
-            np.testing.assert_array_equal(one.realized_H, H[i])
+            np.testing.assert_array_equal(one.states, traj.states[i])
             np.testing.assert_array_equal(one.measurements,
                                           traj.measurements[i])
 
@@ -186,9 +160,31 @@ class TestSimulateTruth:
         prov = constant_provider(rand_random_model(rng, 3, 2))
         traj = simulate_truth(prov, rand_ic(rng, 3), 7, seed=5)
         assert traj.states.shape == (8, 3)
-        assert traj.realized_F.shape == (7, 3, 3)
-        assert traj.realized_H.shape == (8, 2, 3)
         assert traj.measurements.shape == (8, 2)
+
+    @pytest.mark.parametrize("kind", ["nahi", "partitioned", "multimodel"])
+    def test_fresh_equal_model_each_step_draws_as_one_model(self, kind):
+        # draws depend on the step only, not on which steps share a model
+        # object: a new, equal model every step samples the same bits
+        h = np.array([[1.0, 1.0], [1.0, -1.0]])
+        build, m = {
+            "nahi": (build_nahi, NahiModel(h=h, p=0.7, F=rotation(300),
+                                           Rv=2 * np.eye(2), Rw=np.eye(2))),
+            "partitioned": (build_partitioned, PartitionedObsModel(
+                blocks=((h[:1], 0.3), (h[1:], 0.8)), F=0.9 * np.eye(2),
+                Rv=np.eye(2), Rw=np.eye(2))),
+            "multimodel": (build_multimodel, MultiModelDynamics(
+                transition_dist=MatrixDist.of([(rotation(300), 0.1),
+                                               (rotation(100), 0.9)]),
+                H=h, Rv=2 * np.eye(2), Rw=np.eye(2))),
+        }[kind]
+        seeds = derive_run_seeds(21, 6)
+        shared = simulate_truth(constant_provider(build(m, 0)), SIM1_IC, 30,
+                                seeds)
+        fresh = simulate_truth(lambda k: build(m, k), SIM1_IC, 30, seeds)
+        np.testing.assert_array_equal(fresh.states, shared.states)
+        np.testing.assert_array_equal(fresh.measurements,
+                                      shared.measurements)
 
 
 class TestRunFilterOn:
@@ -260,6 +256,29 @@ class TestMonteCarlo:
         metrics = monte_carlo(sim1_provider(), SIM1_IC, 50, 5, 123)
         assert np.all(np.isfinite(metrics.per_step_sq_error))
         assert np.all(metrics.per_step_sq_error >= 0)
+
+    def test_random_transition_memory_is_linear_in_steps(self):
+        # a three-model bank at r = 30, 100 runs x 300 steps: realizing F
+        # one step at a time keeps the peak at a few (runs, K+1, r) arrays
+        # (7.2 MB each; 35.5 MB measured), where keeping every run's
+        # realized F, (runs, K, r, r), took 216 MB alone (266 MB peak)
+        r, runs, K = 30, 100, 300
+        rng = np.random.default_rng(30)
+        bank = MatrixDist.of(
+            [(0.95 * np.linalg.qr(rng.standard_normal((r, r)))[0], p)
+             for p in (0.1, 0.2, 0.7)])
+        m = build_multimodel(MultiModelDynamics(
+            transition_dist=bank, H=rng.standard_normal((2, r)),
+            Rv=0.3 * np.eye(r), Rw=np.eye(2)), 0)
+        ic = InitialCondition(mean=np.ones(r), cov=np.eye(r))
+        tracemalloc.start()
+        try:
+            metrics = monte_carlo(constant_provider(m), ic, K, runs, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(metrics.per_step_nees))
+        assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestBatchOracle:

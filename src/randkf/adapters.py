@@ -106,7 +106,7 @@ def build_uncertain_obs(m: UncertainObsModel, k: int) -> StepModel:
     zero-mean and independent of the state.
     """
     Rw = m.Rw if m.per_model_noise is None else sum(
-        p * _check_psd(R, "per-model Rw")
+        p * _check_psd(R, "per-model Rw")[0]
         for p, R in zip(m.measurement_dist.probs, m.per_model_noise))
     return StepModel(F=deterministic(m.F),
                      H=moments_from_dist(m.measurement_dist), Rv=m.Rv, Rw=Rw)

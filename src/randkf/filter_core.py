@@ -20,7 +20,7 @@ member, each bit-identical to its own unstacked run.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, Sequence
 
@@ -47,9 +47,10 @@ def _eye(n: int) -> np.ndarray:
     return _frozen(np.eye(n))
 
 
-def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
-    """m symmetrized, after checking that it (each member of a stack
-    (..., n, n)) is square, finite, symmetric and PSD to PSD_TOL."""
+def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """m symmetrized and its (each member's) smallest eigenvalue, after
+    checking that it (each member of a stack (..., n, n)) is square,
+    finite, symmetric and PSD to PSD_TOL."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} is not square: {m.shape}")
@@ -58,10 +59,10 @@ def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
     atol = PSD_TOL * np.maximum(1.0, np.abs(np.trace(m, axis1=-2, axis2=-1)))
     if not np.allclose(m, m.mT, atol=atol[..., None, None]):
         raise ValueError(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(symmetrize(m))
-    if np.any(w.min(axis=-1, initial=0.0) < -atol):
+    w_min = np.linalg.eigvalsh(symmetrize(m)).min(axis=-1, initial=np.inf)
+    if np.any(w_min < -atol):
         raise ValueError(f"{name} is not positive semidefinite")
-    return symmetrize(m)
+    return symmetrize(m), w_min
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class InitialCondition:
         mean = np.asarray(self.mean, dtype=float).ravel()
         if not np.isfinite(mean).all():
             raise ValueError("initial mean is not finite")
-        cov = _check_psd(self.cov, "initial covariance")
+        cov, _ = _check_psd(self.cov, "initial covariance")
         if cov.shape[0] != mean.size:
             raise ValueError("initial mean/cov dimension mismatch")
         object.__setattr__(self, "mean", mean)
@@ -90,16 +91,18 @@ class StepModel:
     serve every step and both the sampler and the filter.  A stacked
     model (see ``stack_models``) has the same leading model axes on all
     four; only the filter's covariance recursion accepts one.
+    ``Rw_min`` is the smallest eigenvalue of (each member of) Rw.
     """
 
     F: RandomMatrixSpec
     H: RandomMatrixSpec
     Rv: np.ndarray
     Rw: np.ndarray
+    Rw_min: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        Rv = _check_psd(self.Rv, "Rv")
-        Rw = _check_psd(self.Rw, "Rw")
+        Rv, _ = _check_psd(self.Rv, "Rv")
+        Rw, Rw_min = _check_psd(self.Rw, "Rw")
         r = self.F.shape[0]
         if self.F.shape != (r, r):
             raise ValueError("F must be square")
@@ -113,7 +116,7 @@ class StepModel:
         if not (self.H.mean.shape[:-2] == Rv.shape[:-2] == Rw.shape[:-2]
                 == lead):
             raise ValueError("F, H, Rv and Rw disagree on the model axes")
-        for name, a in (("Rv", Rv), ("Rw", Rw)):
+        for name, a in (("Rv", Rv), ("Rw", Rw), ("Rw_min", Rw_min)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -216,32 +219,43 @@ def _check_mean(mean: np.ndarray, M: np.ndarray, what: str) -> None:
                          "(runs, K+1, N) measurements")
 
 
-def predict(s: FilterState, m: StepModel) -> FilterState:
+def predict(s: FilterState, m: StepModel, *,
+            out: FilterState | None = None) -> FilterState:
     """Time update through the random transition matrix: P and X both
     take Fbar M Fbar^T + Rv + E(F~ X F~^T), in one product over the
-    stacked moments, and the means (if any runs) go through Fbar."""
+    stacked moments, and the means (if any runs) go through Fbar; the
+    result goes into ``out`` (a FilterRecord's step) if given."""
     Fbar = m.F.mean
     _check_mean(s.mean, Fbar, "transition matrix")
     Rv_eff = _effective_noise(m.Rv, m.F, s.second_moment)
     F = Fbar[..., None, :, :]
-    moments = symmetrize(F @ s.moments @ F.mT + Rv_eff[..., None, :, :])
-    if not np.isfinite(moments).all():
-        name = "X" if np.isfinite(moments[..., 0, :, :]).all() else "P"
-        raise ValueError(f"{name} is not finite at step {s.step + 1}")
+    moments = F @ s.moments @ F.mT + Rv_eff[..., None, :, :]
     mean = s.mean @ Fbar.mT if s.mean.size else s.mean
-    return FilterState(step=s.step + 1, mean=mean, moments=moments)
+    if out is None:
+        out = FilterState(s.step + 1, np.empty(mean.shape),
+                          np.empty(moments.shape))
+    out.mean[...] = mean
+    symmetrize(moments, out=out.moments)
+    if not np.isfinite(out.moments).all():
+        name = "X" if np.isfinite(out.cov).all() else "P"
+        raise ValueError(f"{name} is not finite at step {s.step + 1}")
+    return out
 
 
-def _gain(cov: np.ndarray, Hbar: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """K = cov Hbar^T S^+ for one S (N, N) or a stack (..., N, N).
+def _gain(HP: np.ndarray, S: np.ndarray, Rw_min: np.ndarray) -> np.ndarray:
+    """K = (Hbar P)^T S^+ for one S (N, N) or a stack (..., N, N).
 
-    The well-conditioned members are solved in one batch, the others get
-    one batched eigenvalue-truncated pseudo-inverse (K = 0 where S = 0).
+    S dominates Rw, so cond(S) <= tr(S) / lambda_min(Rw); where that is
+    below COND_LIMIT / 2 for every member (2 to spare for rounding), the
+    eigenvalue test would pass and is skipped.  Otherwise the
+    well-conditioned members are solved in one batch, the others get one
+    batched eigenvalue-truncated pseudo-inverse (K = 0 where S = 0).
     """
-    HP = Hbar @ cov
-    w = np.linalg.eigvalsh(S)
-    # ascending eigenvalues: this also requires w_min > 0
-    good = w[..., -1] < COND_LIMIT * w[..., 0]
+    good = S.trace(axis1=-2, axis2=-1) < COND_LIMIT / 2 * Rw_min
+    if not good.all():
+        w = np.linalg.eigvalsh(S)
+        # ascending eigenvalues: this also requires w_min > 0
+        good = w[..., -1] < COND_LIMIT * w[..., 0]
     if good.all():
         return np.linalg.solve(S, HP).mT
     K = np.empty(HP.mT.shape)
@@ -272,10 +286,11 @@ def update(p: FilterState, y, m: StepModel, *, joseph: bool = False,
     _check_mean(p.mean, Hbar, "measurement matrix")
     P = p.cov
     Rw_eff = _effective_noise(m.Rw, m.H, p.second_moment)
-    S = symmetrize(Hbar @ P @ Hbar.mT + Rw_eff)
+    HP = Hbar @ P
+    S = symmetrize(HP @ Hbar.mT + Rw_eff)
     if not np.isfinite(S).all():
         raise ValueError(f"S is not finite at step {p.step}")
-    K = _gain(P, Hbar, S)
+    K = _gain(HP, S, m.Rw_min)
     A = _eye(Hbar.shape[-1]) - K @ Hbar
     cov = A @ P @ A.mT + K @ Rw_eff @ K.mT if joseph else A @ P
     mean = p.mean + (y - p.mean @ Hbar.mT) @ K.mT if p.mean.size else p.mean
@@ -284,7 +299,8 @@ def update(p: FilterState, y, m: StepModel, *, joseph: bool = False,
                           np.empty(cov.shape[:-2] + p.moments.shape[-3:]))
     out.mean[...] = mean
     symmetrize(cov, out=out.cov)
-    out.second_moment[...] = p.second_moment
+    if out is not p:
+        out.second_moment[...] = p.second_moment
     return out
 
 
@@ -318,7 +334,7 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
                     np.broadcast_to(s.moments, lead + s.moments.shape))
     s = update(s, ys[..., 0, :], m, joseph=joseph, out=rec[0])
     for k in range(1, steps):
-        p = predict(s, m)
+        p = predict(s, m, out=rec[k])
         m = provider(k)
-        s = update(p, ys[..., k, :], m, joseph=joseph, out=rec[k])
+        s = update(p, ys[..., k, :], m, joseph=joseph, out=p)
     return rec

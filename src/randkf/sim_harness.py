@@ -51,9 +51,9 @@ def derive_run_seeds(base_seed: int, runs: int) -> list[int]:
 
 
 def _gauss_factor(cov: np.ndarray) -> np.ndarray:
-    # eigh square root; tolerates semidefinite covariances
+    # eigh square root of each covariance; tolerates semidefinite ones
     w, V = np.linalg.eigh(cov)
-    return V * np.sqrt(np.clip(w, 0.0, None))
+    return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
 def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -110,10 +110,13 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     z0, zw, zv = np.split(z, [r, r + (K + 1) * N], axis=1)
     zw, zv = zw.reshape(runs, K + 1, N), zv.reshape(runs, K, r)
 
+    # every group's noise factors in one batched eigh per covariance
+    Lv = _gauss_factor(np.stack([m.Rv for m, _ in groups]))
+    Lw = _gauss_factor(np.stack([m.Rw for m, _ in groups]))
     vn = np.empty_like(zv)
-    for m, steps in groups:
+    for g, (m, steps) in enumerate(groups):
         f = steps[steps < K]
-        vn[:, f] = _mv(_gauss_factor(m.Rv), zv[:, f])
+        vn[:, f] = _mv(Lv[g], zv[:, f])
     states = np.empty((runs, K + 1, r))
     states[:, 0] = x = ic.mean + _mv(_gauss_factor(ic.cov), z0)
     f_at = start[K + 1:]
@@ -122,13 +125,12 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
         F = sample_matrix(m.F.source, u[:, a:b]) if b > a else m.F.mean
         states[:, k + 1] = x = _mv(F, x) + vn[:, k]
     ys = np.empty((runs, K + 1, N))
-    for m, steps in groups:
+    for g, (m, steps) in enumerate(groups):
         H, n = m.H.mean, nH[id(m)]
         if n:
             H = sample_matrix(m.H.source,
                               u[:, start[steps, None] + np.arange(n)])
-        ys[:, steps] = (_mv(H, states[:, steps])
-                        + _mv(_gauss_factor(m.Rw), zw[:, steps]))
+        ys[:, steps] = _mv(H, states[:, steps]) + _mv(Lw[g], zw[:, steps])
     if np.ndim(seed):
         return TruthTrajectory(states, ys, tuple(seeds))
     return TruthTrajectory(states[0], ys[0], seed)

@@ -266,7 +266,8 @@ class TestRunModes:
         calls = []
         real = randkf.filter_core.predict
         monkeypatch.setattr(randkf.filter_core, "predict",
-                            lambda s, m: calls.append(m) or real(s, m))
+                            lambda s, m, **kw: calls.append(m)
+                            or real(s, m, **kw))
         assert main(["sweep", "--config", str(SIM1),
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == cfg.horizon

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randkf.filter_core
 from conftest import (
@@ -23,11 +27,15 @@ from randkf import (
     update,
 )
 from randkf.filter_core import (
+    COND_LIMIT,
+    FilterRecord,
     FilterState,
     StepModel,
+    _gain,
     constant_provider,
     deterministic_model,
     stack_models,
+    symmetrize,
 )
 from randkf.sim_harness import (
     covariance_recursion,
@@ -260,6 +268,45 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
         np.testing.assert_array_equal(s.moments, h.moments)
 
 
+@pytest.mark.parametrize("joseph", [False, True])
+@pytest.mark.parametrize("runs", [0, 3])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_steps_in_place_equal_fresh_arrays_bit_for_bit(rng, stacked, runs,
+                                                       joseph):
+    # predict into a record slot, then update that slot in place, against
+    # the same calls on new arrays; the stack takes both gain paths
+    members = edge_nahi_models(0.99 * rotation(300))
+    m = stack_models(members) if stacked else members[2]
+    lead = (len(members),) if stacked else ()
+    ys = 3 * rng.standard_normal((runs, 3, 2))
+    rec = FilterRecord(np.full(lead + (runs, 3, 2), np.nan),
+                       np.full((3,) + lead + (2, 2, 2), np.nan))
+    s0 = init(rand_ic(rng, 2))
+    prior = FilterState(step=0, mean=np.broadcast_to(s0.mean, (runs, 2)),
+                        moments=np.broadcast_to(s0.moments, lead + (2, 2, 2)))
+    fresh = update(prior, ys[:, 0], m, joseph=joseph)
+    s = update(prior, ys[:, 0], m, joseph=joseph, out=rec[0])
+    for k in (1, 2):
+        if runs:
+            # a stacked model broadcasts the run means over its members
+            assert fresh.mean.shape == s.mean.shape == lead + (runs, 2)
+            np.testing.assert_array_equal(s.mean, fresh.mean)
+        np.testing.assert_array_equal(s.moments, fresh.moments)
+        fresh = predict(fresh, m)
+        p = predict(s, m, out=rec[k])
+        assert p.step == fresh.step == k
+        assert np.shares_memory(p.moments, rec.moments)
+        if runs:
+            np.testing.assert_array_equal(p.mean, fresh.mean)
+        np.testing.assert_array_equal(p.moments, fresh.moments)
+        fresh = update(fresh, ys[:, k], m, joseph=joseph)
+        s = update(p, ys[:, k], m, joseph=joseph, out=p)
+        assert s is p
+    np.testing.assert_array_equal(rec[2].moments, fresh.moments)
+    if runs:
+        np.testing.assert_array_equal(rec.mean[..., 2, :], fresh.mean)
+
+
 STACKED_NEEDS_RUNS = r"stacked model needs .*\(runs, K\+1, N\) measurements"
 
 
@@ -368,10 +415,11 @@ def test_gain_over_a_mixed_stack(rng):
     assert w[0] > 0 and w[1] / w[0] > randkf.filter_core.COND_LIMIT
     cov = np.stack([rand_psd(rng, 3) for _ in S])
     Hbar = rng.standard_normal((len(S), 2, 3))
-    K = randkf.filter_core._gain(cov, Hbar, S)
+    # Rw_min = 0 certifies nothing: the eigenvalues route every member
+    HP = Hbar @ cov
+    K = _gain(HP, S, np.zeros(len(S)))
     for i in range(len(S)):
-        np.testing.assert_array_equal(
-            K[i], randkf.filter_core._gain(cov[i], Hbar[i], S[i]))
+        np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], 0.0))
     assert not K[3].any() and not np.signbit(K[3]).any()
     for i in (1, 2):
         S_pinv = np.linalg.pinv(S[i], rcond=randkf.filter_core.PINV_CUTOFF,
@@ -422,3 +470,50 @@ def test_second_moment_dominates_conditional_decomposition():
     se = per_run.std(axis=0, ddof=1) / np.sqrt(runs)
     traces = np.array([np.trace(s.second_moment) for s in states])
     assert np.all(gap >= -1e-8 * traces - 5 * se)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), members=st.integers(0, 3),
+       rw_decades=st.floats(0.0, 16.0), x_decades=st.floats(0.0, 10.0))
+def test_certified_gain_is_the_eigvalsh_routed_gain(seed, members,
+                                                    rw_decades, x_decades):
+    # Rw's eigenvalues spread over rw_decades (well- to ill-conditioned)
+    # and X is inflated by 10^x_decades.  Half the members measure nothing
+    # in Rw's weakest direction, so S is about as ill-conditioned as the
+    # trace bound says and both gain paths occur.  Whenever the bound lets
+    # _gain skip eigvalsh, the eigenvalue test reads well-conditioned for
+    # every member and K equals the eigvalsh-routed K bit for bit.
+    rng = np.random.default_rng(seed)
+    r, N = (int(n) for n in rng.integers(1, 5, size=2))
+
+    def member():
+        dist = rand_dist(rng, N, r, 2)
+        if rng.random() < 0.5:
+            Q = np.eye(N)
+            blind = np.arange(N)[:, None] < N - 1
+            dist = MatrixDist.of([(blind * h, p) for h, p in
+                                  zip(dist.samples, dist.probs)])
+        else:
+            Q = np.linalg.qr(rng.standard_normal((N, N)))[0]
+        w = 10.0 ** (rng.uniform(-3, 3) - np.linspace(0, rw_decades, N))
+        return StepModel(F=deterministic(np.eye(r)),
+                         H=moments_from_dist(dist), Rv=np.eye(r),
+                         Rw=(Q * w) @ Q.T)
+
+    models = [member() for _ in range(max(members, 1))]
+    m = stack_models(models) if members else models[0]
+    lead = (members,) if members else ()
+    P = symmetrize(np.reshape([rand_psd(rng, r) for _ in models],
+                              lead + (r, r)))
+    mu = rng.standard_normal(lead + (r,))
+    X = 10.0 ** x_decades * (P + mu[..., :, None] * mu[..., None, :])
+    Hbar = m.H.mean
+    HP = Hbar @ P
+    S = symmetrize(HP @ Hbar.mT + m.Rw + quad_form(m.H, X))
+    with mock.patch.object(np.linalg, "eigvalsh",
+                           wraps=np.linalg.eigvalsh) as spy:
+        K = _gain(HP, S, m.Rw_min)
+    if not spy.called:
+        w = np.linalg.eigvalsh(S)
+        assert np.all(w[..., -1] < COND_LIMIT * w[..., 0])
+    np.testing.assert_array_equal(K, _gain(HP, S, np.zeros(lead)))

@@ -34,6 +34,8 @@ from randkf import (
 from randkf.filter_core import constant_provider, stack_models
 from randkf.random_matrix import quad_form
 from randkf.sim_harness import (
+    _gauss_factor,
+    _mv,
     covariance_recursion,
     derive_run_seeds,
     gamma_sweep,
@@ -185,6 +187,30 @@ class TestSimulateTruth:
         np.testing.assert_array_equal(fresh.states, shared.states)
         np.testing.assert_array_equal(fresh.measurements,
                                       shared.measurements)
+
+    def test_each_step_takes_its_own_noise_factors(self, rng):
+        # two models with different Rv and Rw alternate (as many groups
+        # as state dimensions); each noise takes its own step's factor,
+        # bit for bit as a factorization of that covariance alone.  With
+        # deterministic F and H a run draws no uniforms, then the normals
+        # of x_0, w_0..w_K and v_0..v_{K-1}.
+        F, H = rotation(300), np.array([[1.0, 1.0], [1.0, -1.0]])
+        models = [deterministic_model(F, H, 2 * np.eye(2), np.eye(2)),
+                  deterministic_model(F, H, rand_psd(rng, 2),
+                                      rand_psd(rng, 2, floor=0.1))]
+        K, seed = 9, 5
+        traj = simulate_truth(lambda k: models[k % 2], SIM1_IC, K, seed)
+        z = np.random.default_rng(seed).standard_normal(2 + 4 * K + 2)
+        z0, zw, zv = z[:2], z[2:2 * K + 4], z[2 * K + 4:]
+        x = SIM1_IC.mean + _mv(_gauss_factor(SIM1_IC.cov), z0)
+        for k in range(K + 1):
+            m, now = models[k % 2], slice(2 * k, 2 * k + 2)
+            np.testing.assert_array_equal(traj.states[k], x)
+            np.testing.assert_array_equal(
+                traj.measurements[k],
+                _mv(H, x) + _mv(_gauss_factor(m.Rw), zw[now]))
+            if k < K:
+                x = _mv(F, x) + _mv(_gauss_factor(m.Rv), zv[now])
 
 
 class TestRunFilterOn:
@@ -378,7 +404,8 @@ def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
     gains = []
     real = randkf.filter_core._gain
     monkeypatch.setattr(randkf.filter_core, "_gain",
-                        lambda c, h, S: gains.append(S) or real(c, h, S))
+                        lambda HP, S, Rw_min: gains.append(S)
+                        or real(HP, S, Rw_min))
     K, members = 2000, edge_nahi_models(EDGE_F)
     stacked = stack_models(members)
     states = covariance_recursion(lambda k: stacked, SIM1_IC, K)
@@ -392,6 +419,24 @@ def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
             np.testing.assert_array_equal(s.cov[i], o.cov)
             np.testing.assert_array_equal(s.second_moment[i],
                                           o.second_moment)
+
+
+def test_gain_skips_eigvalsh_where_rw_certifies_the_solve(monkeypatch):
+    # S >= Rw bounds cond(S) by tr(S) / lambda_min(Rw): sim1 and its
+    # gamma stack never need eigvalsh, while the stack with a singular Rw
+    # asks for it at every step
+    calls = []
+    real = np.linalg.eigvalsh
+    sim1 = [sim1_model(g) for g in (0.5, 0.7, 0.9, 0.95, 1.0)]
+    edge_stack = stack_models(edge_nahi_models(EDGE_F))
+    sim1_stack = stack_models(sim1)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda S: calls.append(S) or real(S))
+    for m in (sim1[3], sim1_stack):
+        covariance_recursion(constant_provider(m), SIM1_IC, 300)
+        assert calls == []
+    covariance_recursion(constant_provider(edge_stack), SIM1_IC, 300)
+    assert len(calls) == 301
 
 
 def test_stacked_prior_carries_the_model_axis():

@@ -110,7 +110,6 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     z0, zw, zv = np.split(z, [r, r + (K + 1) * N], axis=1)
     zw, zv = zw.reshape(runs, K + 1, N), zv.reshape(runs, K, r)
 
-    # every group's noise factors in one batched eigh per covariance
     Lv = _gauss_factor(np.stack([m.Rv for m, _ in groups]))
     Lw = _gauss_factor(np.stack([m.Rw for m, _ in groups]))
     vn = np.empty_like(zv)

@@ -12,13 +12,17 @@ first runs once unrecorded (the first run of a series reads about twice
 its usual `setup_s`).  Then come PAIRS pairs, alternating which side runs
 first, each run being the tree's own unchanged `perfbench/run.py` at the
 benchmark's `run_seconds` (or --seconds), untraced.  Last, each side runs
-once traced, for the per-layer counts and self times.
+TRACES times traced (alternating which side runs first), for the
+per-layer counts and self times: a traced self time moves by about 20%
+from run to run, so one traced run per side cannot resolve a smaller
+change.
 
 The output file holds every run's metrics, each side's median and
 quartiles per end-to-end metric, the pairs the head wins (ties count for
 neither), whether a gain meets the rule (wins in at least 9/10 of the
-pairs, medians apart by more than the base's interquartile range) and
-whether the head's median stays within the metric's regression bound.
+pairs, medians apart by more than the base's interquartile range),
+whether the head's median stays within the metric's regression bound,
+and each side's median, min and max of every per-layer metric.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+TRACES = 3
 TRACE_SECONDS = 5.0
 
 
@@ -98,6 +103,13 @@ def summarize(metric: dict, base: list[dict], head: list[dict]) -> dict:
     }
 
 
+def spread(name: str, runs: list[dict]) -> dict:
+    """Median, min and max of one per-layer metric over traced runs."""
+    values = [r["metrics"][name]["value"] for r in runs]
+    return {"median": statistics.median(values), "min": min(values),
+            "max": max(values)}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="git revision measured as the baseline")
@@ -133,13 +145,19 @@ def main(argv=None) -> int:
                     print(f"{wl} pair {i} {side}: " + ", ".join(
                         f"{m} {v['value']:.6g}"
                         for m, v in res["metrics"].items()), flush=True)
-            traced = {side: run_bench(trees[side], wl, args.seed,
-                                      TRACE_SECONDS, 1)
-                      for side in ("base", "head")}
+            traced = {"base": [], "head": []}
+            for i in range(TRACES):
+                order = ("base", "head") if i % 2 == 0 else ("head", "base")
+                for side in order:
+                    traced[side].append(run_bench(trees[side], wl, args.seed,
+                                                  TRACE_SECONDS, 1))
             report["workloads"][wl] = {
                 "end_to_end": {m["name"]: summarize(m, runs["base"],
                                                     runs["head"])
                                for m in spec["end_to_end"]},
+                "per_layer": {m["name"]: {side: spread(m["name"], traced[side])
+                                          for side in traced}
+                              for m in spec["per_layer"]},
                 "runs": runs, "traced": traced}
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     finally:

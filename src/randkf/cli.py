@@ -121,17 +121,19 @@ def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="randkf",
         description="Kalman filtering with random parameter matrices")
+    ap.set_defaults(seed=None, runs=None, measurements=None)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in ("filter", "simulate", "montecarlo", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
-        p.add_argument("--runs", type=int, default=None,
-                       help="override the config run count")
+        if name in ("simulate", "montecarlo"):
+            p.add_argument("--seed", type=int, help="override the config seed")
+        if name == "montecarlo":
+            p.add_argument("--runs", type=int,
+                           help="override the config run count")
         if name == "filter":
-            p.add_argument("--measurements", default=None,
+            p.add_argument("--measurements",
                            help="override the measurements CSV path")
     return ap
 
@@ -141,7 +143,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(Path(args.config).read_text(), mode=args.command,
                            seed=args.seed, runs=args.runs,
-                           measurements=getattr(args, "measurements", None))
+                           measurements=args.measurements)
         return run(cfg, Path(args.out))
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,17 +21,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .random_matrix import RandomMatrixSpec, _frozen, deterministic, quad_form
+from .random_matrix import RandomMatrixSpec, deterministic, quad_form
 
-# Gain path switches from a symmetric solve to an eigendecomposition
-# pseudo-inverse when the innovation covariance gets this ill-conditioned.
+# Gain path switches from a symmetric solve to a pseudo-inverse (cutoff
+# w_max / COND_LIMIT) when S may be this ill-conditioned.
 COND_LIMIT = 1e12
-PINV_CUTOFF = 1e-12
 # trace-scaled tolerance of the symmetry and PSD checks on covariances
 PSD_TOL = 1e-10
 
@@ -40,11 +38,6 @@ def symmetrize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """(a + a^T) / 2, halved in place or written into ``out``."""
     s = a + a.mT
     return np.multiply(s, 0.5, out=s if out is None else out)
-
-
-@cache
-def _eye(n: int) -> np.ndarray:
-    return _frozen(np.eye(n))
 
 
 def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -59,10 +52,11 @@ def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     atol = PSD_TOL * np.maximum(1.0, np.abs(np.trace(m, axis1=-2, axis2=-1)))
     if not np.allclose(m, m.mT, atol=atol[..., None, None]):
         raise ValueError(f"{name} is not symmetric")
-    w_min = np.linalg.eigvalsh(symmetrize(m)).min(axis=-1, initial=np.inf)
+    m = symmetrize(m)
+    w_min = np.linalg.eigvalsh(m).min(axis=-1, initial=np.inf)
     if np.any(w_min < -atol):
         raise ValueError(f"{name} is not positive semidefinite")
-    return symmetrize(m), w_min
+    return m, w_min
 
 
 @dataclass(frozen=True)
@@ -232,7 +226,8 @@ def predict(s: FilterState, m: StepModel, *,
     moments = F @ s.moments @ F.mT + Rv_eff[..., None, :, :]
     mean = s.mean @ Fbar.mT if s.mean.size else s.mean
     if out is None:
-        out = FilterState(s.step + 1, np.empty(mean.shape),
+        out = FilterState(s.step + 1,
+                          np.empty(moments.shape[:-3] + s.mean.shape[-2:]),
                           np.empty(moments.shape))
     out.mean[...] = mean
     symmetrize(moments, out=out.moments)
@@ -245,39 +240,34 @@ def predict(s: FilterState, m: StepModel, *,
 def _gain(HP: np.ndarray, S: np.ndarray, Rw_min: np.ndarray) -> np.ndarray:
     """K = (Hbar P)^T S^+ for one S (N, N) or a stack (..., N, N).
 
-    S dominates Rw, so cond(S) <= tr(S) / lambda_min(Rw); where that is
-    below COND_LIMIT / 2 for every member (2 to spare for rounding), the
-    eigenvalue test would pass and is skipped.  Otherwise the
-    well-conditioned members are solved in one batch, the others get one
-    batched eigenvalue-truncated pseudo-inverse (K = 0 where S = 0).
+    S dominates Rw, so cond(S) <= tr(S) / lambda_min(Rw).  The members
+    where that bound is below COND_LIMIT / 2 (2 to spare for rounding)
+    are solved in one batch; every other member gets one batched
+    eigenvalue-truncated pseudo-inverse (K = 0 where S = 0).
     """
     good = S.trace(axis1=-2, axis2=-1) < COND_LIMIT / 2 * Rw_min
-    if not good.all():
-        w = np.linalg.eigvalsh(S)
-        # ascending eigenvalues: this also requires w_min > 0
-        good = w[..., -1] < COND_LIMIT * w[..., 0]
     if good.all():
         return np.linalg.solve(S, HP).mT
     K = np.empty(HP.mT.shape)
     if good.any():
         K[good] = np.linalg.solve(S[good], HP[good]).mT
     w, V = np.linalg.eigh(S[~good])
-    keep = (w > PINV_CUTOFF * w[..., -1:])[..., None, :]
+    keep = (COND_LIMIT * w > w[..., -1:])[..., None, :]
     Vw = np.divide(V, w[..., None, :], where=keep, out=np.zeros_like(V))
     K[~good] = HP[~good].mT @ Vw @ V.mT
     return K
 
 
-def update(p: FilterState, y, m: StepModel, *, joseph: bool = False,
+def update(p: FilterState, y, m: StepModel, *,
            out: FilterState | None = None) -> FilterState:
     """Measurement update with the random measurement matrix.
 
     The innovation covariance uses Rw + E(H~ X H~^T) evaluated at the
     predicted second moment; it and the gain serve every run (row) of
-    the mean and of ``y``.  The second moment itself is unconditional
-    and passes through unchanged.  The result is written into ``out``
-    (a FilterRecord's step) if given, else into new arrays.  ``y`` is
-    not checked here: ``filter_sequence`` checks all measurements once.
+    the mean and of ``y``.  P takes P - K (Hbar P); the second moment X
+    is unconditional and passes through unchanged.  The result goes into
+    ``out`` (a FilterRecord's step) if given, else into new arrays.
+    ``y`` is not checked here: ``filter_sequence`` checks all of them.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     Hbar = m.H.mean
@@ -291,11 +281,10 @@ def update(p: FilterState, y, m: StepModel, *, joseph: bool = False,
     if not np.isfinite(S).all():
         raise ValueError(f"S is not finite at step {p.step}")
     K = _gain(HP, S, m.Rw_min)
-    A = _eye(Hbar.shape[-1]) - K @ Hbar
-    cov = A @ P @ A.mT + K @ Rw_eff @ K.mT if joseph else A @ P
+    cov = P - K @ HP
     mean = p.mean + (y - p.mean @ Hbar.mT) @ K.mT if p.mean.size else p.mean
     if out is None:
-        out = FilterState(p.step, np.empty(mean.shape),
+        out = FilterState(p.step, np.empty(cov.shape[:-2] + p.mean.shape[-2:]),
                           np.empty(cov.shape[:-2] + p.moments.shape[-3:]))
     out.mean[...] = mean
     symmetrize(cov, out=out.cov)
@@ -305,8 +294,7 @@ def update(p: FilterState, y, m: StepModel, *, joseph: bool = False,
 
 
 def filter_sequence(provider: ModelProvider, ic: InitialCondition,
-                    measurements: Sequence, *,
-                    joseph: bool = False) -> FilterRecord:
+                    measurements: Sequence) -> FilterRecord:
     """Run the filter over measurements y_0 ... y_K.
 
     ``measurements`` is (K+1, N), or (runs, K+1, N) for runs of one model
@@ -332,9 +320,9 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
                        np.empty((steps,) + lead + s.moments.shape))
     s = FilterState(0, np.broadcast_to(s.mean, runs),
                     np.broadcast_to(s.moments, lead + s.moments.shape))
-    s = update(s, ys[..., 0, :], m, joseph=joseph, out=rec[0])
+    s = update(s, ys[..., 0, :], m, out=rec[0])
     for k in range(1, steps):
         p = predict(s, m, out=rec[k])
         m = provider(k)
-        s = update(p, ys[..., k, :], m, joseph=joseph, out=p)
+        s = update(p, ys[..., k, :], m, out=p)
     return rec

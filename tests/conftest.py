@@ -159,16 +159,58 @@ def rand_random_model(rng, r, N, *, stable=True):
                      Rw=rand_psd(rng, N, floor=0.5))
 
 
-def edge_nahi_models(F):
-    """Sim1's dropout sensor at each of EDGE_PROBS, with a singular Rw.
+def edge_nahi_models(F, Rw=np.diag([1.0, 0.0])):
+    """Sim1's dropout sensor at each of EDGE_PROBS.
 
-    Rw = diag(1, 0) makes the p = 0 member's innovation covariance S
-    equal Rw, so it takes the pseudo-inverse gain path; the others solve.
+    The default Rw = diag(1, 0) is singular, so the S >= Rw certificate
+    holds for no member and every member takes the pseudo-inverse gain
+    path; at p = 0 the innovation covariance S equals Rw and is singular.
     """
     return [build_nahi(NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                                 p=p, F=F, Rv=2 * np.eye(2),
-                                 Rw=np.diag([1.0, 0.0])), 0)
+                                 p=p, F=F, Rv=2 * np.eye(2), Rw=Rw), 0)
             for p in EDGE_PROBS]
+
+
+def mixed_nahi_models(F):
+    """The edge members, each followed by its twin with Rw = I, which the
+    certificate sends to the solve: a stack taking both gain paths."""
+    pairs = zip(edge_nahi_models(F), edge_nahi_models(F, np.eye(2)))
+    return [m for pair in pairs for m in pair]
+
+
+def joseph_recursion(m, ic, K):
+    """P and X over steps 0..K of one time-invariant (possibly stacked)
+    StepModel, by the Joseph form.
+
+    The gain is P Hbar^T S^+ (numpy's pseudo-inverse, cutoff 1e-12) and
+    the update (I - K Hbar) P (I - K Hbar)^T + K Rw_eff K^T, which holds
+    for any gain; the noise inflation sums G X G^T over the deviation
+    factors G directly.  Returns arrays (K+1, [models,] r, r).
+    """
+    def inflated(R, spec, X):
+        G = spec.factors
+        return R + np.einsum("...lij,...jk,...lmk->...im", G, X, G)
+
+    Fbar, Hbar = m.F.mean, m.H.mean
+    lead = m.Rv.shape[:-2]
+    P = np.broadcast_to(ic.cov, lead + ic.cov.shape)
+    X = np.broadcast_to(np.outer(ic.mean, ic.mean) + ic.cov, P.shape)
+    I = np.eye(P.shape[-1])
+    Ps, Xs = [], []
+    for k in range(K + 1):
+        if k > 0:
+            Rv_eff = inflated(m.Rv, m.F, X)
+            P = Fbar @ P @ Fbar.mT + Rv_eff
+            X = Fbar @ X @ Fbar.mT + Rv_eff
+        Rw_eff = inflated(m.Rw, m.H, X)
+        S = Hbar @ P @ Hbar.mT + Rw_eff
+        G = P @ Hbar.mT @ np.linalg.pinv(S, rcond=1e-12, hermitian=True)
+        A = I - G @ Hbar
+        P = A @ P @ A.mT + G @ Rw_eff @ G.mT
+        P = 0.5 * (P + P.mT)
+        Ps.append(P)
+        Xs.append(X)
+    return np.array(Ps), np.array(Xs)
 
 
 def rand_ic(rng, r):

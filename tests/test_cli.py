@@ -289,6 +289,20 @@ class TestRunModes:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", "--seed"), ("sweep", "--runs"), ("filter", "--seed"),
+        ("filter", "--runs"), ("simulate", "--runs")])
+    def test_override_a_mode_ignores_is_rejected(self, tmp_path, capsys,
+                                                 command, flag):
+        # only simulate and montecarlo draw with the seed, and only
+        # montecarlo has runs
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(SIM1), "--out", str(tmp_path),
+                  flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 def test_float_serialization_round_trips(tmp_path):
     cfg_file = tmp_path / "cfg.yaml"

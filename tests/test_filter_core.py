@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +5,9 @@ from hypothesis import strategies as st
 
 import randkf.filter_core
 from conftest import (
-    EDGE_PROBS,
     edge_nahi_models,
+    joseph_recursion,
+    mixed_nahi_models,
     rand_dist,
     rand_ic,
     rand_psd,
@@ -215,9 +214,8 @@ class TestStep:
         ic = rand_ic(rng, 2)
         ys = [rng.standard_normal(2) for _ in range(5)]
         plain = filter_sequence(lambda k: m, ic, ys)
-        joseph = filter_sequence(lambda k: m, ic, ys, joseph=True)
-        for a, b in zip(plain, joseph):
-            np.testing.assert_allclose(a.cov, b.cov, rtol=1e-9, atol=1e-10)
+        P, _ = joseph_recursion(m, ic, len(ys) - 1)
+        np.testing.assert_allclose(plain.cov, P, rtol=1e-9, atol=1e-10)
 
 
 def test_batched_filter_matches_per_run_calls(rng):
@@ -240,13 +238,13 @@ def test_batched_filter_matches_per_run_calls(rng):
 @pytest.mark.parametrize("stacked", [False, True])
 def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     # filter_sequence's arrays against init/predict/update on new arrays;
-    # the stacked edge models take both gain paths at every step
+    # the stacked models take both gain paths at every step
     runs, K = 3, 25
-    members = edge_nahi_models(0.99 * rotation(300))
-    m = stack_models(members) if stacked else members[2]
+    members = mixed_nahi_models(0.99 * rotation(300))
+    m = stack_models(members) if stacked else members[4]
     ic = rand_ic(rng, 2)
     ys = 3 * rng.standard_normal((runs, K + 1, 2))
-    lead = (len(EDGE_PROBS),) if stacked else ()
+    lead = (len(members),) if stacked else ()
     s0 = init(ic)
     prior = FilterState(step=0, mean=np.broadcast_to(s0.mean, (runs, 2)),
                         moments=np.broadcast_to(s0.moments, lead + (2, 2, 2)))
@@ -268,15 +266,18 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
         np.testing.assert_array_equal(s.moments, h.moments)
 
 
-@pytest.mark.parametrize("joseph", [False, True])
+@pytest.mark.parametrize("mixed", [False, True])
 @pytest.mark.parametrize("runs", [0, 3])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_steps_in_place_equal_fresh_arrays_bit_for_bit(rng, stacked, runs,
-                                                       joseph):
+                                                       mixed):
     # predict into a record slot, then update that slot in place, against
-    # the same calls on new arrays; the stack takes both gain paths
-    members = edge_nahi_models(0.99 * rotation(300))
-    m = stack_models(members) if stacked else members[2]
+    # the same calls on new arrays.  The edge models take the
+    # pseudo-inverse gain; the mixed stack takes both gain paths, and its
+    # unstacked member (Rw = I) the solve.
+    edge = edge_nahi_models(0.99 * rotation(300))
+    members = mixed_nahi_models(0.99 * rotation(300)) if mixed else edge
+    m = stack_models(members) if stacked else members[5 if mixed else 2]
     lead = (len(members),) if stacked else ()
     ys = 3 * rng.standard_normal((runs, 3, 2))
     rec = FilterRecord(np.full(lead + (runs, 3, 2), np.nan),
@@ -284,27 +285,28 @@ def test_steps_in_place_equal_fresh_arrays_bit_for_bit(rng, stacked, runs,
     s0 = init(rand_ic(rng, 2))
     prior = FilterState(step=0, mean=np.broadcast_to(s0.mean, (runs, 2)),
                         moments=np.broadcast_to(s0.moments, lead + (2, 2, 2)))
-    fresh = update(prior, ys[:, 0], m, joseph=joseph)
-    s = update(prior, ys[:, 0], m, joseph=joseph, out=rec[0])
+    # the prior's mean has no model axis: both steps give it one
+    assert predict(prior, m).mean.shape == lead + (runs, 2)
+    fresh = update(prior, ys[:, 0], m)
+    s = update(prior, ys[:, 0], m, out=rec[0])
     for k in (1, 2):
-        if runs:
-            # a stacked model broadcasts the run means over its members
-            assert fresh.mean.shape == s.mean.shape == lead + (runs, 2)
-            np.testing.assert_array_equal(s.mean, fresh.mean)
+        # a stacked model broadcasts the run means over its members,
+        # also when there are no runs
+        assert fresh.mean.shape == s.mean.shape == lead + (runs, 2)
+        np.testing.assert_array_equal(s.mean, fresh.mean)
         np.testing.assert_array_equal(s.moments, fresh.moments)
         fresh = predict(fresh, m)
         p = predict(s, m, out=rec[k])
         assert p.step == fresh.step == k
         assert np.shares_memory(p.moments, rec.moments)
-        if runs:
-            np.testing.assert_array_equal(p.mean, fresh.mean)
+        assert p.mean.shape == fresh.mean.shape == lead + (runs, 2)
+        np.testing.assert_array_equal(p.mean, fresh.mean)
         np.testing.assert_array_equal(p.moments, fresh.moments)
-        fresh = update(fresh, ys[:, k], m, joseph=joseph)
-        s = update(p, ys[:, k], m, joseph=joseph, out=p)
+        fresh = update(fresh, ys[:, k], m)
+        s = update(p, ys[:, k], m, out=p)
         assert s is p
     np.testing.assert_array_equal(rec[2].moments, fresh.moments)
-    if runs:
-        np.testing.assert_array_equal(rec.mean[..., 2, :], fresh.mean)
+    np.testing.assert_array_equal(rec.mean[..., 2, :], fresh.mean)
 
 
 STACKED_NEEDS_RUNS = r"stacked model needs .*\(runs, K\+1, N\) measurements"
@@ -412,18 +414,21 @@ def test_gain_over_a_mixed_stack(rng):
     S = np.stack([rand_psd(rng, 2) + np.eye(2), np.diag([1.0, 0.0]),
                   0.5 * (ill + ill.T), np.zeros((2, 2))])
     w = np.linalg.eigvalsh(S[2])
-    assert w[0] > 0 and w[1] / w[0] > randkf.filter_core.COND_LIMIT
+    assert w[0] > 0 and w[1] / w[0] > COND_LIMIT
     cov = np.stack([rand_psd(rng, 3) for _ in S])
     Hbar = rng.standard_normal((len(S), 2, 3))
-    # Rw_min = 0 certifies nothing: the eigenvalues route every member
+    # S >= I certifies the first member's solve; the third's positive
+    # Rw_min is too small to certify anything
+    Rw_min = np.array([1.0, 0.0, 0.5 * w[0], 0.0])
     HP = Hbar @ cov
-    K = _gain(HP, S, np.zeros(len(S)))
+    K = _gain(HP, S, Rw_min)
     for i in range(len(S)):
-        np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], 0.0))
+        np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], Rw_min[i]))
     assert not K[3].any() and not np.signbit(K[3]).any()
+    np.testing.assert_allclose(K[0], cov[0] @ Hbar[0].T @ np.linalg.inv(S[0]),
+                               rtol=1e-12, atol=1e-12)
     for i in (1, 2):
-        S_pinv = np.linalg.pinv(S[i], rcond=randkf.filter_core.PINV_CUTOFF,
-                                hermitian=True)
+        S_pinv = np.linalg.pinv(S[i], rcond=1 / COND_LIMIT, hermitian=True)
         np.testing.assert_allclose(K[i], cov[i] @ Hbar[i].T @ S_pinv,
                                    rtol=1e-12, atol=1e-12)
 
@@ -475,14 +480,16 @@ def test_second_moment_dominates_conditional_decomposition():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), members=st.integers(0, 3),
        rw_decades=st.floats(0.0, 16.0), x_decades=st.floats(0.0, 10.0))
-def test_certified_gain_is_the_eigvalsh_routed_gain(seed, members,
-                                                    rw_decades, x_decades):
+def test_certified_solve_agrees_with_the_pseudo_inverse_gain(
+        seed, members, rw_decades, x_decades):
     # Rw's eigenvalues spread over rw_decades (well- to ill-conditioned)
     # and X is inflated by 10^x_decades.  Half the members measure nothing
     # in Rw's weakest direction, so S is about as ill-conditioned as the
-    # trace bound says and both gain paths occur.  Whenever the bound lets
-    # _gain skip eigvalsh, the eigenvalue test reads well-conditioned for
-    # every member and K equals the eigvalsh-routed K bit for bit.
+    # trace bound says and both gain paths occur.  Wherever the bound
+    # certifies a member's solve, its eigenvalues read cond(S) below
+    # COND_LIMIT, and the solved K agrees with the pseudo-inverse K to
+    # within rounding scaled by cond(S); every member's K is its own
+    # unstacked K bit for bit.
     rng = np.random.default_rng(seed)
     r, N = (int(n) for n in rng.integers(1, 5, size=2))
 
@@ -510,10 +517,20 @@ def test_certified_gain_is_the_eigvalsh_routed_gain(seed, members,
     Hbar = m.H.mean
     HP = Hbar @ P
     S = symmetrize(HP @ Hbar.mT + m.Rw + quad_form(m.H, X))
-    with mock.patch.object(np.linalg, "eigvalsh",
-                           wraps=np.linalg.eigvalsh) as spy:
-        K = _gain(HP, S, m.Rw_min)
-    if not spy.called:
-        w = np.linalg.eigvalsh(S)
-        assert np.all(w[..., -1] < COND_LIMIT * w[..., 0])
-    np.testing.assert_array_equal(K, _gain(HP, S, np.zeros(lead)))
+    K = _gain(HP, S, m.Rw_min)
+    pinv_K = _gain(HP, S, np.zeros(lead))
+    certified = np.trace(S, axis1=-2, axis2=-1) < COND_LIMIT / 2 * m.Rw_min
+    w = np.linalg.eigvalsh(S)
+    eps = np.finfo(float).eps
+    for c, wi, Ki, pinv_Ki in zip(certified.reshape(-1), w.reshape(-1, N),
+                                  K.reshape(-1, r, N),
+                                  pinv_K.reshape(-1, r, N), strict=True):
+        if c:
+            cond = wi[-1] / wi[0]
+            assert wi[0] > 0 and cond < COND_LIMIT
+            err = np.linalg.norm(Ki - pinv_Ki)
+            assert err <= 10 * N * eps * cond * np.linalg.norm(Ki)
+        else:
+            np.testing.assert_array_equal(Ki, pinv_Ki)
+    for i in range(members):
+        np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], m.Rw_min[i]))

@@ -7,6 +7,8 @@ import randkf.filter_core
 from conftest import (
     EDGE_PROBS,
     edge_nahi_models,
+    joseph_recursion,
+    mixed_nahi_models,
     rand_ic,
     rand_psd,
     rand_random_model,
@@ -399,18 +401,23 @@ def ill_conditioned(S):
 
 
 def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
-    # the p = 0 member's singular S takes the pseudo-inverse at every
-    # step while the other members are solved in one batch
+    # the edge members (singular Rw; at p = 0 a singular S) take the
+    # pseudo-inverse at every step while their Rw = I twins are solved
+    # in one batch
     gains = []
     real = randkf.filter_core._gain
     monkeypatch.setattr(randkf.filter_core, "_gain",
-                        lambda HP, S, Rw_min: gains.append(S)
+                        lambda HP, S, Rw_min: gains.append((S, Rw_min))
                         or real(HP, S, Rw_min))
-    K, members = 2000, edge_nahi_models(EDGE_F)
+    K, members = 2000, mixed_nahi_models(EDGE_F)
     stacked = stack_models(members)
     states = covariance_recursion(lambda k: stacked, SIM1_IC, K)
     assert len(gains) == K + 1
-    assert all(ill_conditioned(S).any() for S in gains)
+    limit = randkf.filter_core.COND_LIMIT / 2
+    for S, Rw_min in gains:
+        certified = S.trace(axis1=-2, axis2=-1) < limit * Rw_min
+        assert certified.any() and not certified.all()
+        assert ill_conditioned(S).any()
     M = len(members)
     for i, m in enumerate(members):
         own = covariance_recursion(constant_provider(m), SIM1_IC, K)
@@ -422,21 +429,24 @@ def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
 
 
 def test_gain_skips_eigvalsh_where_rw_certifies_the_solve(monkeypatch):
-    # S >= Rw bounds cond(S) by tr(S) / lambda_min(Rw): sim1 and its
-    # gamma stack never need eigvalsh, while the stack with a singular Rw
-    # asks for it at every step
-    calls = []
-    real = np.linalg.eigvalsh
+    # S >= Rw bounds cond(S) by tr(S) / lambda_min(Rw): the gain never
+    # reads S's eigenvalues, and it decomposes S only where that bound
+    # certifies no solve: never for sim1 and its gamma stack, at every
+    # step for the stack with a singular Rw
+    calls = {"eigvalsh": [], "eigh": []}
     sim1 = [sim1_model(g) for g in (0.5, 0.7, 0.9, 0.95, 1.0)]
     edge_stack = stack_models(edge_nahi_models(EDGE_F))
     sim1_stack = stack_models(sim1)
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda S: calls.append(S) or real(S))
+    for name, seen in calls.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda S, real=real, seen=seen:
+                            seen.append(S) or real(S))
     for m in (sim1[3], sim1_stack):
         covariance_recursion(constant_provider(m), SIM1_IC, 300)
-        assert calls == []
+        assert calls == {"eigvalsh": [], "eigh": []}
     covariance_recursion(constant_provider(edge_stack), SIM1_IC, 300)
-    assert len(calls) == 301
+    assert calls["eigvalsh"] == [] and len(calls["eigh"]) == 301
 
 
 def test_stacked_prior_carries_the_model_axis():
@@ -464,8 +474,6 @@ def test_long_horizon_covariances_stay_symmetric_psd():
     K, M = 10_000, len(EDGE_PROBS)
     st = stack_models(edge_nahi_models(EDGE_F))
     plain = covariance_recursion(lambda k: st, SIM1_IC, K)
-    joseph = filter_sequence(lambda k: st, SIM1_IC, np.empty((0, K + 1, 2)),
-                             joseph=True)
     P = np.array([s.cov for s in plain])
     X = np.array([s.second_moment for s in plain])
     # each step's predicted P (the prior at step 0), and its S
@@ -481,10 +489,9 @@ def test_long_horizon_covariances_stay_symmetric_psd():
         assert np.all(np.abs(A - A.mT) <= tol * scale), name
         w = np.linalg.eigvalsh(0.5 * (A + A.mT))
         assert np.all(w[..., 0] >= -tol * scale[..., 0, 0]), name
-    Pj = np.array([s.cov for s in joseph])
+    Pj, Xj = joseph_recursion(st, SIM1_IC, K)
     np.testing.assert_allclose(Pj, P, rtol=1e-9, atol=1e-10)
-    for s, j in zip(plain, joseph, strict=True):
-        np.testing.assert_array_equal(s.second_moment, j.second_moment)
+    np.testing.assert_allclose(Xj, X, rtol=1e-9, atol=1e-10)
 
 
 def test_covariance_recursion_is_data_independent(rng):

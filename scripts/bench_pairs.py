@@ -123,6 +123,9 @@ def main(argv=None) -> int:
                     help="new directory for the two exported trees")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        # quartiles need two points; fail before any tree is exported
+        ap.error("--pairs must be at least 2")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]

@@ -36,7 +36,6 @@ from .sim_harness import (
     TruthTrajectory,
     gamma_sweep,
     monte_carlo,
-    naive_kf_provider,
     run_filter_on,
     simulate_truth,
 )

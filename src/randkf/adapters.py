@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .filter_core import StepModel, _check_psd
+from .filter_core import StepModel
 from .random_matrix import (
     BlockDropout,
     MatrixDist,
@@ -34,36 +34,23 @@ from .random_matrix import (
 ProbFn = Callable[[int], float] | float
 
 
-def _prob_at(p: ProbFn, k: int, name: str) -> float:
+def _prob_at(p: ProbFn, k: int, i: int) -> float:
     val = float(p(k)) if callable(p) else float(p)
     if not 0.0 <= val <= 1.0:
-        raise ValueError(f"{name} = {val} is outside [0, 1]")
+        raise ValueError(f"p(k) of block {i} = {val} is outside [0, 1] "
+                         f"at step {k}")
     return val
 
 
 @dataclass(frozen=True)
 class UncertainObsModel:
-    """Measurement matrix drawn from a known finite set each step.
-
-    ``per_model_noise`` optionally gives one noise covariance per
-    candidate matrix; otherwise ``Rw`` is shared by all of them.
-    """
+    """Measurement matrix drawn from a known finite set each step; the
+    noise covariance ``Rw`` is shared by all of them."""
 
     measurement_dist: MatrixDist
     F: np.ndarray
     Rv: np.ndarray
-    Rw: np.ndarray | None = None
-    per_model_noise: Sequence[np.ndarray] | None = None
-
-    def __post_init__(self):
-        if (self.Rw is None) == (self.per_model_noise is None):
-            raise ValueError("give exactly one of Rw or per_model_noise")
-        if self.per_model_noise is not None and \
-                len(self.per_model_noise) != len(self.measurement_dist):
-            raise ValueError(
-                f"{len(self.per_model_noise)} noise covariances for "
-                f"{len(self.measurement_dist)} measurement models"
-            )
+    Rw: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,26 +85,16 @@ class MultiModelDynamics:
 
 
 def build_uncertain_obs(m: UncertainObsModel, k: int) -> StepModel:
-    """General uncertain-observation step: H moments from the finite dist.
-
-    With per-model noises the effective measurement noise is the
-    probability mixture sum(p_i * Rw_i); the cross term between the
-    H-deviation and the selected noise vanishes because each noise is
-    zero-mean and independent of the state.
-    """
-    Rw = m.Rw if m.per_model_noise is None else sum(
-        p * _check_psd(R, "per-model Rw")[0]
-        for p, R in zip(m.measurement_dist.probs, m.per_model_noise))
+    """General uncertain-observation step: H moments from the finite dist."""
     return StepModel(F=deterministic(m.F),
-                     H=moments_from_dist(m.measurement_dist), Rv=m.Rv, Rw=Rw)
+                     H=moments_from_dist(m.measurement_dist), Rv=m.Rv, Rw=m.Rw)
 
 
 def build_nahi(m: NahiModel, k: int) -> StepModel:
-    """Single-sensor dropout as the one-block BlockDropout of h: mean
-    p h and the one factor sqrt(p (1-p)) h."""
-    dist = BlockDropout(blocks=(m.h,), probs=[_prob_at(m.p, k, "p(k)")])
-    return StepModel(F=deterministic(m.F), H=moments_from_dist(dist),
-                     Rv=m.Rv, Rw=m.Rw)
+    """Single-sensor dropout: the one-block partitioned model of h, with
+    mean p h and the one factor sqrt(p (1-p)) h."""
+    return build_partitioned(
+        PartitionedObsModel(blocks=((m.h, m.p),), F=m.F, Rv=m.Rv, Rw=m.Rw), k)
 
 
 def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
@@ -127,8 +104,7 @@ def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
     deviation factors make the quad form block-diagonal with blocks
     (1-p_i) p_i h_i X h_i^T.
     """
-    ps = [_prob_at(p, k, f"block {i} probability")
-          for i, (_, p) in enumerate(m.blocks)]
+    ps = [_prob_at(p, k, i) for i, (_, p) in enumerate(m.blocks)]
     dist = BlockDropout(blocks=tuple(h for h, _ in m.blocks), probs=ps)
     return StepModel(F=deterministic(m.F), H=moments_from_dist(dist),
                      Rv=m.Rv, Rw=m.Rw)

@@ -10,8 +10,8 @@ Unknown fields are rejected, naming the offending key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Any
 
 import numpy as np
@@ -36,7 +36,6 @@ from .filter_core import (
 from .random_matrix import MatrixDist
 
 MODES = ("filter", "simulate", "montecarlo", "sweep")
-MODEL_KINDS = ("general", "nahi", "partitioned", "multimodel")
 
 
 # libyaml's parser where it is installed; both build documents with
@@ -107,79 +106,59 @@ def _prob(node: Any, where: str) -> float:
     return p
 
 
-def _weighted_matrices(nodes: Any, where: str) -> MatrixDist:
+def _entries(nodes: Any, where: str, keys: dict) -> tuple[tuple, ...]:
+    """A non-empty list of mappings, each with exactly ``keys`` (YAML key
+    -> parser), as one tuple of parsed values per entry."""
     if not isinstance(nodes, list) or not nodes:
         raise ConfigError(f"{where}: expected a non-empty list")
-    pairs = []
+    out = []
     for i, entry in enumerate(nodes):
         here = f"{where}[{i}]"
-        _require_keys(entry, {"matrix", "prob"}, {"matrix", "prob"}, here)
-        pairs.append((_matrix(entry["matrix"], f"{here}.matrix"),
-                      _prob(entry["prob"], f"{here}.prob")))
+        _require_keys(entry, set(keys), set(keys), here)
+        out.append(tuple(parse(entry[key], f"{here}.{key}")
+                         for key, parse in keys.items()))
+    return tuple(out)
+
+
+def _weighted_matrices(nodes: Any, where: str) -> MatrixDist:
+    pairs = _entries(nodes, where, {"matrix": _matrix, "prob": _prob})
     try:
         return MatrixDist.of(pairs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build_model(node: dict):
+# kind -> (adapter model, {YAML key: (its argument, parser)}); every key is
+# required, and each kind's keys are parsed in the order given
+_KINDS = {
+    "general": (UncertainObsModel, {
+        "measurements": ("measurement_dist", _weighted_matrices),
+        "rw": ("Rw", _matrix), "f": ("F", _matrix), "rv": ("Rv", _matrix)}),
+    "nahi": (NahiModel, {
+        "h": ("h", _matrix), "p": ("p", _prob), "f": ("F", _matrix),
+        "rv": ("Rv", _matrix), "rw": ("Rw", _matrix)}),
+    "partitioned": (PartitionedObsModel, {
+        "blocks": ("blocks", partial(_entries,
+                                     keys={"h": _matrix, "p": _prob})),
+        "f": ("F", _matrix), "rv": ("Rv", _matrix), "rw": ("Rw", _matrix)}),
+    "multimodel": (MultiModelDynamics, {
+        "transitions": ("transition_dist", _weighted_matrices),
+        "h": ("H", _matrix), "rv": ("Rv", _matrix), "rw": ("Rw", _matrix)}),
+}
+MODEL_KINDS = tuple(_KINDS)
+
+
+def _build_model(node: Any):
     if not isinstance(node, dict) or "kind" not in node:
         raise ConfigError("model: missing field 'kind'")
     kind = node["kind"]
+    # a tuple, not the dict: an unhashable kind is reported, not raised
     if kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind: '{kind}' not one of {MODEL_KINDS}")
-
-    if kind == "nahi":
-        _require_keys(node, {"kind", "h", "p", "f", "rv", "rw"},
-                      {"kind", "h", "p", "f", "rv", "rw"}, "model")
-        return NahiModel(h=_matrix(node["h"], "model.h"),
-                         p=_prob(node["p"], "model.p"),
-                         F=_matrix(node["f"], "model.f"),
-                         Rv=_matrix(node["rv"], "model.rv"),
-                         Rw=_matrix(node["rw"], "model.rw"))
-    if kind == "general":
-        allowed = {"kind", "measurements", "f", "rv", "rw", "per_model_noise"}
-        _require_keys(node, allowed, {"kind", "measurements", "f", "rv"},
-                      "model")
-        dist = _weighted_matrices(node["measurements"], "model.measurements")
-        rw = _matrix(node["rw"], "model.rw") if "rw" in node else None
-        pmn = None
-        if "per_model_noise" in node:
-            if not isinstance(node["per_model_noise"], list):
-                raise ConfigError("model.per_model_noise: expected a list")
-            pmn = [_matrix(m, f"model.per_model_noise[{i}]")
-                   for i, m in enumerate(node["per_model_noise"])]
-        try:
-            return UncertainObsModel(measurement_dist=dist,
-                                     F=_matrix(node["f"], "model.f"),
-                                     Rv=_matrix(node["rv"], "model.rv"),
-                                     Rw=rw, per_model_noise=pmn)
-        except ValueError as exc:
-            raise ConfigError(f"model: {exc}") from exc
-    if kind == "partitioned":
-        _require_keys(node, {"kind", "blocks", "f", "rv", "rw"},
-                      {"kind", "blocks", "f", "rv", "rw"}, "model")
-        if not isinstance(node["blocks"], list) or not node["blocks"]:
-            raise ConfigError("model.blocks: expected a non-empty list")
-        blocks = []
-        for i, b in enumerate(node["blocks"]):
-            here = f"model.blocks[{i}]"
-            _require_keys(b, {"h", "p"}, {"h", "p"}, here)
-            blocks.append((_matrix(b["h"], f"{here}.h"),
-                           _prob(b["p"], f"{here}.p")))
-        return PartitionedObsModel(blocks=tuple(blocks),
-                                   F=_matrix(node["f"], "model.f"),
-                                   Rv=_matrix(node["rv"], "model.rv"),
-                                   Rw=_matrix(node["rw"], "model.rw"))
-    # multimodel
-    _require_keys(node, {"kind", "transitions", "h", "rv", "rw"},
-                  {"kind", "transitions", "h", "rv", "rw"}, "model")
-    return MultiModelDynamics(
-        transition_dist=_weighted_matrices(node["transitions"],
-                                           "model.transitions"),
-        H=_matrix(node["h"], "model.h"),
-        Rv=_matrix(node["rv"], "model.rv"),
-        Rw=_matrix(node["rw"], "model.rw"))
+    model, fields = _KINDS[kind]
+    _require_keys(node, {"kind", *fields}, {"kind", *fields}, "model")
+    return model(**{arg: parse(node[key], f"model.{key}")
+                    for key, (arg, parse) in fields.items()})
 
 
 _BUILDERS = {
@@ -199,11 +178,11 @@ class ExperimentConfig:
     model: object
     initial: InitialCondition
     horizon: int
-    runs: int = 50
-    seed: int = 0
-    measurements: str | None = None
-    gammas: list[float] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
+    runs: int
+    seed: int
+    measurements: str | None
+    gammas: list[float]
+    raw: dict
 
     # YAML probabilities are numbers: a config's model is the same every
     # step, so it is built once and serves every step

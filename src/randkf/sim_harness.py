@@ -19,7 +19,6 @@ from .filter_core import (
     ModelProvider,
     StepModel,
     constant_provider,
-    deterministic_model,
     filter_sequence,
     stack_models,
 )
@@ -33,7 +32,6 @@ class TruthTrajectory:
 
     states: np.ndarray        # ([runs,] K+1, r)
     measurements: np.ndarray  # ([runs,] K+1, N)
-    seed: int | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -131,8 +129,8 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
                               u[:, start[steps, None] + np.arange(n)])
         ys[:, steps] = _mv(H, states[:, steps]) + _mv(Lw[g], zw[:, steps])
     if np.ndim(seed):
-        return TruthTrajectory(states, ys, tuple(seeds))
-    return TruthTrajectory(states[0], ys[0], seed)
+        return TruthTrajectory(states, ys)
+    return TruthTrajectory(states[0], ys[0])
 
 
 def nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -163,14 +161,6 @@ def monte_carlo(provider: ModelProvider, ic: InitialCondition, K: int,
     _, sq, nn = run_filter_on(traj, model_at, ic)
     return RunMetrics(per_step_sq_error=sq.mean(axis=0),
                       per_step_nees=nn.mean(axis=0))
-
-
-def naive_kf_provider(provider: ModelProvider) -> ModelProvider:
-    """Standard-KF baseline: keeps the mean matrices, drops the quad forms."""
-    def naive(k: int) -> StepModel:
-        m = provider(k)
-        return deterministic_model(m.F.mean, m.H.mean, m.Rv, m.Rw)
-    return naive
 
 
 def covariance_recursion(provider: ModelProvider, ic: InitialCondition,

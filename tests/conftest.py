@@ -15,6 +15,7 @@ from randkf import (
     MatrixDist,
     NahiModel,
     build_nahi,
+    deterministic_model,
     moments_from_dist,
 )
 from randkf.filter_core import StepModel
@@ -45,6 +46,14 @@ def textbook_kf(F, H, Q, R, mu0, P0, ys):
         P = (I - K @ H) @ P
         out.append((x.copy(), P.copy()))
     return out
+
+
+def naive_kf_provider(provider):
+    """Standard-KF baseline: keeps the mean matrices, drops the quad forms."""
+    def naive(k):
+        m = provider(k)
+        return deterministic_model(m.F.mean, m.H.mean, m.Rv, m.Rw)
+    return naive
 
 
 def nahi_reference(h, p, F, Rv, Rw, mu0, P0, ys):

@@ -14,6 +14,7 @@ from scipy import stats
 
 from conftest import (
     enumerated_partition_dist,
+    naive_kf_provider,
     nahi_reference,
     partitioned_quad_form,
     quad_form_discrete,
@@ -45,7 +46,6 @@ from randkf.sim_harness import (
     covariance_recursion,
     derive_run_seeds,
     gamma_sweep,
-    naive_kf_provider,
     run_filter_on,
     simulate_truth,
 )

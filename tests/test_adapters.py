@@ -1,4 +1,5 @@
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from randkf import (
     filter_sequence,
     quad_form,
 )
-from randkf.sim_harness import covariance_recursion
+from randkf.sim_harness import covariance_recursion, simulate_truth
 
 H_SIM1 = np.array([[1.0, 1.0], [1.0, -1.0]])
 
@@ -63,20 +64,6 @@ class TestUncertainObs:
             UncertainObsModel(measurement_dist=dist, F=np.eye(2),
                               Rv=np.eye(2), Rw=np.eye(2)), 0)
         assert sm.H.is_deterministic
-
-    def test_per_model_noise_mixture(self):
-        dist = MatrixDist.of([(H_SIM1, 0.3), (np.zeros((2, 2)), 0.7)])
-        m = UncertainObsModel(measurement_dist=dist, F=np.eye(2),
-                              Rv=np.eye(2),
-                              per_model_noise=[np.eye(2), 3 * np.eye(2)])
-        sm = build_uncertain_obs(m, 0)
-        np.testing.assert_allclose(sm.Rw, (0.3 + 0.7 * 3) * np.eye(2))
-
-    def test_noise_count_mismatch_rejected(self):
-        dist = MatrixDist.of([(H_SIM1, 0.5), (np.zeros((2, 2)), 0.5)])
-        with pytest.raises(ValueError, match="noise"):
-            UncertainObsModel(measurement_dist=dist, F=np.eye(2),
-                              Rv=np.eye(2), per_model_noise=[np.eye(2)])
 
 
 class TestNahi:
@@ -287,16 +274,24 @@ class TestLastBuildReuse:
                 np.testing.assert_array_equal(got.H.mean, ref.H.mean)
                 np.testing.assert_array_equal(got.H.factors, ref.H.factors)
 
-    def test_probability_leaving_range_raises_at_its_step(self):
+    def test_probability_leaving_range_raises_at_its_step(self, rng):
         def p(k):
-            return 0.9 if k < 5 else 1.2
+            return 1.2 if k == 7 else 0.9
 
-        # the Nahi and partitioned models, which take probability functions
+        # the Nahi and partitioned models, which take probability functions;
+        # built directly, filtered and sampled, the error names step 7
+        ic = rand_ic(rng, 2)
+        ys = rng.standard_normal((10, 2))
         for build, m in self.models(p)[1:3]:
-            for k in range(5):
+            for k in range(7):
                 build(m, k)
-            with pytest.raises(ValueError, match="outside"):
-                build(m, 5)
+            prov = partial(build, m)
+            for run in (lambda: build(m, 7),
+                        lambda: filter_sequence(prov, ic, ys),
+                        lambda: simulate_truth(prov, ic, 9, 0)):
+                with pytest.raises(ValueError, match=r"p\(k\) of block 0 = "
+                                   r"1\.2 is outside \[0, 1\] at step 7$"):
+                    run()
 
 
 class TestScale:

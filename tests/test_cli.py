@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import io
@@ -10,8 +11,24 @@ import yaml
 
 import randkf.adapters
 import randkf.filter_core
+from randkf import (
+    MatrixDist,
+    MultiModelDynamics,
+    NahiModel,
+    PartitionedObsModel,
+    UncertainObsModel,
+    build_multimodel,
+    build_nahi,
+    build_partitioned,
+    build_uncertain_obs,
+)
 from randkf.cli import main
-from randkf.config import ConfigError, parse_config, rotation_matrix
+from randkf.config import (
+    MODEL_KINDS,
+    ConfigError,
+    parse_config,
+    rotation_matrix,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 SIM1 = REPO / "configs" / "simulation1.yaml"
@@ -146,6 +163,133 @@ def test_bad_value_fails_cleanly_naming_its_field(tmp_path, capsys, old, new,
 def test_malformed_document_rejected():
     with pytest.raises(ConfigError, match="malformed config document: "):
         parse_config("mode: [filter\nhorizon: 3\n")
+
+
+H2 = [[1.0, 1.0], [1.0, -1.0]]
+RW2 = [[1.0, 0.2], [0.2, 1.0]]
+
+
+def kind_cases():
+    """kind: (its YAML model node, its builder, the adapter's model
+    written out directly)."""
+    H, F, F100 = np.array(H2), rotation_matrix(200), rotation_matrix(100)
+    noise = {"Rv": 2 * np.eye(2), "Rw": np.array(RW2)}
+    rot = {"rotation": {"period": 200}}
+    yaml_noise = {"rv": [[2.0, 0.0], [0.0, 2.0]], "rw": RW2}
+    return {
+        "general": (
+            {"measurements": [{"matrix": H2, "prob": 0.6},
+                              {"matrix": [[0, 0], [0, 0]], "prob": 0.4}],
+             "f": rot, **yaml_noise},
+            build_uncertain_obs,
+            UncertainObsModel(measurement_dist=MatrixDist.of(
+                [(H, 0.6), (np.zeros((2, 2)), 0.4)]), F=F, **noise)),
+        "nahi": ({"h": H2, "p": 0.7, "f": rot, **yaml_noise}, build_nahi,
+                 NahiModel(h=H, p=0.7, F=F, **noise)),
+        "partitioned": (
+            {"blocks": [{"h": H2[:1], "p": 0.7}, {"h": H2[1:], "p": 0.4}],
+             "f": rot, **yaml_noise},
+            build_partitioned,
+            PartitionedObsModel(blocks=((H[:1], 0.7), (H[1:], 0.4)), F=F,
+                                **noise)),
+        "multimodel": (
+            {"transitions": [{"matrix": rot, "prob": 0.3},
+                             {"matrix": {"rotation": {"period": 100}},
+                              "prob": 0.7}],
+             "h": H2, **yaml_noise},
+            build_multimodel,
+            MultiModelDynamics(transition_dist=MatrixDist.of(
+                [(F, 0.3), (F100, 0.7)]), H=H, **noise)),
+    }
+
+
+def config_text(model_node: dict) -> str:
+    return yaml.safe_dump({
+        "mode": "filter", "horizon": 3, "model": model_node,
+        "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}})
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_every_model_kind_parses_to_its_adapter_bit_for_bit(kind):
+    node, build, model = kind_cases()[kind]
+    got = parse_config(config_text({"kind": kind, **node})).step_model
+    ref = build(model, 0)
+    for a, b in ((got.F.mean, ref.F.mean), (got.F.factors, ref.F.factors),
+                 (got.H.mean, ref.H.mean), (got.H.factors, ref.H.factors),
+                 (got.Rv, ref.Rv), (got.Rw, ref.Rw)):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
+DELETE = object()
+# (kind, path to the changed value in its model node, the value written
+# there or DELETE, the whole error message)
+BAD_NESTED = [
+    ("general", ("measurements", 1, "prob"), 1.5,
+     "model.measurements[1].prob: probability 1.5 outside [0, 1]"),
+    ("general", ("measurements", 0, "matrix"), [1, 2],
+     "model.measurements[0].matrix: expected a matrix (list of rows)"),
+    ("general", ("measurements",), [],
+     "model.measurements: expected a non-empty list"),
+    ("general", ("measurements", 0, "prob"), 0.5,
+     "model.measurements: probabilities sum to 0.9, not 1"),
+    ("nahi", ("p",), "high", "model.p: not a number"),
+    ("nahi", ("per_model_noise",), [RW2],
+     "model: unknown field 'per_model_noise'"),
+    ("partitioned", ("blocks", 0, "h"), [1, 2],
+     "model.blocks[0].h: expected a matrix (list of rows)"),
+    ("partitioned", ("blocks", 1, "p"), True, "model.blocks[1].p: not a number"),
+    ("partitioned", ("blocks", 1, "q"), 0.5,
+     "model.blocks[1]: unknown field 'q'"),
+    ("partitioned", ("rw",), DELETE, "model: missing field 'rw'"),
+    ("multimodel", ("transitions", 0, "matrix"), {"rotation": {"period": 0}},
+     "model.transitions[0].matrix.rotation.period: must be nonzero"),
+    ("multimodel", ("transitions", 1, "prob"), DELETE,
+     "model.transitions[1]: missing field 'prob'"),
+    ("multimodel", ("transitions",), {"matrix": H2},
+     "model.transitions: expected a non-empty list"),
+    ("multimodel", ("h",), "x", "model.h: not a numeric matrix "
+     "(could not convert string to float: 'x')"),
+    ("multimodel", ("kind",), "dropout", "model.kind: 'dropout' not one of "
+     "('general', 'nahi', 'partitioned', 'multimodel')"),
+    ("multimodel", ("kind",), [1], "model.kind: '[1]' not one of "
+     "('general', 'nahi', 'partitioned', 'multimodel')"),
+]
+
+
+def with_change(node, path, value):
+    node = copy.deepcopy(node)
+    at = node
+    for key in path[:-1]:
+        at = at[key]
+    if value is DELETE:
+        del at[path[-1]]
+    else:
+        at[path[-1]] = value
+    return node
+
+
+@pytest.mark.parametrize("kind, path, value, message", BAD_NESTED,
+                         ids=[m for *_, m in BAD_NESTED])
+def test_bad_model_value_names_its_path(kind, path, value, message):
+    node = with_change({"kind": kind, **kind_cases()[kind][0]}, path, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(config_text(node))
+    assert str(exc.value) == message
+
+
+def test_general_model_parses_like_every_kind():
+    # it requires rw, has no per-model noises, and names a bad matrix once
+    node = {"kind": "general", **kind_cases()["general"][0]}
+    for path, value, message in (
+            (("rw",), DELETE, "model: missing field 'rw'"),
+            (("per_model_noise",), [RW2, RW2],
+             "model: unknown field 'per_model_noise'"),
+            (("f",), [1, 2], "model.f: expected a matrix (list of rows)"),
+            (("rv",), "x", "model.rv: not a numeric matrix "
+             "(could not convert string to float: 'x')")):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config_text(with_change(node, path, value)))
+        assert str(exc.value) == message
 
 
 class TestRunModes:
@@ -367,3 +511,18 @@ def test_compare_outputs_script(tmp_path, capsys):
     write(b, "k,v\r\n0,1000\r\n1,nan\r\n")
     write(a, "{}", "summary.json")
     assert cmp.main([str(a), str(b)]) == 1
+
+
+def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, capsys):
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", REPO / "scripts" / "bench_pairs.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    work = tmp_path / "work"
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["HEAD", "HEAD", "--seed", "1", "--pairs", "1",
+                    "--work", str(work), "--out", str(tmp_path / "o.json")])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 2" in capsys.readouterr().err
+    assert not work.exists()

@@ -122,7 +122,6 @@ class TestSimulateTruth:
         for prov in (sim1_provider(), lambda k: build_multimodel(m2, k),
                      lambda k: build_nahi(m3, k)):
             batched = simulate_truth(prov, SIM1_IC, 40, seeds)
-            assert batched.seed == tuple(seeds)
             for i, s in enumerate(seeds):
                 one = simulate_truth(prov, SIM1_IC, 40, s)
                 for field in ("states", "measurements"):

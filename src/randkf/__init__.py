@@ -14,7 +14,6 @@ from .filter_core import (
     InitialCondition,
     StepModel,
     constant_provider,
-    deterministic_model,
     filter_sequence,
     init,
     predict,

@@ -28,8 +28,10 @@ from .filter_core import filter_sequence
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Header, then each row of the 2-D array ``rows`` with 17 significant
-    digits per cell, comma-separated with CRLF line ends as csv writes."""
+    digits per cell, comma-separated with CRLF line ends as csv writes.
+    Makes the directory, so a run that fails first writes nothing."""
     line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(line % tuple(row)
@@ -73,7 +75,6 @@ def _estimates_header(r: int) -> list[str]:
 
 def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Execute one experiment; returns a process exit status."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     provider = cfg.provider()
     ic = cfg.initial
     r = ic.mean.size
@@ -111,8 +112,6 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
         results = sim_harness.gamma_sweep(cfg.model_for_gamma, ic,
                                           cfg.gammas, cfg.horizon)
         _write_csv(out_dir / "sweep.csv", ["gamma", "trace_P_K"], results)
-    else:  # pragma: no cover - parse_config rejects unknown modes
-        raise ConfigError(f"unsupported mode '{cfg.mode}'")
     return 0
 
 

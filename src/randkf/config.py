@@ -80,6 +80,8 @@ def _matrix(node: Any, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: not a numeric matrix ({exc})") from exc
     if m.ndim != 2:
         raise ConfigError(f"{where}: expected a matrix (list of rows)")
+    if not np.isfinite(m).all():
+        raise ConfigError(f"{where}: not finite")
     return m
 
 
@@ -229,6 +231,8 @@ def parse_config(text: str, *, mode: str | None = None,
         ic = InitialCondition(
             mean=np.asarray(ini["mean"], dtype=float),
             cov=_matrix(ini["cov"], "initial.cov"))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"initial: {exc}") from exc
     if not isinstance(doc.get("gammas", []), list):

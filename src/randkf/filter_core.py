@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .random_matrix import RandomMatrixSpec, deterministic, quad_form
+from .random_matrix import RandomMatrixSpec, quad_form
 
 # Gain path switches from a symmetric solve to a pseudo-inverse (cutoff
 # w_max / COND_LIMIT) when S may be this ill-conditioned.
@@ -139,13 +139,6 @@ def stack_models(models: Sequence[StepModel]) -> StepModel:
                      H=spec([m.H for m in models]),
                      Rv=np.stack([m.Rv for m in models]),
                      Rw=np.stack([m.Rw for m in models]))
-
-
-def deterministic_model(F, H, Rv, Rw) -> StepModel:
-    """StepModel with non-random F and H."""
-    return StepModel(F=deterministic(F), H=deterministic(H),
-                     Rv=np.asarray(Rv, dtype=float),
-                     Rw=np.asarray(Rw, dtype=float))
 
 
 def constant_provider(model: StepModel) -> ModelProvider:

@@ -77,9 +77,6 @@ class MatrixDist:
         mats, probs = zip(*pairs)
         return cls(samples=tuple(mats), probs=np.asarray(probs, dtype=float))
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 @dataclass(frozen=True)
 class BlockDropout:

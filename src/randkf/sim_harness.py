@@ -180,12 +180,6 @@ def gamma_sweep(model_for_gamma: Callable[[float], StepModel],
     from ``ic`` runs every gamma.
     """
     gammas = [float(g) for g in gammas]
-    if any(b < a for a, b in zip(gammas, gammas[1:])):
-        raise ValueError("gammas must be sorted ascending")
-    if any(not 0.0 < g <= 1.0 for g in gammas):
-        raise ValueError("gammas must lie in (0, 1]")
-    if not gammas:
-        return []
     stack = stack_models([model_for_gamma(g) for g in gammas])
     final = covariance_recursion(constant_provider(stack), ic, K).cov[-1]
     return [(g, float(np.trace(cov))) for g, cov in zip(gammas, final)]

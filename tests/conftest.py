@@ -15,13 +15,20 @@ from randkf import (
     MatrixDist,
     NahiModel,
     build_nahi,
-    deterministic_model,
+    deterministic,
     moments_from_dist,
 )
 from randkf.filter_core import StepModel
 
 # arrival probabilities at and next to the ends of [0, 1]
 EDGE_PROBS = (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
+
+
+def deterministic_model(F, H, Rv, Rw) -> StepModel:
+    """StepModel with non-random F and H."""
+    return StepModel(F=deterministic(F), H=deterministic(H),
+                     Rv=np.asarray(Rv, dtype=float),
+                     Rw=np.asarray(Rw, dtype=float))
 
 
 def textbook_kf(F, H, Q, R, mu0, P0, ys):

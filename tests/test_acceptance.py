@@ -13,6 +13,7 @@ import numpy as np
 from scipy import stats
 
 from conftest import (
+    deterministic_model,
     enumerated_partition_dist,
     naive_kf_provider,
     nahi_reference,
@@ -34,7 +35,6 @@ from randkf import (
     build_nahi,
     build_partitioned,
     deterministic,
-    deterministic_model,
     filter_sequence,
     moments_from_dist,
     monte_carlo,

@@ -292,6 +292,54 @@ def test_general_model_parses_like_every_kind():
         assert str(exc.value) == message
 
 
+def document(kind: str) -> dict:
+    return {"mode": "filter", "horizon": 3,
+            "model": {"kind": kind, **kind_cases()[kind][0]},
+            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("cov",), "abc", "initial.cov: not a numeric matrix "
+     "(could not convert string to float: 'abc')"),
+    (("cov",), {"rotation": {"period": "x"}},
+     "initial.cov.rotation.period: not a number"),
+    (("mean",), ["a", 0.0], "initial: could not convert string to float: 'a'"),
+    (("cov",), [[1.0, 2.0], [2.0, 1.0]],
+     "initial: initial covariance is not positive semidefinite"),
+], ids=["cov", "cov-rotation", "mean", "cov-psd"])
+def test_bad_initial_value_is_named_once(path, value, message):
+    doc = with_change(document("nahi"), ("initial", *path), value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(yaml.safe_dump(doc))
+    assert str(exc.value) == message
+
+
+# (kind, path in the document, a non-finite matrix written there, the
+# path the error names)
+NON_FINITE = [
+    ("nahi", ("model", "h"), [[np.inf, 1.0], [1.0, -1.0]], "model.h"),
+    ("nahi", ("model", "f"), [[np.nan, 0.0], [0.0, 1.0]], "model.f"),
+    ("nahi", ("model", "rv"), [[np.inf, 0.0], [0.0, 2.0]], "model.rv"),
+    ("nahi", ("model", "rw"), [[1.0, 0.0], [0.0, -np.inf]], "model.rw"),
+    ("nahi", ("initial", "cov"), [[np.nan, 0.0], [0.0, 1.0]], "initial.cov"),
+    ("partitioned", ("model", "blocks", 0, "h"), [[np.inf, 1.0]],
+     "model.blocks[0].h"),
+    ("general", ("model", "measurements", 1, "matrix"),
+     [[0.0, 0.0], [np.nan, 0.0]], "model.measurements[1].matrix"),
+    ("multimodel", ("model", "transitions", 0, "matrix"),
+     [[1.0, np.inf], [0.0, 1.0]], "model.transitions[0].matrix"),
+]
+
+
+@pytest.mark.parametrize("kind, path, value, where", NON_FINITE,
+                         ids=[where for *_, where in NON_FINITE])
+def test_non_finite_matrix_names_its_path(kind, path, value, where):
+    doc = with_change(document(kind), path, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(yaml.safe_dump(doc))
+    assert str(exc.value) == f"{where}: not finite"
+
+
 class TestRunModes:
     def test_simulate_writes_truth_and_measurements(self, tmp_path):
         cfg_file = tmp_path / "cfg.yaml"
@@ -425,6 +473,35 @@ class TestRunModes:
         assert code == 1
         assert capsys.readouterr().err == \
             "error: config: unknown field 'output'\n"
+        assert not out.exists()
+
+    # (subcommand, config file, (text, its replacement), extra arguments,
+    # the error message); {csv} is a measurements file with a bad cell
+    @pytest.mark.parametrize("command, config, edit, args, message", [
+        ("filter", SIM1, ("", ""), [],
+         "filter mode needs a 'measurements' CSV path"),
+        ("filter", SIM1, ("", ""), ["--measurements", "{csv}"],
+         "{csv}: non-numeric measurement "
+         "(could not convert string to float: 'abc')"),
+        ("sweep", SIM2, ("", ""), [],
+         "sweep mode needs a non-empty 'gammas' list"),
+        ("sweep", SIM2, ("horizon: 300", "horizon: 300\ngammas: [0.5]"), [],
+         "sweep mode requires a 'nahi' model"),
+        ("sweep", SIM1, ("[0.5, 0.7, 0.9, 0.95, 1.0]", "[0.5, 1.5]"), [],
+         "gammas[1]: probability 1.5 outside [0, 1]"),
+    ], ids=["filter-no-measurements", "filter-malformed-csv",
+            "sweep-no-gammas", "sweep-multimodel", "sweep-gamma-out-of-range"])
+    def test_failed_run_writes_nothing(self, tmp_path, capsys, command,
+                                       config, edit, args, message):
+        cfg_file, csv_file = tmp_path / "cfg.yaml", tmp_path / "ys.csv"
+        cfg_file.write_text(config.read_text().replace(*edit))
+        csv_file.write_text("y1,y2\n1.0,abc\n")
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg_file), "--out", str(out),
+                     *(a.format(csv=csv_file) for a in args)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: {message.format(csv=csv_file)}\n"
         assert not out.exists()
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import randkf.filter_core
 from conftest import (
+    deterministic_model,
     edge_nahi_models,
     joseph_recursion,
     mixed_nahi_models,
@@ -32,7 +33,6 @@ from randkf.filter_core import (
     StepModel,
     _gain,
     constant_provider,
-    deterministic_model,
     stack_models,
     symmetrize,
 )

@@ -326,7 +326,7 @@ def test_product_moment_matches_analytic_lemma():
     n = 100_000
     L = np.linalg.cholesky(cov_x)
     xs = mean_x + rng.standard_normal((n, 2)) @ L.T
-    idx = rng.choice(len(dist), size=n, p=dist.probs)
+    idx = rng.choice(dist.probs.size, size=n, p=dist.probs)
     Fs = np.stack(dist.samples)[idx]
     fx = np.einsum("nij,nj->ni", Fs, xs)
     prods = np.einsum("ni,nj->nij", fx, fx)

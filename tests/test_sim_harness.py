@@ -6,6 +6,7 @@ import pytest
 import randkf.filter_core
 from conftest import (
     EDGE_PROBS,
+    deterministic_model,
     edge_nahi_models,
     joseph_recursion,
     mixed_nahi_models,
@@ -27,7 +28,6 @@ from randkf import (
     build_nahi,
     build_partitioned,
     deterministic,
-    deterministic_model,
     filter_sequence,
     monte_carlo,
     run_filter_on,
@@ -375,14 +375,14 @@ class TestGammaSweep:
         res = gamma_sweep(sim1_model, SIM1_IC, [0.7, 0.7], K=30)
         assert res[0][1] == res[1][1]
 
-    def test_rejects_unsorted_or_out_of_range(self):
-        with pytest.raises(ValueError, match="sorted"):
-            gamma_sweep(sim1_model, SIM1_IC, [0.9, 0.5], K=5)
-        with pytest.raises(ValueError, match="0, 1"):
-            gamma_sweep(sim1_model, SIM1_IC, [0.0, 0.5], K=5)
+    def test_out_of_range_gamma_fails_in_the_builder(self):
+        with pytest.raises(ValueError, match=r"^p\(k\) of block 0 = 1\.5 "
+                           r"is outside \[0, 1\] at step 0$"):
+            gamma_sweep(sim1_model, SIM1_IC, [0.5, 1.5], K=5)
 
     def test_matches_one_recursion_per_gamma(self):
-        gammas = [0.3, 0.5, 0.5, 0.8, 1.0]
+        # rows come out in the order given; gamma = 0 is a valid probability
+        gammas = [0.8, 0.3, 0.0, 1.0, 0.5, 0.5]
         res = gamma_sweep(sim1_model, SIM1_IC, gammas, K=40)
         for (g, t), gamma in zip(res, gammas, strict=True):
             own = covariance_recursion(sim1_provider(gamma), SIM1_IC, 40)

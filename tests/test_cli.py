@@ -203,10 +203,13 @@ def kind_cases():
     }
 
 
+def document(model_node: dict) -> dict:
+    return {"mode": "filter", "horizon": 3, "model": model_node,
+            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}
+
+
 def config_text(model_node: dict) -> str:
-    return yaml.safe_dump({
-        "mode": "filter", "horizon": 3, "model": model_node,
-        "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}})
+    return yaml.safe_dump(document(model_node))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -292,12 +295,6 @@ def test_general_model_parses_like_every_kind():
         assert str(exc.value) == message
 
 
-def document(kind: str) -> dict:
-    return {"mode": "filter", "horizon": 3,
-            "model": {"kind": kind, **kind_cases()[kind][0]},
-            "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}
-
-
 @pytest.mark.parametrize("path, value, message", [
     (("cov",), "abc", "initial.cov: not a numeric matrix "
      "(could not convert string to float: 'abc')"),
@@ -308,7 +305,8 @@ def document(kind: str) -> dict:
      "initial: initial covariance is not positive semidefinite"),
 ], ids=["cov", "cov-rotation", "mean", "cov-psd"])
 def test_bad_initial_value_is_named_once(path, value, message):
-    doc = with_change(document("nahi"), ("initial", *path), value)
+    node = {"kind": "nahi", **kind_cases()["nahi"][0]}
+    doc = with_change(document(node), ("initial", *path), value)
     with pytest.raises(ConfigError) as exc:
         parse_config(yaml.safe_dump(doc))
     assert str(exc.value) == message
@@ -334,7 +332,8 @@ NON_FINITE = [
 @pytest.mark.parametrize("kind, path, value, where", NON_FINITE,
                          ids=[where for *_, where in NON_FINITE])
 def test_non_finite_matrix_names_its_path(kind, path, value, where):
-    doc = with_change(document(kind), path, value)
+    node = {"kind": kind, **kind_cases()[kind][0]}
+    doc = with_change(document(node), path, value)
     with pytest.raises(ConfigError) as exc:
         parse_config(yaml.safe_dump(doc))
     assert str(exc.value) == f"{where}: not finite"

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sim_harness
-from .config import ConfigError, ExperimentConfig, parse_config
+from .config import MODES, ConfigError, ExperimentConfig, parse_config
 from .filter_core import filter_sequence
 
 
@@ -122,7 +122,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Kalman filtering with random parameter matrices")
     ap.set_defaults(seed=None, runs=None, measurements=None)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("filter", "simulate", "montecarlo", "sweep"):
+    for name in MODES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="config file path")
         p.add_argument("--out", required=True, help="output directory")
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
                            seed=args.seed, runs=args.runs,
                            measurements=args.measurements)
         return run(cfg, Path(args.out))
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

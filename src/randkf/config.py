@@ -87,15 +87,18 @@ def _matrix(node: Any, where: str) -> np.ndarray:
 
 def _number(node: Any, where: str, kind: type = float,
             low: float = -math.inf):
-    """node as a float, or an int (neither a boolean nor a fraction),
-    >= low; else a ConfigError naming where."""
+    """node as a finite float, or an int (neither a boolean nor a
+    fraction), >= low; else a ConfigError naming where."""
     try:
         value = kind(node)
-        if isinstance(node, bool) or isinstance(node, float) and value != node:
+        fraction = kind is int and isinstance(node, float) and value != node
+        if isinstance(node, bool) or fraction:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"{where}: not {what}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: not finite")
     if value < low:
         raise ConfigError(f"{where}: must be >= {low}")
     return value
@@ -106,6 +109,13 @@ def _prob(node: Any, where: str) -> float:
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"{where}: probability {p} outside [0, 1]")
     return p
+
+
+def _list(node: Any, where: str, parse=_number) -> list:
+    """Each entry of a list parsed by ``parse``, named by its index."""
+    if not isinstance(node, list):
+        raise ConfigError(f"{where}: expected a list")
+    return [parse(x, f"{where}[{i}]") for i, x in enumerate(node)]
 
 
 def _entries(nodes: Any, where: str, keys: dict) -> tuple[tuple, ...]:
@@ -227,18 +237,13 @@ def parse_config(text: str, *, mode: str | None = None,
     doc_runs = _number(doc.get("runs", 50), "runs", int, 1)
     ini = doc["initial"]
     _require_keys(ini, {"mean", "cov"}, {"mean", "cov"}, "initial")
+    mean = _list(ini["mean"], "initial.mean")
+    cov = _matrix(ini["cov"], "initial.cov")
     try:
-        ic = InitialCondition(
-            mean=np.asarray(ini["mean"], dtype=float),
-            cov=_matrix(ini["cov"], "initial.cov"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        ic = InitialCondition(mean=mean, cov=cov)
+    except ValueError as exc:
         raise ConfigError(f"initial: {exc}") from exc
-    if not isinstance(doc.get("gammas", []), list):
-        raise ConfigError("gammas: expected a list")
-    gammas = [_prob(g, f"gammas[{i}]")
-              for i, g in enumerate(doc.get("gammas", []))]
+    gammas = _list(doc.get("gammas", []), "gammas", _prob)
     if not isinstance(doc.get("measurements"), (str, type(None))):
         raise ConfigError("measurements: expected a file path")
     model = _build_model(doc["model"])

@@ -61,20 +61,21 @@ def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Prior mean and covariance of the initial state."""
+    """Prior mean and covariance of the initial state, as read-only copies."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).ravel()
+        mean = np.array(self.mean, dtype=float).ravel()
         if not np.isfinite(mean).all():
-            raise ValueError("initial mean is not finite")
-        cov, _ = _check_psd(self.cov, "initial covariance")
+            raise ValueError("mean is not finite")
+        cov, _ = _check_psd(self.cov, "cov")
         if cov.shape[0] != mean.size:
-            raise ValueError("initial mean/cov dimension mismatch")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+            raise ValueError("mean/cov dimension mismatch")
+        for name, a in (("mean", mean), ("cov", cov)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)

@@ -33,14 +33,15 @@ class MatrixDist:
 
     ``samples`` is a tuple of p-by-q arrays, ``probs`` the matching
     probability vector (nonnegative, summing to one).  ``stacked`` is
-    the (l, p, q) array whose rows the samples are, ``cdf`` the
-    cumulative probabilities that ``sample_matrix`` inverts.
+    the (l, p, q) array whose rows the samples are; a draw picks a row
+    with one uniform (its ``width``) through the cumulative ``cdf``.
     """
 
     samples: tuple[np.ndarray, ...]
     probs: np.ndarray
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
     cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    width = 1
 
     def __post_init__(self):
         samples = tuple(_frozen(np.atleast_2d(s)) for s in self.samples)
@@ -84,12 +85,14 @@ class BlockDropout:
 
     A draw stacks b_i h_i, block after block, with independent
     Bernoulli(p_i) variables b_i.  ``stacked`` is the (B, N, q) array
-    whose layer i is h_i in its own rows and zero elsewhere.
+    whose layer i is h_i in its own rows and zero elsewhere.  A draw
+    takes one uniform per block: ``width`` is B.
     """
 
     blocks: tuple[np.ndarray, ...]
     probs: np.ndarray
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
+    width = property(lambda self: self.probs.size)
 
     def __post_init__(self):
         blocks = tuple(_frozen(np.atleast_2d(h)) for h in self.blocks)
@@ -142,10 +145,6 @@ class RandomMatrixSpec:
     def shape(self) -> tuple[int, int]:
         return self.mean.shape[-2:]
 
-    @property
-    def is_deterministic(self) -> bool:
-        return not np.any(self.factors)
-
 
 def deterministic(matrix) -> RandomMatrixSpec:
     """Spec for a non-random matrix: no deviation factors."""
@@ -190,12 +189,12 @@ def quad_form(spec: RandomMatrixSpec, X) -> np.ndarray:
 
 def sample_matrix(dist: MatrixDist | BlockDropout,
                   u: np.ndarray) -> np.ndarray:
-    """Map uniforms ``u`` of shape (..., n) to matrices of shape (..., p, q).
+    """Map uniforms (..., dist.width) to matrices (..., p, q).
 
-    A MatrixDist takes n = 1 uniform per draw, inverted through its CDF as
+    A MatrixDist's one uniform per draw is inverted through its CDF as
     ``rng.choice`` does, without that method's validation of ``probs``; a
-    BlockDropout takes n = B, one per block, and keeps block i where its
-    uniform is below p_i.  Equal uniforms give equal draws.
+    BlockDropout keeps block i where its uniform is below p_i.  Equal
+    uniforms give equal draws.
     """
     if isinstance(dist, BlockDropout):
         return np.tensordot(u < dist.probs, dist.stacked, axes=1)

@@ -22,7 +22,7 @@ from .filter_core import (
     filter_sequence,
     stack_models,
 )
-from .random_matrix import BlockDropout, sample_matrix
+from .random_matrix import sample_matrix
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,11 @@ def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _draw_width(spec, name: str, k: int) -> int:
-    # uniforms one draw of the matrix takes: one per block of a
-    # BlockDropout, one for a MatrixDist, none for a deterministic matrix
-    if isinstance(spec.source, BlockDropout):
-        return spec.source.probs.size
-    if spec.source is None and not spec.is_deterministic:
+    # uniforms one draw of the matrix takes; none for a deterministic one
+    if spec.source is None and spec.factors.any():
         raise ValueError(f"{name} at step {k} is random but has no "
                          "source distribution to sample from")
-    return int(spec.source is not None)
+    return 0 if spec.source is None else spec.source.width
 
 
 def simulate_truth(provider: ModelProvider, ic: InitialCondition,
@@ -77,13 +74,13 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
 
     ``seed`` is one seed, or a list of per-run seeds for arrays with a run
     axis.  Each run's generator draws the uniforms of its random matrices
-    in step order, H_0..H_K then F_0..F_{K-1} (one per step for a
-    MatrixDist, one per block and step for a BlockDropout), then the
-    normals of x_0 and every noise, so a run depends on its own seed only.
-    F is realized one step at a time inside the state recursion; H and
-    the noise factors once per distinct step model.  A deterministic
-    matrix takes its mean; a random one without a source distribution
-    raises a ValueError naming the matrix and the step.
+    in step order, H_0..H_K then F_0..F_{K-1} (each step takes its source
+    distribution's ``width``), then the normals of x_0 and every noise, so
+    a run depends on its own seed only.  F is realized one step at a time
+    inside the state recursion; H and the noise factors once per distinct
+    step model.  A deterministic matrix takes its mean; a random one
+    without a source distribution raises a ValueError naming the matrix
+    and the step.
     """
     if K < 1:
         raise ValueError("need K >= 1")

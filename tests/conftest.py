@@ -1,4 +1,4 @@
-"""Shared reference implementations and random model generators.
+"""Shared fixtures, reference implementations and random model generators.
 
 The references here are deliberately written from the printed formulas,
 independently of the library's code paths, so tests comparing the two
@@ -6,6 +6,7 @@ actually check something.
 """
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,15 +14,67 @@ import pytest
 from randkf import (
     InitialCondition,
     MatrixDist,
+    MultiModelDynamics,
     NahiModel,
+    build_multimodel,
     build_nahi,
+    constant_provider,
     deterministic,
     moments_from_dist,
 )
+from randkf.config import rotation_matrix
 from randkf.filter_core import StepModel
+
+REPO = Path(__file__).resolve().parent.parent
+SIM1 = REPO / "configs" / "simulation1.yaml"
+SIM2 = REPO / "configs" / "simulation2.yaml"
 
 # arrival probabilities at and next to the ends of [0, 1]
 EDGE_PROBS = (0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0)
+
+# The two shipped experiments, restated so that modules can use them at
+# import; the parser's tests check them against SIM1 and SIM2 bit for bit.
+H_SIM1 = np.array([[1.0, 1.0], [1.0, -1.0]])
+SIM1_IC = InitialCondition(mean=[50.0, 0.0], cov=0.5 * np.eye(2))
+
+
+def sim1_model(gamma=0.95) -> StepModel:
+    """Simulation 1's model at arrival probability gamma."""
+    return build_nahi(NahiModel(h=H_SIM1, p=gamma, F=rotation_matrix(300),
+                                Rv=2 * np.eye(2), Rw=np.eye(2)), 0)
+
+
+def sim1_provider(gamma=0.95):
+    return constant_provider(sim1_model(gamma))
+
+
+def sim2_model() -> StepModel:
+    """Simulation 2: three rotation speeds drawn i.i.d. per step."""
+    bank = MatrixDist.of([(rotation_matrix(period), p)
+                          for period, p in ((300, 0.1), (250, 0.2),
+                                            (100, 0.7))])
+    return build_multimodel(MultiModelDynamics(
+        transition_dist=bank, H=H_SIM1, Rv=2 * np.eye(2), Rw=np.eye(2)), 0)
+
+
+def sim2_provider():
+    return constant_provider(sim2_model())
+
+
+def model_arrays(m) -> list[np.ndarray]:
+    """Every array of a StepModel that the filter or the sampler reads."""
+    arrays = [m.Rv, m.Rw]
+    for spec in (m.F, m.H):
+        arrays += [spec.mean, spec.factors]
+        if spec.source is not None:
+            arrays += [spec.source.stacked, spec.source.probs]
+    return arrays
+
+
+def assert_allclose_rel(a, b, tol):
+    """a within tol of b, relative to b's largest magnitude (at least 1)."""
+    scale = max(1.0, np.abs(b).max())
+    np.testing.assert_allclose(a, b, rtol=0, atol=tol * scale)
 
 
 def deterministic_model(F, H, Rv, Rw) -> StepModel:
@@ -175,22 +228,24 @@ def rand_random_model(rng, r, N, *, stable=True):
                      Rw=rand_psd(rng, N, floor=0.5))
 
 
-def edge_nahi_models(F, Rw=np.diag([1.0, 0.0])):
-    """Sim1's dropout sensor at each of EDGE_PROBS.
+def edge_nahi_models(Rw=np.diag([1.0, 0.0])):
+    """Sim1's dropout sensor at each of EDGE_PROBS, on 0.99 times sim1's
+    rotation, so that the second moment X stays bounded at long horizons.
 
     The default Rw = diag(1, 0) is singular, so the S >= Rw certificate
     holds for no member and every member takes the pseudo-inverse gain
     path; at p = 0 the innovation covariance S equals Rw and is singular.
     """
-    return [build_nahi(NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                                 p=p, F=F, Rv=2 * np.eye(2), Rw=Rw), 0)
+    F = 0.99 * rotation_matrix(300)
+    return [build_nahi(NahiModel(h=H_SIM1, p=p, F=F, Rv=2 * np.eye(2),
+                                 Rw=Rw), 0)
             for p in EDGE_PROBS]
 
 
-def mixed_nahi_models(F):
+def mixed_nahi_models():
     """The edge members, each followed by its twin with Rw = I, which the
     certificate sends to the solve: a stack taking both gain paths."""
-    pairs = zip(edge_nahi_models(F), edge_nahi_models(F, np.eye(2)))
+    pairs = zip(edge_nahi_models(), edge_nahi_models(np.eye(2)))
     return [m for pair in pairs for m in pair]
 
 

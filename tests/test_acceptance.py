@@ -7,12 +7,17 @@ the budget fails the criterion even if the numbers are right.
 
 import csv
 import time
-from pathlib import Path
+from functools import partial
 
 import numpy as np
 from scipy import stats
 
 from conftest import (
+    H_SIM1,
+    SIM1,
+    SIM1_IC,
+    SIM2,
+    assert_allclose_rel,
     deterministic_model,
     enumerated_partition_dist,
     naive_kf_provider,
@@ -22,6 +27,9 @@ from conftest import (
     rand_ic,
     rand_psd,
     rand_random_model,
+    sim1_model,
+    sim1_provider,
+    sim2_provider,
     textbook_kf,
 )
 from lmv_oracle import batch_lmv_oracle, sample_converted_noises
@@ -34,13 +42,13 @@ from randkf import (
     build_multimodel,
     build_nahi,
     build_partitioned,
-    deterministic,
     filter_sequence,
     moments_from_dist,
     monte_carlo,
     quad_form,
 )
 from randkf.cli import main as cli_main
+from randkf.config import rotation_matrix
 from randkf.filter_core import StepModel, constant_provider
 from randkf.sim_harness import (
     covariance_recursion,
@@ -50,40 +58,11 @@ from randkf.sim_harness import (
     simulate_truth,
 )
 
-REPO = Path(__file__).resolve().parent.parent
-SIM1 = REPO / "configs" / "simulation1.yaml"
-SIM2 = REPO / "configs" / "simulation2.yaml"
-
-H_TRACK = np.array([[1.0, 1.0], [1.0, -1.0]])
-TRACK_IC = InitialCondition(mean=np.array([50.0, 0.0]), cov=0.5 * np.eye(2))
-
 MC_RUNS = 500
 MC_STEPS = 300
 # 99% band for the mean of `runs` chi-square(2) NEES values, per step
 NEES_BAND = (stats.chi2.ppf(0.005, 2 * MC_RUNS) / MC_RUNS,
              stats.chi2.ppf(0.995, 2 * MC_RUNS) / MC_RUNS)
-
-
-def rotation(period):
-    a = 2 * np.pi / period
-    return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
-
-
-def sim1_model(gamma=0.95):
-    return build_nahi(NahiModel(h=H_TRACK, p=gamma, F=rotation(300),
-                                Rv=2 * np.eye(2), Rw=np.eye(2)), 0)
-
-
-def sim1_provider(gamma=0.95):
-    return constant_provider(sim1_model(gamma))
-
-
-def sim2_provider():
-    dist = MatrixDist.of([(rotation(300), 0.1), (rotation(250), 0.2),
-                          (rotation(100), 0.7)])
-    m = MultiModelDynamics(transition_dist=dist, H=H_TRACK,
-                           Rv=2 * np.eye(2), Rw=np.eye(2))
-    return constant_provider(build_multimodel(m, 0))
 
 
 class _Check:
@@ -109,11 +88,6 @@ class _Check:
         return False  # propagate the original assertion
 
 
-def _allclose_rel(a, b, tol):
-    scale = max(1.0, np.abs(b).max())
-    np.testing.assert_allclose(a, b, rtol=0, atol=tol * scale)
-
-
 def test_a1_recursive_filter_matches_batch_lmv_oracle():
     with _Check("A1", 30, "recursive filter vs. exact batch LMV estimate, "
                 "200 random short-horizon instances, 1e-9 relative"):
@@ -127,8 +101,59 @@ def test_a1_recursive_filter_matches_batch_lmv_oracle():
             ys = [rng.standard_normal(N) * 3 for _ in range(K + 1)]
             mean, cov = batch_lmv_oracle(prov, ic, ys)
             rec = filter_sequence(prov, ic, ys)[-1]
-            _allclose_rel(rec.mean, mean, 1e-9)
-            _allclose_rel(rec.cov, cov, 1e-9)
+            assert_allclose_rel(rec.mean, mean, 1e-9)
+            assert_allclose_rel(rec.cov, cov, 1e-9)
+
+
+def _kind_provider(rng, kind, r, N, K, varying):
+    """A random Nahi, partitioned (2-3 blocks) or multimodel system: one
+    model, or one per step from a p(k) or bank weights that change every
+    step."""
+    F, h = rng.standard_normal((r, r)), rng.standard_normal((N, r))
+    Rv, Rw = rand_psd(rng, r, 0.1), rand_psd(rng, N, 0.5)
+    ps = rng.uniform(size=(K + 1, 3))
+
+    def p(i):
+        return (lambda k: ps[k, i]) if varying else ps[0, i]
+
+    if kind == "nahi":
+        m = NahiModel(h=h, p=p(0), F=F, Rv=Rv, Rw=Rw)
+        step = partial(build_nahi, m)
+    elif kind == "partitioned":
+        blocks = np.array_split(h, int(rng.integers(2, N + 1)))
+        m = PartitionedObsModel(
+            blocks=[(b, p(i)) for i, b in enumerate(blocks)], F=F, Rv=Rv,
+            Rw=Rw)
+        step = partial(build_partitioned, m)
+    else:
+        mats = rng.standard_normal((3, r, r))
+        weights = ps / ps.sum(axis=1, keepdims=True)
+
+        def step(k):
+            bank = MatrixDist.of(zip(mats, weights[k]))
+            return build_multimodel(MultiModelDynamics(
+                transition_dist=bank, H=h, Rv=Rv, Rw=Rw), k)
+    return step if varying else constant_provider(step(0))
+
+
+def test_every_adapter_kind_matches_batch_lmv_oracle():
+    # A1 runs general MatrixDist models; this runs the other kinds, each
+    # time-invariant and under a schedule that changes every step
+    with _Check("A1 (adapter kinds)", 5, "Nahi, partitioned and multimodel "
+                "filters vs. exact batch LMV estimate, 120 random "
+                "instances, 1e-9 relative"):
+        rng = np.random.default_rng(111)
+        for trial in range(120):
+            kind = ("nahi", "partitioned", "multimodel")[trial % 3]
+            r, K = int(rng.integers(1, 4)), int(rng.integers(0, 5))
+            N = int(rng.integers(2 if kind == "partitioned" else 1, 4))
+            prov = _kind_provider(rng, kind, r, N, K, varying=trial % 2 == 1)
+            ic = rand_ic(rng, r)
+            ys = [rng.standard_normal(N) * 3 for _ in range(K + 1)]
+            mean, cov = batch_lmv_oracle(prov, ic, ys)
+            rec = filter_sequence(prov, ic, ys)[-1]
+            assert_allclose_rel(rec.mean, mean, 1e-9)
+            assert_allclose_rel(rec.cov, cov, 1e-9)
 
 
 def test_a2_degenerate_randomness_reduces_to_standard_kf():
@@ -150,13 +175,13 @@ def test_a2_degenerate_randomness_reduces_to_standard_kf():
             got = filter_sequence(
                 constant_provider(deterministic_model(F, H, Rv, Rw)), ic, ys)
             for (rx, rP), g in zip(ref, got):
-                _allclose_rel(g.mean, rx, 1e-12)
-                _allclose_rel(g.cov, rP, 1e-12)
+                assert_allclose_rel(g.mean, rx, 1e-12)
+                assert_allclose_rel(g.cov, rP, 1e-12)
 
 
 def _consistency_and_optimality(name, provider, detail):
     with _Check(name, 120, detail):
-        metrics = monte_carlo(provider, TRACK_IC, MC_STEPS, MC_RUNS, 31415)
+        metrics = monte_carlo(provider, SIM1_IC, MC_STEPS, MC_RUNS, 31415)
         tail = slice(50, MC_STEPS + 1)
         # Per-run NEES is not chi-square here (errors are non-Gaussian
         # mixtures), so the band is applied to the time-averaged mean,
@@ -168,10 +193,10 @@ def _consistency_and_optimality(name, provider, detail):
             f"time-averaged mean NEES {avg_nees:.3f} leaves the 99% band "
             f"[{lo:.3f}, {hi:.3f}]")
         # the naive KF filters the same truth runs as monte_carlo's
-        traj = simulate_truth(provider, TRACK_IC, MC_STEPS,
+        traj = simulate_truth(provider, SIM1_IC, MC_STEPS,
                               derive_run_seeds(31415, MC_RUNS))
         _, naive_sq, _ = run_filter_on(traj, naive_kf_provider(provider),
-                                       TRACK_IC)
+                                       SIM1_IC)
         ours = metrics.per_step_sq_error[tail].mean()
         theirs = naive_sq.mean(axis=0)[tail].mean()
         assert ours <= theirs, (
@@ -196,7 +221,7 @@ def test_a4_multimodel_dynamics_consistent_and_beats_naive_kf():
 def test_a5_steady_state_covariance_decreases_with_arrival_rate():
     with _Check("A5", 1, "trace(P_300) strictly decreasing in the "
                 "measurement arrival probability"):
-        res = gamma_sweep(sim1_model, TRACK_IC,
+        res = gamma_sweep(sim1_model, SIM1_IC,
                           [0.5, 0.7, 0.9, 0.95, 1.0], K=300)
         traces = [t for _, t in res]
         assert all(a > b for a, b in zip(traces, traces[1:])), traces
@@ -206,8 +231,9 @@ def test_a6_converted_noises_are_white_with_stated_moments():
     with _Check("A6", 60, "sampled converted-system noises: zero "
                 "cross-moments and analytic same-step covariances, "
                 "1e5 trajectories, 5 standard errors"):
-        fdist = MatrixDist.of([(rotation(80), 0.4), (rotation(40), 0.6)])
-        hdist = MatrixDist.of([(H_TRACK, 0.9), (np.zeros((2, 2)), 0.1)])
+        fdist = MatrixDist.of([(rotation_matrix(80), 0.4),
+                               (rotation_matrix(40), 0.6)])
+        hdist = MatrixDist.of([(H_SIM1, 0.9), (np.zeros((2, 2)), 0.1)])
         model = StepModel(F=moments_from_dist(fdist),
                           H=moments_from_dist(hdist),
                           Rv=0.3 * np.eye(2), Rw=np.eye(2))

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from conftest import (
+    H_SIM1,
     enumerated_partition_dist,
     factor_tensor,
+    model_arrays,
     nahi_reference,
     partitioned_quad_form,
     quad_form_discrete,
     rand_ic,
     rand_psd,
+    sim1_model,
+    sim2_model,
     textbook_kf,
 )
 from randkf import (
@@ -28,28 +32,21 @@ from randkf import (
     filter_sequence,
     quad_form,
 )
+from randkf.config import rotation_matrix
 from randkf.sim_harness import covariance_recursion, simulate_truth
-
-H_SIM1 = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def rotation(period):
-    a = 2 * np.pi / period
-    return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
-
 
 class TestUncertainObs:
     def test_single_certain_matrix_is_deterministic(self):
         m = UncertainObsModel(
             measurement_dist=MatrixDist.of([(H_SIM1, 1.0)]),
-            F=rotation(300), Rv=2 * np.eye(2), Rw=np.eye(2))
+            F=rotation_matrix(300), Rv=2 * np.eye(2), Rw=np.eye(2))
         sm = build_uncertain_obs(m, 0)
-        assert sm.H.is_deterministic
+        assert not sm.H.factors.any()
         np.testing.assert_array_equal(sm.H.mean, H_SIM1)
 
     def test_dropout_noise_inflation(self):
         dist = MatrixDist.of([(H_SIM1, 0.95), (np.zeros((2, 2)), 0.05)])
-        m = UncertainObsModel(measurement_dist=dist, F=rotation(300),
+        m = UncertainObsModel(measurement_dist=dist, F=rotation_matrix(300),
                               Rv=2 * np.eye(2), Rw=np.eye(2))
         sm = build_uncertain_obs(m, 0)
         np.testing.assert_allclose(sm.H.mean, 0.95 * H_SIM1, atol=1e-15)
@@ -63,12 +60,12 @@ class TestUncertainObs:
         sm = build_uncertain_obs(
             UncertainObsModel(measurement_dist=dist, F=np.eye(2),
                               Rv=np.eye(2), Rw=np.eye(2)), 0)
-        assert sm.H.is_deterministic
+        assert not sm.H.factors.any()
 
 
 class TestNahi:
     def test_certain_observation_reduces_to_standard_kf(self, rng):
-        F, h = rotation(100), rng.standard_normal((2, 2))
+        F, h = rotation_matrix(100), rng.standard_normal((2, 2))
         Rv, Rw = rand_psd(rng, 2, 0.1), rand_psd(rng, 2, 0.5)
         m = NahiModel(h=h, p=1.0, F=F, Rv=Rv, Rw=Rw)
         ic = rand_ic(rng, 2)
@@ -93,21 +90,17 @@ class TestNahi:
             np.testing.assert_allclose(got[0].cov, ic.cov)
 
     def test_extra_noise_term_matches_closed_form(self):
-        m = NahiModel(h=H_SIM1, p=0.95, F=rotation(300),
-                      Rv=2 * np.eye(2), Rw=np.eye(2))
-        sm = build_nahi(m, 0)
+        sm = sim1_model()
         np.testing.assert_allclose(quad_form(sm.H, np.eye(2)),
                                    0.0475 * H_SIM1 @ H_SIM1.T,
                                    rtol=1e-12, atol=1e-14)
 
     def test_equals_general_adapter_bitwise(self):
-        m = NahiModel(h=H_SIM1, p=0.95, F=rotation(300),
-                      Rv=2 * np.eye(2), Rw=np.eye(2))
         dist = MatrixDist.of([(H_SIM1, 0.95), (np.zeros((2, 2)), 1 - 0.95)])
         g = build_uncertain_obs(
-            UncertainObsModel(measurement_dist=dist, F=rotation(300),
+            UncertainObsModel(measurement_dist=dist, F=rotation_matrix(300),
                               Rv=2 * np.eye(2), Rw=np.eye(2)), 0)
-        n = build_nahi(m, 0)
+        n = sim1_model()
         # p h exactly on both routes; Nahi's one block factor against the
         # two-sample distribution's two imply the same covariance tensor
         np.testing.assert_array_equal(n.H.mean, g.H.mean)
@@ -127,13 +120,13 @@ class TestNahi:
             build_nahi(m, 0)
 
     def test_matches_specialized_recursion(self, rng):
-        m = NahiModel(h=H_SIM1, p=0.9, F=rotation(150),
+        m = NahiModel(h=H_SIM1, p=0.9, F=rotation_matrix(150),
                       Rv=0.5 * np.eye(2), Rw=np.eye(2))
         ic = rand_ic(rng, 2)
         ys = [rng.standard_normal(2) for _ in range(15)]
         got = filter_sequence(lambda k: build_nahi(m, k), ic, ys)
-        ref = nahi_reference(H_SIM1, 0.9, rotation(150), 0.5 * np.eye(2),
-                             np.eye(2), ic.mean, ic.cov, ys)
+        ref = nahi_reference(H_SIM1, 0.9, rotation_matrix(150),
+                             0.5 * np.eye(2), np.eye(2), ic.mean, ic.cov, ys)
         for g, (rx, rP, rX) in zip(got, ref):
             np.testing.assert_allclose(g.mean, rx, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(g.cov, rP, rtol=1e-12, atol=1e-12)
@@ -155,13 +148,14 @@ class TestPartitioned:
         m = PartitionedObsModel(blocks=((h1, 1.0), (h2, 1.0)), F=np.eye(2),
                                 Rv=np.eye(2), Rw=np.eye(2))
         sm = build_partitioned(m, 0)
-        assert sm.H.is_deterministic
+        assert not sm.H.factors.any()
         np.testing.assert_array_equal(sm.H.mean, np.vstack([h1, h2]))
 
     def test_single_block_equals_nahi(self):
-        m1 = PartitionedObsModel(blocks=((H_SIM1, 0.7),), F=rotation(300),
-                                 Rv=np.eye(2), Rw=np.eye(2))
-        m2 = NahiModel(h=H_SIM1, p=0.7, F=rotation(300), Rv=np.eye(2),
+        m1 = PartitionedObsModel(blocks=((H_SIM1, 0.7),),
+                                 F=rotation_matrix(300), Rv=np.eye(2),
+                                 Rw=np.eye(2))
+        m2 = NahiModel(h=H_SIM1, p=0.7, F=rotation_matrix(300), Rv=np.eye(2),
                        Rw=np.eye(2))
         a, b = build_partitioned(m1, 0), build_nahi(m2, 0)
         # both are the one-block BlockDropout of h
@@ -203,7 +197,7 @@ class TestPartitioned:
 
 class TestMultiModel:
     def test_single_model_reduces_to_standard_kf(self, rng):
-        F = rotation(120)
+        F = rotation_matrix(120)
         m = MultiModelDynamics(
             transition_dist=MatrixDist.of([(F, 1.0)]), H=H_SIM1,
             Rv=np.eye(2), Rw=np.eye(2))
@@ -217,17 +211,10 @@ class TestMultiModel:
             np.testing.assert_allclose(g.cov, rP, rtol=1e-12, atol=1e-12)
 
     def test_three_rotation_bank_noise_inflation(self):
-        mats = [rotation(300), rotation(250), rotation(100)]
-        probs = [0.1, 0.2, 0.7]
-        dist = MatrixDist.of(list(zip(mats, probs)))
-        sm = build_multimodel(
-            MultiModelDynamics(transition_dist=dist, H=H_SIM1,
-                               Rv=np.eye(2), Rw=np.eye(2)), 0)
-        # mixture-sum oracle over the three candidates
-        mean = sum(p * F for p, F in zip(probs, mats))
-        expected = sum(p * (F - mean) @ (F - mean).T
-                       for p, F in zip(probs, mats))
-        np.testing.assert_allclose(quad_form(sm.F, np.eye(2)), expected,
+        # sim2's bank against the mixture-sum oracle over its candidates
+        sm = sim2_model()
+        np.testing.assert_allclose(quad_form(sm.F, np.eye(2)),
+                                   quad_form_discrete(sm.F.source, np.eye(2)),
                                    rtol=1e-12, atol=1e-16)
 
     def test_two_scalar_models(self):
@@ -247,16 +234,18 @@ class TestLastBuildReuse:
     @staticmethod
     def models(p):
         dropout = MatrixDist.of([(H_SIM1, 0.95), (np.zeros((2, 2)), 0.05)])
-        bank = MatrixDist.of([(rotation(300), 0.3), (rotation(100), 0.7)])
+        bank = MatrixDist.of([(rotation_matrix(300), 0.3),
+                              (rotation_matrix(100), 0.7)])
         return (
             (build_uncertain_obs,
-             UncertainObsModel(measurement_dist=dropout, F=rotation(300),
-                               Rv=2 * np.eye(2), Rw=np.eye(2))),
-            (build_nahi, NahiModel(h=H_SIM1, p=p, F=rotation(300),
+             UncertainObsModel(measurement_dist=dropout,
+                               F=rotation_matrix(300), Rv=2 * np.eye(2),
+                               Rw=np.eye(2))),
+            (build_nahi, NahiModel(h=H_SIM1, p=p, F=rotation_matrix(300),
                                    Rv=2 * np.eye(2), Rw=np.eye(2))),
             (build_partitioned,
              PartitionedObsModel(blocks=((H_SIM1[:1], p), (H_SIM1[1:], 0.6)),
-                                 F=rotation(300), Rv=2 * np.eye(2),
+                                 F=rotation_matrix(300), Rv=2 * np.eye(2),
                                  Rw=np.eye(2))),
             (build_multimodel,
              MultiModelDynamics(transition_dist=bank, H=H_SIM1,
@@ -298,15 +287,6 @@ class TestScale:
     """About 100 dropout blocks, or a state of about 100, without 2^B work
     or r^4 memory."""
 
-    @staticmethod
-    def largest_array(sm):
-        arrays = [sm.Rv, sm.Rw]
-        for spec in (sm.F, sm.H):
-            arrays += [spec.mean, spec.factors]
-            if spec.source is not None:
-                arrays.append(spec.source.stacked)
-        return max(a.size for a in arrays)
-
     def test_hundred_dropout_blocks_and_hundred_states(self, rng):
         t0 = time.perf_counter()
         B, r = 100, 4
@@ -317,7 +297,7 @@ class TestScale:
             Rv=np.eye(r), Rw=np.eye(B))
         sm = build_partitioned(m, 0)
         assert sm.H.factors.shape == (B, B, r)
-        assert self.largest_array(sm) == B * B * r
+        assert max(a.size for a in model_arrays(sm)) == B * B * r
         states = covariance_recursion(lambda k: sm, rand_ic(rng, r), 50)
         assert len(states) == 51
         X = states[-1].second_moment
@@ -333,7 +313,7 @@ class TestScale:
             transition_dist=bank, H=rng.standard_normal((2, n)),
             Rv=np.eye(n), Rw=np.eye(2)), 0)
         assert sm.F.factors.shape == (3, n, n)
-        assert self.largest_array(sm) == 3 * n * n
+        assert max(a.size for a in model_arrays(sm)) == 3 * n * n
         X = rand_psd(rng, n)
         mean = sm.F.mean
         expected = sum(p * (M - mean) @ X @ (M - mean).T

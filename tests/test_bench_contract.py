@@ -9,13 +9,12 @@ the workload's own output check, and that the scaling rows still run.
 
 import importlib
 import math
-from pathlib import Path
 
 import pytest
 
+from conftest import REPO
 from randkf.cli import main
 
-REPO = Path(__file__).resolve().parent.parent
 SEED = 811
 
 

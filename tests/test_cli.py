@@ -3,14 +3,21 @@ import csv
 import dataclasses
 import io
 import json
-from pathlib import Path
-
 import numpy as np
 import pytest
 import yaml
 
 import randkf.adapters
 import randkf.filter_core
+from conftest import (
+    REPO,
+    SIM1,
+    SIM1_IC,
+    SIM2,
+    model_arrays,
+    sim1_model,
+    sim2_model,
+)
 from randkf import (
     MatrixDist,
     MultiModelDynamics,
@@ -29,10 +36,6 @@ from randkf.config import (
     parse_config,
     rotation_matrix,
 )
-
-REPO = Path(__file__).resolve().parent.parent
-SIM1 = REPO / "configs" / "simulation1.yaml"
-SIM2 = REPO / "configs" / "simulation2.yaml"
 
 MINIMAL = """
 mode: simulate
@@ -57,6 +60,14 @@ def read_csv(path):
     return rows[0], np.array([[float(v) for v in r] for r in rows[1:]])
 
 
+def assert_restated(cfg, model):
+    """conftest's model and SIM1_IC restate cfg's bit for bit."""
+    got = [*model_arrays(cfg.step_model), cfg.initial.mean, cfg.initial.cov]
+    want = [*model_arrays(model), SIM1_IC.mean, SIM1_IC.cov]
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
 class TestParseConfig:
     def test_simulation1_bundle(self):
         cfg = parse_config(SIM1.read_text())
@@ -68,6 +79,7 @@ class TestParseConfig:
             m.H.mean, 0.95 * np.array([[1.0, 1.0], [1.0, -1.0]]))
         np.testing.assert_allclose(m.F.mean, rotation_matrix(300))
         np.testing.assert_array_equal(m.Rv, 2 * np.eye(2))
+        assert_restated(cfg, sim1_model())
 
     def test_config_is_frozen(self):
         # step_model is built once, so a config's model cannot be swapped
@@ -92,7 +104,8 @@ class TestParseConfig:
         expected = (0.1 * rotation_matrix(300) + 0.2 * rotation_matrix(250)
                     + 0.7 * rotation_matrix(100))
         np.testing.assert_allclose(m.F.mean, expected, atol=1e-15)
-        assert m.H.is_deterministic
+        assert not m.H.factors.any()
+        assert_restated(cfg, sim2_model())
 
     def test_probability_out_of_range_names_field(self):
         bad = MINIMAL.replace("p: 0.9", "p: 1.2")
@@ -117,7 +130,7 @@ class TestParseConfig:
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
                     reason="PyYAML built without libyaml")
-@pytest.mark.parametrize("path", sorted((REPO / "configs").glob("*.yaml")),
+@pytest.mark.parametrize("path", sorted(SIM1.parent.glob("*.yaml")),
                          ids=lambda p: p.name)
 def test_c_and_python_yaml_loaders_agree(path):
     text = path.read_text()
@@ -300,10 +313,15 @@ def test_general_model_parses_like_every_kind():
      "(could not convert string to float: 'abc')"),
     (("cov",), {"rotation": {"period": "x"}},
      "initial.cov.rotation.period: not a number"),
-    (("mean",), ["a", 0.0], "initial: could not convert string to float: 'a'"),
+    (("mean",), ["a", 0.0], "initial.mean[0]: not a number"),
     (("cov",), [[1.0, 2.0], [2.0, 1.0]],
-     "initial: initial covariance is not positive semidefinite"),
-], ids=["cov", "cov-rotation", "mean", "cov-psd"])
+     "initial: cov is not positive semidefinite"),
+    (("mean",), {"a": 1}, "initial.mean: expected a list"),
+    (("mean",), [[50.0, 0.0]], "initial.mean[0]: not a number"),
+    (("cov",), np.eye(3).tolist(), "initial: mean/cov dimension mismatch"),
+    (("cov",), [[1.0, 0.5], [0.0, 1.0]], "initial: cov is not symmetric"),
+], ids=["cov", "cov-rotation", "mean", "cov-psd", "mean-mapping",
+        "mean-nested", "cov-dimension", "cov-asymmetric"])
 def test_bad_initial_value_is_named_once(path, value, message):
     node = {"kind": "nahi", **kind_cases()["nahi"][0]}
     doc = with_change(document(node), ("initial", *path), value)
@@ -312,14 +330,18 @@ def test_bad_initial_value_is_named_once(path, value, message):
     assert str(exc.value) == message
 
 
-# (kind, path in the document, a non-finite matrix written there, the
-# path the error names)
+# (kind, path in the document, a non-finite value written there, the path
+# the error names)
 NON_FINITE = [
     ("nahi", ("model", "h"), [[np.inf, 1.0], [1.0, -1.0]], "model.h"),
     ("nahi", ("model", "f"), [[np.nan, 0.0], [0.0, 1.0]], "model.f"),
     ("nahi", ("model", "rv"), [[np.inf, 0.0], [0.0, 2.0]], "model.rv"),
     ("nahi", ("model", "rw"), [[1.0, 0.0], [0.0, -np.inf]], "model.rw"),
     ("nahi", ("initial", "cov"), [[np.nan, 0.0], [0.0, 1.0]], "initial.cov"),
+    ("nahi", ("initial", "mean"), [0.0, np.inf], "initial.mean[1]"),
+    ("nahi", ("model", "p"), np.nan, "model.p"),
+    ("nahi", ("model", "f"), {"rotation": {"period": np.inf}},
+     "model.f.rotation.period"),
     ("partitioned", ("model", "blocks", 0, "h"), [[np.inf, 1.0]],
      "model.blocks[0].h"),
     ("general", ("model", "measurements", 1, "matrix"),

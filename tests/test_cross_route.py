@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import assert_allclose_rel
 from lmv_oracle import batch_lmv_oracle
 from randkf import (
     InitialCondition,
@@ -25,11 +26,6 @@ from randkf import (
     build_uncertain_obs,
     filter_sequence,
 )
-
-
-def _allclose_rel(a, b, tol):
-    scale = max(1.0, np.abs(b).max())
-    np.testing.assert_allclose(a, b, rtol=0, atol=tol * scale)
 
 
 @st.composite
@@ -75,9 +71,9 @@ def test_nahi_partitioned_and_general_dropout_agree(system):
                   filter_sequence(
                       lambda k: build_uncertain_obs(general[k], k), ic, ys)):
         for a, b in zip(other, ref, strict=True):
-            _allclose_rel(a.mean, b.mean, 1e-12)
-            _allclose_rel(a.cov, b.cov, 1e-12)
-            _allclose_rel(a.second_moment, b.second_moment, 1e-12)
+            assert_allclose_rel(a.mean, b.mean, 1e-12)
+            assert_allclose_rel(a.cov, b.cov, 1e-12)
+            assert_allclose_rel(a.second_moment, b.second_moment, 1e-12)
     mean, cov = batch_lmv_oracle(lambda k: build_nahi(nahi, k), ic, ys)
-    _allclose_rel(ref[-1].mean, mean, 1e-9)
-    _allclose_rel(ref[-1].cov, cov, 1e-9)
+    assert_allclose_rel(ref[-1].mean, mean, 1e-9)
+    assert_allclose_rel(ref[-1].cov, cov, 1e-9)

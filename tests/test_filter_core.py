@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import randkf.filter_core
 from conftest import (
+    SIM1_IC,
     deterministic_model,
     edge_nahi_models,
     joseph_recursion,
@@ -26,6 +27,7 @@ from randkf import (
     quad_form,
     update,
 )
+from randkf.config import rotation_matrix
 from randkf.filter_core import (
     COND_LIMIT,
     FilterRecord,
@@ -44,11 +46,6 @@ from randkf.sim_harness import (
 )
 
 
-def rotation(period):
-    a = 2 * np.pi / period
-    return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
-
-
 def scalar_spec(mean, var):
     """1x1 random matrix spec with given mean and deviation variance."""
     from randkf.random_matrix import RandomMatrixSpec
@@ -58,8 +55,7 @@ def scalar_spec(mean, var):
 
 class TestInit:
     def test_second_moment_from_tracking_prior(self):
-        ic = InitialCondition(mean=np.array([50.0, 0.0]), cov=0.5 * np.eye(2))
-        s = init(ic)
+        s = init(SIM1_IC)
         np.testing.assert_allclose(
             s.second_moment, [[2500.5, 0.0], [0.0, 0.5]], rtol=0, atol=0)
         assert s.step == 0
@@ -95,7 +91,9 @@ def test_non_finite_prior_or_noise_rejected(name):
         "Rw": lambda: deterministic_model(np.eye(2), np.eye(2), np.eye(2),
                                           NAN_EYE),
     }[name]
-    with pytest.raises(ValueError, match=f"^{name} is not finite$"):
+    fields = {"initial mean": "mean", "initial covariance": "cov"}
+    with pytest.raises(ValueError,
+                       match=f"^{fields.get(name, name)} is not finite$"):
         make()
 
 
@@ -104,6 +102,17 @@ def test_step_model_noise_covariances_read_only():
     for a in (m.Rv, m.Rw):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 5.0
+
+
+def test_initial_condition_keeps_read_only_copies():
+    mean, cov = np.array([50.0, 0.0]), 0.5 * np.eye(2)
+    ic = InitialCondition(mean=mean, cov=cov)
+    mean[0] = cov[0, 0] = 99.0
+    np.testing.assert_array_equal(ic.mean, [50.0, 0.0])
+    np.testing.assert_array_equal(ic.cov, 0.5 * np.eye(2))
+    for a in (ic.mean, ic.cov):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
 
 
 class TestPredict:
@@ -131,8 +140,8 @@ class TestPredict:
         np.testing.assert_allclose(p.second_moment, [[4.0]])
 
     def test_rotation_preserves_scaled_identity(self):
-        m = deterministic_model(rotation(300), np.eye(2), 2.0 * np.eye(2),
-                                np.eye(2))
+        m = deterministic_model(rotation_matrix(300), np.eye(2),
+                                2.0 * np.eye(2), np.eye(2))
         s = FilterState(step=0, mean=np.zeros(2),
                         moments=np.stack([0.5 * np.eye(2)] * 2))
         p = predict(s, m)
@@ -240,7 +249,7 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     # filter_sequence's arrays against init/predict/update on new arrays;
     # the stacked models take both gain paths at every step
     runs, K = 3, 25
-    members = mixed_nahi_models(0.99 * rotation(300))
+    members = mixed_nahi_models()
     m = stack_models(members) if stacked else members[4]
     ic = rand_ic(rng, 2)
     ys = 3 * rng.standard_normal((runs, K + 1, 2))
@@ -275,8 +284,8 @@ def test_steps_in_place_equal_fresh_arrays_bit_for_bit(rng, stacked, runs,
     # the same calls on new arrays.  The edge models take the
     # pseudo-inverse gain; the mixed stack takes both gain paths, and its
     # unstacked member (Rw = I) the solve.
-    edge = edge_nahi_models(0.99 * rotation(300))
-    members = mixed_nahi_models(0.99 * rotation(300)) if mixed else edge
+    edge = edge_nahi_models()
+    members = mixed_nahi_models() if mixed else edge
     m = stack_models(members) if stacked else members[5 if mixed else 2]
     lead = (len(members),) if stacked else ()
     ys = 3 * rng.standard_normal((runs, 3, 2))
@@ -315,14 +324,14 @@ STACKED_NEEDS_RUNS = r"stacked model needs .*\(runs, K\+1, N\) measurements"
 @pytest.mark.parametrize("step", ["predict", "update"])
 def test_stacked_model_with_unstacked_mean_raises(rng, step):
     # a 1-D mean would take the model axis twice: update gave (M, M, r)
-    m = stack_models(edge_nahi_models(0.99 * rotation(300)))
+    m = stack_models(edge_nahi_models())
     s = init(rand_ic(rng, 2))
     with pytest.raises(ValueError, match=STACKED_NEEDS_RUNS):
         predict(s, m) if step == "predict" else update(s, np.ones(2), m)
 
 
 def test_filter_sequence_of_a_stack_needs_a_run_axis(rng):
-    K, members = 6, edge_nahi_models(0.99 * rotation(300))
+    K, members = 6, edge_nahi_models()
     prov = constant_provider(stack_models(members))
     ic = rand_ic(rng, 2)
     ys = 3 * rng.standard_normal((K + 1, 2))
@@ -347,7 +356,7 @@ def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
                         lambda spec, X: calls.append(spec) or real(spec, X))
     H = moments_from_dist(MatrixDist.of([(np.eye(2), 0.9),
                                          (np.zeros((2, 2)), 0.1)]))
-    m = StepModel(F=deterministic(rotation(50)), H=H, Rv=np.eye(2),
+    m = StepModel(F=deterministic(rotation_matrix(50)), H=H, Rv=np.eye(2),
                   Rw=np.eye(2))
     s0 = init(InitialCondition(mean=np.ones(2), cov=np.eye(2)))
     p = predict(s0, m)
@@ -435,7 +444,7 @@ def test_gain_over_a_mixed_stack(rng):
 
 def test_covariance_monotone_in_measurement_noise(rng):
     # PSD-larger Rw never shrinks trace(P_k) at fixed data, deterministic H
-    F = rotation(200)
+    F = rotation_matrix(200)
     H = np.array([[1.0, 0.0]])
     Rv = 0.5 * np.eye(2)
     ic = rand_ic(rng, 2)
@@ -456,7 +465,8 @@ def test_second_moment_dominates_conditional_decomposition():
     # filter; the Monte-Carlo average must not overshoot materially.
     # Fixed seed keeps the statistical check deterministic.
     rng = np.random.default_rng(5)
-    fdist = MatrixDist.of([(rotation(80), 0.4), (rotation(40), 0.6)])
+    fdist = MatrixDist.of([(rotation_matrix(80), 0.4),
+                           (rotation_matrix(40), 0.6)])
     m = StepModel(F=moments_from_dist(fdist),
                   H=deterministic(np.array([[1.0, 1.0]])),
                   Rv=0.3 * np.eye(2), Rw=np.array([[1.0]]))

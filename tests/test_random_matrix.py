@@ -4,12 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    H_SIM1,
+    assert_allclose_rel,
     dev_cov_tensor,
     enumerated_partition_dist,
     factor_tensor,
     quad_form_discrete,
     rand_dist,
     rand_psd,
+    sim2_model,
 )
 from randkf import (
     BlockDropout,
@@ -20,14 +23,6 @@ from randkf import (
     quad_form,
     sample_matrix,
 )
-
-H_SIM1 = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def rotation(period):
-    a = 2 * np.pi / period
-    return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
-
 
 class TestMatrixDist:
     def test_rejects_probs_not_summing_to_one(self):
@@ -64,13 +59,12 @@ class TestMomentsFromDist:
         M = np.array([[1.0, 2.0], [3.0, 4.0]])
         spec = moments_from_dist(MatrixDist.of([(M, 1.0)]))
         np.testing.assert_array_equal(spec.mean, M)
-        assert not spec.factors.any() and spec.is_deterministic
+        assert not spec.factors.any()
 
     def test_three_rotation_mix_golden(self):
-        # probability-weighted sum of the three planar rotations,
+        # probability-weighted sum of sim2's three planar rotations,
         # computed independently and pinned
-        dist = MatrixDist.of([(rotation(300), 0.1), (rotation(250), 0.2),
-                              (rotation(100), 0.7)])
+        dist = sim2_model().F.source
         expected = np.array(
             [[0.9985336161039347, 0.05107362474752255],
              [-0.05107362474752255, 0.9985336161039347]])
@@ -200,9 +194,7 @@ def test_tensor_and_mixture_paths_agree(seed, p, q):
     dist = rand_dist(rng, p, q)
     X = rand_psd(rng, q)
     a = quad_form(moments_from_dist(dist), X)
-    b = quad_form_discrete(dist, X)
-    scale = max(1.0, np.abs(b).max())
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-10 * scale)
+    assert_allclose_rel(a, quad_form_discrete(dist, X), 1e-10)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

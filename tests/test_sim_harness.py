@@ -6,6 +6,9 @@ import pytest
 import randkf.filter_core
 from conftest import (
     EDGE_PROBS,
+    H_SIM1,
+    SIM1_IC,
+    assert_allclose_rel,
     deterministic_model,
     edge_nahi_models,
     joseph_recursion,
@@ -13,6 +16,10 @@ from conftest import (
     rand_ic,
     rand_psd,
     rand_random_model,
+    sim1_model,
+    sim1_provider,
+    sim2_model,
+    sim2_provider,
     textbook_kf,
 )
 from lmv_oracle import batch_lmv_oracle, sample_converted_noises
@@ -24,15 +31,18 @@ from randkf import (
     PartitionedObsModel,
     RandomMatrixSpec,
     StepModel,
+    UncertainObsModel,
     build_multimodel,
     build_nahi,
     build_partitioned,
+    build_uncertain_obs,
     deterministic,
     filter_sequence,
     monte_carlo,
     run_filter_on,
     simulate_truth,
 )
+from randkf.config import rotation_matrix
 from randkf.filter_core import constant_provider, stack_models
 from randkf.random_matrix import quad_form
 from randkf.sim_harness import (
@@ -43,24 +53,6 @@ from randkf.sim_harness import (
     gamma_sweep,
     nees,
 )
-
-
-def rotation(period):
-    a = 2 * np.pi / period
-    return np.array([[np.cos(a), np.sin(a)], [-np.sin(a), np.cos(a)]])
-
-
-def sim1_model(gamma=0.95):
-    return build_nahi(NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                                p=gamma, F=rotation(300), Rv=2 * np.eye(2),
-                                Rw=np.eye(2)), 0)
-
-
-def sim1_provider(gamma=0.95):
-    return constant_provider(sim1_model(gamma))
-
-
-SIM1_IC = InitialCondition(mean=np.array([50.0, 0.0]), cov=0.5 * np.eye(2))
 
 
 class TestSimulateTruth:
@@ -90,9 +82,8 @@ class TestSimulateTruth:
                 simulate_truth(prov, ic, 12, seed=0)
 
     def test_noise_free_rotation_preserves_radius(self):
-        m = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]), p=1.0,
-                      F=rotation(300), Rv=np.zeros((2, 2)),
-                      Rw=np.zeros((2, 2)))
+        m = NahiModel(h=H_SIM1, p=1.0, F=rotation_matrix(300),
+                      Rv=np.zeros((2, 2)), Rw=np.zeros((2, 2)))
         ic = InitialCondition(mean=np.array([50.0, 0.0]),
                               cov=np.zeros((2, 2)))
         traj = simulate_truth(lambda k: build_nahi(m, k), ic, 300, seed=3)
@@ -108,18 +99,11 @@ class TestSimulateTruth:
         np.testing.assert_array_equal(a.measurements, b.measurements)
 
     def test_seed_list_equals_stacked_single_seeds(self):
-        m2 = MultiModelDynamics(
-            transition_dist=MatrixDist.of([(rotation(300), 0.1),
-                                           (rotation(250), 0.2),
-                                           (rotation(100), 0.7)]),
-            H=np.array([[1.0, 1.0], [1.0, -1.0]]), Rv=2 * np.eye(2),
-            Rw=np.eye(2))
         # time-varying arrival probability: a model of its own each step
-        m3 = NahiModel(h=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                       p=lambda k: 0.5 + 0.1 * (k % 4), F=rotation(300),
-                       Rv=2 * np.eye(2), Rw=np.eye(2))
+        m3 = NahiModel(h=H_SIM1, p=lambda k: 0.5 + 0.1 * (k % 4),
+                       F=rotation_matrix(300), Rv=2 * np.eye(2), Rw=np.eye(2))
         seeds = derive_run_seeds(13, 5)
-        for prov in (sim1_provider(), lambda k: build_multimodel(m2, k),
+        for prov in (sim1_provider(), lambda k: sim2_model(),
                      lambda k: build_nahi(m3, k)):
             batched = simulate_truth(prov, SIM1_IC, 40, seeds)
             for i, s in enumerate(seeds):
@@ -169,17 +153,17 @@ class TestSimulateTruth:
     def test_fresh_equal_model_each_step_draws_as_one_model(self, kind):
         # draws depend on the step only, not on which steps share a model
         # object: a new, equal model every step samples the same bits
-        h = np.array([[1.0, 1.0], [1.0, -1.0]])
         build, m = {
-            "nahi": (build_nahi, NahiModel(h=h, p=0.7, F=rotation(300),
-                                           Rv=2 * np.eye(2), Rw=np.eye(2))),
+            "nahi": (build_nahi, NahiModel(
+                h=H_SIM1, p=0.7, F=rotation_matrix(300), Rv=2 * np.eye(2),
+                Rw=np.eye(2))),
             "partitioned": (build_partitioned, PartitionedObsModel(
-                blocks=((h[:1], 0.3), (h[1:], 0.8)), F=0.9 * np.eye(2),
-                Rv=np.eye(2), Rw=np.eye(2))),
+                blocks=((H_SIM1[:1], 0.3), (H_SIM1[1:], 0.8)),
+                F=0.9 * np.eye(2), Rv=np.eye(2), Rw=np.eye(2))),
             "multimodel": (build_multimodel, MultiModelDynamics(
-                transition_dist=MatrixDist.of([(rotation(300), 0.1),
-                                               (rotation(100), 0.9)]),
-                H=h, Rv=2 * np.eye(2), Rw=np.eye(2))),
+                transition_dist=MatrixDist.of([(rotation_matrix(300), 0.1),
+                                               (rotation_matrix(100), 0.9)]),
+                H=H_SIM1, Rv=2 * np.eye(2), Rw=np.eye(2))),
         }[kind]
         seeds = derive_run_seeds(21, 6)
         shared = simulate_truth(constant_provider(build(m, 0)), SIM1_IC, 30,
@@ -195,7 +179,7 @@ class TestSimulateTruth:
         # bit for bit as a factorization of that covariance alone.  With
         # deterministic F and H a run draws no uniforms, then the normals
         # of x_0, w_0..w_K and v_0..v_{K-1}.
-        F, H = rotation(300), np.array([[1.0, 1.0], [1.0, -1.0]])
+        F, H = rotation_matrix(300), H_SIM1
         models = [deterministic_model(F, H, 2 * np.eye(2), np.eye(2)),
                   deterministic_model(F, H, rand_psd(rng, 2),
                                       rand_psd(rng, 2, floor=0.1))]
@@ -308,9 +292,51 @@ class TestMonteCarlo:
         assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
+def test_sampled_errors_have_the_filter_covariance():
+    # P_k is the unconditional error covariance E[e_k e_k^T] of the LMV
+    # filter, whatever the distribution: over 5,000 sampled runs, the mean
+    # of e e^T lies within 5 standard errors of P_k at every step and
+    # entry, for a sampler of each kind; truth drawn without H's
+    # randomness, filtered as random, must fail that bound
+    F, Rv = 0.95 * rotation_matrix(20), 0.3 * np.eye(2)
+    h3 = np.array([[1.0, 0.5], [0.0, 1.0], [1.0, -1.0]])
+    models = {
+        "nahi": build_nahi(NahiModel(h=H_SIM1, p=0.6, F=F, Rv=Rv,
+                                     Rw=np.eye(2)), 0),
+        "partitioned": build_partitioned(PartitionedObsModel(
+            blocks=((h3[:1], 0.3), (h3[1:2], 0.6), (h3[2:], 0.9)), F=F,
+            Rv=Rv, Rw=np.eye(3)), 0),
+        "general": build_uncertain_obs(UncertainObsModel(
+            measurement_dist=MatrixDist.of([(H_SIM1, 0.5), (np.eye(2), 0.3),
+                                            (np.zeros((2, 2)), 0.2)]),
+            F=F, Rv=Rv, Rw=np.eye(2)), 0),
+        "multimodel": build_multimodel(MultiModelDynamics(
+            transition_dist=MatrixDist.of([(F, 0.5), (0.5 * np.eye(2), 0.3),
+                                           (rotation_matrix(5), 0.2)]),
+            H=H_SIM1, Rv=Rv, Rw=np.eye(2)), 0),
+    }
+    ic = InitialCondition(mean=[2.0, -1.0], cov=0.5 * np.eye(2))
+    seeds = derive_run_seeds(1717, 5000)
+
+    def largest_z(truth, filtered):
+        traj = simulate_truth(constant_provider(truth), ic, 10, seeds)
+        rec, _, _ = run_filter_on(traj, constant_provider(filtered), ic)
+        e = rec.mean - traj.states
+        ee = e[..., :, None] * e[..., None, :]
+        se = ee.std(axis=0, ddof=1) / np.sqrt(len(seeds))
+        return np.abs((ee.mean(axis=0) - rec.cov) / se).max()
+
+    for kind, m in models.items():
+        z = largest_z(m, m)
+        assert z < 5, f"{kind}: |z| = {z:.1f} over 5 standard errors"
+    m = models["partitioned"]
+    fixed_h = StepModel(F=m.F, H=deterministic(m.H.mean), Rv=m.Rv, Rw=m.Rw)
+    assert largest_z(fixed_h, m) > 5
+
+
 class TestBatchOracle:
     def test_deterministic_matches_textbook(self, rng):
-        F, H = rotation(40), rng.standard_normal((2, 2))
+        F, H = rotation_matrix(40), rng.standard_normal((2, 2))
         Rv, Rw = 0.3 * np.eye(2), np.eye(2)
         ic = rand_ic(rng, 2)
         ys = [rng.standard_normal(2) for _ in range(3)]
@@ -336,21 +362,12 @@ class TestBatchOracle:
         np.testing.assert_allclose(rec.cov, cov, rtol=1e-9)
 
     def test_three_model_bank_matches_recursion(self, rng):
-        dist = MatrixDist.of([(rotation(300), 0.1), (rotation(250), 0.2),
-                              (rotation(100), 0.7)])
-        from randkf import MultiModelDynamics, build_multimodel
-        mm = MultiModelDynamics(transition_dist=dist,
-                                H=np.array([[1.0, 1.0], [1.0, -1.0]]),
-                                Rv=2 * np.eye(2), Rw=np.eye(2))
-        prov = lambda k: build_multimodel(mm, k)
+        prov = sim2_provider()
         ys = [rng.standard_normal(2) * 30 for _ in range(4)]
         mean, cov = batch_lmv_oracle(prov, SIM1_IC, ys)
         rec = filter_sequence(prov, SIM1_IC, ys)[-1]
-        scale = max(1.0, np.abs(mean).max())
-        np.testing.assert_allclose(rec.mean, mean, rtol=0,
-                                   atol=1e-9 * scale)
-        np.testing.assert_allclose(rec.cov, cov, rtol=0,
-                                   atol=1e-9 * max(1.0, np.abs(cov).max()))
+        assert_allclose_rel(rec.mean, mean, 1e-9)
+        assert_allclose_rel(rec.cov, cov, 1e-9)
 
     def test_rejects_long_horizon(self, rng):
         prov = constant_provider(rand_random_model(rng, 2, 2))
@@ -389,9 +406,6 @@ class TestGammaSweep:
             assert g == gamma and t == float(np.trace(own[-1].cov))
 
 
-EDGE_F = 0.99 * rotation(300)
-
-
 def ill_conditioned(S):
     w = np.linalg.eigvalsh(S)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -408,7 +422,7 @@ def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
     monkeypatch.setattr(randkf.filter_core, "_gain",
                         lambda HP, S, Rw_min: gains.append((S, Rw_min))
                         or real(HP, S, Rw_min))
-    K, members = 2000, mixed_nahi_models(EDGE_F)
+    K, members = 2000, mixed_nahi_models()
     stacked = stack_models(members)
     states = covariance_recursion(lambda k: stacked, SIM1_IC, K)
     assert len(gains) == K + 1
@@ -434,7 +448,7 @@ def test_gain_skips_eigvalsh_where_rw_certifies_the_solve(monkeypatch):
     # step for the stack with a singular Rw
     calls = {"eigvalsh": [], "eigh": []}
     sim1 = [sim1_model(g) for g in (0.5, 0.7, 0.9, 0.95, 1.0)]
-    edge_stack = stack_models(edge_nahi_models(EDGE_F))
+    edge_stack = stack_models(edge_nahi_models())
     sim1_stack = stack_models(sim1)
     for name, seen in calls.items():
         real = getattr(np.linalg, name)
@@ -450,7 +464,7 @@ def test_gain_skips_eigvalsh_where_rw_certifies_the_solve(monkeypatch):
 
 def test_stacked_prior_carries_the_model_axis():
     M = len(EDGE_PROBS)
-    stacked = stack_models(edge_nahi_models(EDGE_F))
+    stacked = stack_models(edge_nahi_models())
     states = covariance_recursion(lambda k: stacked, SIM1_IC, 3)
     for s in states:
         assert s.cov.shape == s.second_moment.shape == (M, 2, 2)
@@ -459,7 +473,7 @@ def test_stacked_prior_carries_the_model_axis():
 @pytest.mark.parametrize("stacked", [False, True])
 def test_covariance_recursion_record_shapes(stacked):
     # no runs: an empty mean array, and P and X of every step
-    members = edge_nahi_models(EDGE_F)
+    members = edge_nahi_models()
     m = stack_models(members) if stacked else members[0]
     lead = (len(members),) if stacked else ()
     rec = covariance_recursion(lambda k: m, SIM1_IC, 7)
@@ -471,7 +485,7 @@ def test_covariance_recursion_record_shapes(stacked):
 def test_long_horizon_covariances_stay_symmetric_psd():
     """P, X and S over 10^4 stacked steps, p at and next to 0 and 1."""
     K, M = 10_000, len(EDGE_PROBS)
-    st = stack_models(edge_nahi_models(EDGE_F))
+    st = stack_models(edge_nahi_models())
     plain = covariance_recursion(lambda k: st, SIM1_IC, K)
     P = np.array([s.cov for s in plain])
     X = np.array([s.second_moment for s in plain])

@@ -52,13 +52,14 @@ def _read_measurements(path: Path, N: int) -> np.ndarray:
             if len(row) != N:
                 raise ConfigError(f"{path}: line {reader.line_num} has "
                                   f"{len(row)} cells, expected {N}")
-            rows.append(row)
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: line {reader.line_num} has a "
+                                  f"non-numeric cell ({exc})") from None
     if not rows:
         raise ConfigError(f"{path}: no measurement rows")
-    try:
-        return np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric measurement ({exc})") from exc
+    return np.array(rows)
 
 
 def _estimates_rows(rec) -> np.ndarray:

@@ -74,21 +74,16 @@ def _matrix(node: Any, where: str) -> np.ndarray:
         if period == 0:
             raise ConfigError(f"{where}.rotation.period: must be nonzero")
         return rotation_matrix(period)
-    try:
-        m = np.array(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not a numeric matrix ({exc})") from exc
-    if m.ndim != 2:
+    if not (isinstance(node, list) and node and all(
+            isinstance(r, list) and len(r) == len(node[0]) for r in node)):
         raise ConfigError(f"{where}: expected a matrix (list of rows)")
-    if not np.isfinite(m).all():
-        raise ConfigError(f"{where}: not finite")
-    return m
+    return np.array(_list(node, where, _list))
 
 
 def _number(node: Any, where: str, kind: type = float,
             low: float = -math.inf):
-    """node as a finite float, or an int (neither a boolean nor a
-    fraction), >= low; else a ConfigError naming where."""
+    """node (a number, or a string: YAML 1.1 reads 1e-3 as one) as a finite
+    float, or an int neither boolean nor fraction, >= low; else ConfigError."""
     try:
         value = kind(node)
         fraction = kind is int and isinstance(node, float) and value != node

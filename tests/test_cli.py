@@ -107,25 +107,15 @@ class TestParseConfig:
         assert not m.H.factors.any()
         assert_restated(cfg, sim2_model())
 
-    def test_probability_out_of_range_names_field(self):
-        bad = MINIMAL.replace("p: 0.9", "p: 1.2")
-        with pytest.raises(ConfigError, match="model.p"):
-            parse_config(bad)
-
-    def test_unknown_field_rejected(self):
-        bad = MINIMAL + "\nextra_knob: 1\n"
-        with pytest.raises(ConfigError, match="extra_knob"):
-            parse_config(bad)
-
-    def test_dimension_mismatch_rejected(self):
-        bad = MINIMAL.replace("mean: [0, 0]", "mean: [0, 0, 0]")
-        with pytest.raises(ConfigError, match="dimension"):
-            parse_config(bad)
-
-    def test_missing_field_rejected(self):
-        bad = MINIMAL.replace("horizon: 5", "")
-        with pytest.raises(ConfigError, match="horizon"):
-            parse_config(bad)
+    def test_strings_float_reads_are_numbers(self):
+        # YAML 1.1 reads 1e-3 and 1.0e3 as strings, not floats
+        text = MINIMAL.replace("p: 0.9", "p: 1e-3").replace(
+            "rw: [[1, 0], [0, 1]]", "rw: [[1e-3, 0], [0, 1.0e3]]")
+        assert yaml.safe_load(text)["model"]["p"] == "1e-3"
+        model = parse_config(text).model
+        assert model.p == 0.001
+        np.testing.assert_array_equal(model.Rw, [[0.001, 0], [0, 1000.0]],
+                                      strict=True)
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
@@ -136,41 +126,6 @@ def test_c_and_python_yaml_loaders_agree(path):
     text = path.read_text()
     assert (yaml.load(text, Loader=yaml.CSafeLoader)
             == yaml.load(text, Loader=yaml.SafeLoader))
-
-
-# id: (config text replaced, its replacement, field named, extra CLI args)
-BAD_VALUES = {
-    "horizon": ("horizon: 5", "horizon: abc", "horizon", []),
-    "runs": ("horizon: 5", "horizon: 5\nruns: [1]", "runs", []),
-    "seed": ("seed: 3", "seed: 1.5e3x", "seed", []),
-    "gammas": ("horizon: 5", "horizon: 5\ngammas: 0.5", "gammas", []),
-    "model.f.rotation.period": ("f: [[1, 0], [0, 1]]",
-                                "f: {rotation: {period: xyz}}",
-                                "model.f.rotation.period", []),
-    "horizon-fraction": ("horizon: 5", "horizon: 20.7", "horizon", []),
-    "horizon-boolean": ("horizon: 5", "horizon: true", "horizon", []),
-    "runs-fraction": ("horizon: 5", "horizon: 5\nruns: 1.9", "runs", []),
-    "seed-fraction": ("seed: 3", "seed: 2.5", "seed", []),
-    "seed-negative": ("seed: 3", "seed: -3", "seed", []),
-    "seed-override-negative": ("seed: 3", "seed: 3", "--seed",
-                               ["--seed", "-3"]),
-    "measurements": ("horizon: 5", "horizon: 5\nmeasurements: 5",
-                     "measurements", []),
-}
-
-
-@pytest.mark.parametrize("old, new, field, args", BAD_VALUES.values(),
-                         ids=list(BAD_VALUES))
-def test_bad_value_fails_cleanly_naming_its_field(tmp_path, capsys, old, new,
-                                                  field, args):
-    cfg_file = tmp_path / "cfg.yaml"
-    cfg_file.write_text(MINIMAL.replace(old, new))
-    code = main(["simulate", "--config", str(cfg_file),
-                 "--out", str(tmp_path / "out"), *args])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.startswith(f"error: {field}: ")
-    assert "Traceback" not in err
 
 
 def test_malformed_document_rejected():
@@ -221,14 +176,11 @@ def document(model_node: dict) -> dict:
             "initial": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}}
 
 
-def config_text(model_node: dict) -> str:
-    return yaml.safe_dump(document(model_node))
-
-
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_every_model_kind_parses_to_its_adapter_bit_for_bit(kind):
     node, build, model = kind_cases()[kind]
-    got = parse_config(config_text({"kind": kind, **node})).step_model
+    doc = document({"kind": kind, **node})
+    got = parse_config(yaml.safe_dump(doc)).step_model
     ref = build(model, 0)
     for a, b in ((got.F.mean, ref.F.mean), (got.F.factors, ref.F.factors),
                  (got.H.mean, ref.H.mean), (got.H.factors, ref.H.factors),
@@ -237,128 +189,163 @@ def test_every_model_kind_parses_to_its_adapter_bit_for_bit(kind):
 
 
 DELETE = object()
-# (kind, path to the changed value in its model node, the value written
-# there or DELETE, the whole error message)
-BAD_NESTED = [
-    ("general", ("measurements", 1, "prob"), 1.5,
-     "model.measurements[1].prob: probability 1.5 outside [0, 1]"),
-    ("general", ("measurements", 0, "matrix"), [1, 2],
-     "model.measurements[0].matrix: expected a matrix (list of rows)"),
-    ("general", ("measurements",), [],
-     "model.measurements: expected a non-empty list"),
-    ("general", ("measurements", 0, "prob"), 0.5,
-     "model.measurements: probabilities sum to 0.9, not 1"),
-    ("nahi", ("p",), "high", "model.p: not a number"),
-    ("nahi", ("per_model_noise",), [RW2],
-     "model: unknown field 'per_model_noise'"),
-    ("partitioned", ("blocks", 0, "h"), [1, 2],
-     "model.blocks[0].h: expected a matrix (list of rows)"),
-    ("partitioned", ("blocks", 1, "p"), True, "model.blocks[1].p: not a number"),
-    ("partitioned", ("blocks", 1, "q"), 0.5,
-     "model.blocks[1]: unknown field 'q'"),
-    ("partitioned", ("rw",), DELETE, "model: missing field 'rw'"),
-    ("multimodel", ("transitions", 0, "matrix"), {"rotation": {"period": 0}},
-     "model.transitions[0].matrix.rotation.period: must be nonzero"),
-    ("multimodel", ("transitions", 1, "prob"), DELETE,
-     "model.transitions[1]: missing field 'prob'"),
-    ("multimodel", ("transitions",), {"matrix": H2},
-     "model.transitions: expected a non-empty list"),
-    ("multimodel", ("h",), "x", "model.h: not a numeric matrix "
-     "(could not convert string to float: 'x')"),
-    ("multimodel", ("kind",), "dropout", "model.kind: 'dropout' not one of "
-     "('general', 'nahi', 'partitioned', 'multimodel')"),
-    ("multimodel", ("kind",), [1], "model.kind: '[1]' not one of "
-     "('general', 'nahi', 'partitioned', 'multimodel')"),
-]
+# Every config error, grouped by what it names; each group is one test made
+# by config_error_test: {id: (model kind, path in the document, the value
+# written there or DELETE, extra CLI arguments, the whole message)}
+CONFIG_ERRORS = {
+    "test_bad_value_fails_cleanly_naming_its_field": {
+        "horizon": ("nahi", "horizon", "abc", [], "horizon: not an integer"),
+        "runs": ("nahi", "runs", [1], [], "runs: not an integer"),
+        "seed": ("nahi", "seed", "1.5e3x", [], "seed: not an integer"),
+        "gammas": ("nahi", "gammas", 0.5, [], "gammas: expected a list"),
+        "model.f.rotation.period": (
+            "nahi", "model.f.rotation.period", "xyz", [],
+            "model.f.rotation.period: not a number"),
+        "horizon-fraction": ("nahi", "horizon", 20.7, [],
+                             "horizon: not an integer"),
+        "horizon-boolean": ("nahi", "horizon", True, [],
+                            "horizon: not an integer"),
+        "runs-fraction": ("nahi", "runs", 1.9, [], "runs: not an integer"),
+        "seed-fraction": ("nahi", "seed", 2.5, [], "seed: not an integer"),
+        "seed-negative": ("nahi", "seed", -3, [], "seed: must be >= 0"),
+        "seed-override-negative": ("nahi", "seed", 3, ["--seed", "-3"],
+                                   "--seed: must be >= 0"),
+        "measurements": ("nahi", "measurements", 5, [],
+                         "measurements: expected a file path"),
+        "probability": ("nahi", "model.p", 1.2, [],
+                        "model.p: probability 1.2 outside [0, 1]"),
+        "unknown-field": ("nahi", "extra_knob", 1, [],
+                          "config: unknown field 'extra_knob'"),
+        "dimension": ("nahi", "initial.mean", [0, 0, 0], [],
+                      "initial: mean/cov dimension mismatch"),
+        "missing-field": ("nahi", "horizon", DELETE, [],
+                          "config: missing field 'horizon'"),
+    },
+    "test_bad_model_value_names_its_path": {row[-1]: row for row in [
+        ("general", "model.measurements[1].prob", 1.5, [],
+         "model.measurements[1].prob: probability 1.5 outside [0, 1]"),
+        ("general", "model.measurements[0].matrix", [1, 2], [],
+         "model.measurements[0].matrix: expected a matrix (list of rows)"),
+        ("general", "model.measurements", [], [],
+         "model.measurements: expected a non-empty list"),
+        ("general", "model.measurements[0].prob", 0.5, [],
+         "model.measurements: probabilities sum to 0.9, not 1"),
+        ("nahi", "model.p", "high", [], "model.p: not a number"),
+        ("nahi", "model.per_model_noise", [RW2], [],
+         "model: unknown field 'per_model_noise'"),
+        ("partitioned", "model.blocks[0].h", [1, 2], [],
+         "model.blocks[0].h: expected a matrix (list of rows)"),
+        ("partitioned", "model.blocks[1].p", True, [],
+         "model.blocks[1].p: not a number"),
+        ("partitioned", "model.blocks[1].q", 0.5, [],
+         "model.blocks[1]: unknown field 'q'"),
+        ("partitioned", "model.rw", DELETE, [], "model: missing field 'rw'"),
+        ("multimodel", "model.transitions[0].matrix.rotation.period", 0, [],
+         "model.transitions[0].matrix.rotation.period: must be nonzero"),
+        ("multimodel", "model.transitions[1].prob", DELETE, [],
+         "model.transitions[1]: missing field 'prob'"),
+        ("multimodel", "model.transitions", {"matrix": H2}, [],
+         "model.transitions: expected a non-empty list"),
+        ("multimodel", "model.h", "x", [],
+         "model.h: expected a matrix (list of rows)"),
+        ("multimodel", "model.kind", "dropout", [], "model.kind: 'dropout' "
+         "not one of ('general', 'nahi', 'partitioned', 'multimodel')"),
+        ("multimodel", "model.kind", [1], [], "model.kind: '[1]' not one of "
+         "('general', 'nahi', 'partitioned', 'multimodel')"),
+        ("nahi", "model.h", [[True, 1], [1, -1]], [],
+         "model.h[0][0]: not a number"),
+        ("nahi", "model.rv", [[2, None], [0, 2]], [],
+         "model.rv[0][1]: not a number"),
+        ("nahi", "model.rw", [[1, 0], [0]], [],
+         "model.rw: expected a matrix (list of rows)"),
+    ]},
+    # it requires rw, has no per-model noises, and names a bad matrix once
+    "test_general_model_parses_like_every_kind": {
+        "rw": ("general", "model.rw", DELETE, [], "model: missing field 'rw'"),
+        "per_model_noise": ("general", "model.per_model_noise", [RW2, RW2],
+                            [], "model: unknown field 'per_model_noise'"),
+        "f": ("general", "model.f", [1, 2], [],
+              "model.f: expected a matrix (list of rows)"),
+        "rv": ("general", "model.rv", "x", [],
+               "model.rv: expected a matrix (list of rows)"),
+    },
+    "test_bad_initial_value_is_named_once": {
+        "cov": ("nahi", "initial.cov", "abc", [],
+                "initial.cov: expected a matrix (list of rows)"),
+        "cov-rotation": ("nahi", "initial.cov", {"rotation": {"period": "x"}},
+                         [], "initial.cov.rotation.period: not a number"),
+        "mean": ("nahi", "initial.mean", ["a", 0.0], [],
+                 "initial.mean[0]: not a number"),
+        "cov-psd": ("nahi", "initial.cov", [[1, 2], [2, 1]], [],
+                    "initial: cov is not positive semidefinite"),
+        "mean-mapping": ("nahi", "initial.mean", {"a": 1}, [],
+                         "initial.mean: expected a list"),
+        "mean-nested": ("nahi", "initial.mean", [[50.0, 0.0]], [],
+                        "initial.mean[0]: not a number"),
+        "cov-dimension": ("nahi", "initial.cov", np.eye(3).tolist(), [],
+                          "initial: mean/cov dimension mismatch"),
+        "cov-asymmetric": ("nahi", "initial.cov", [[1, 0.5], [0, 1]], [],
+                           "initial: cov is not symmetric"),
+    },
+    "test_non_finite_matrix_names_its_path": {row[1]: row for row in [
+        ("nahi", "model.h", [[np.inf, 1], [1, -1]], [],
+         "model.h[0][0]: not finite"),
+        ("nahi", "model.f", [[np.nan, 0], [0, 1]], [],
+         "model.f[0][0]: not finite"),
+        ("nahi", "model.rv", [[np.inf, 0], [0, 2]], [],
+         "model.rv[0][0]: not finite"),
+        ("nahi", "model.rw", [[1, 0], [0, -np.inf]], [],
+         "model.rw[1][1]: not finite"),
+        ("nahi", "initial.cov", [[np.nan, 0], [0, 1]], [],
+         "initial.cov[0][0]: not finite"),
+        ("nahi", "initial.mean[1]", np.inf, [], "initial.mean[1]: not finite"),
+        ("nahi", "model.p", np.nan, [], "model.p: not finite"),
+        ("nahi", "model.f.rotation.period", np.inf, [],
+         "model.f.rotation.period: not finite"),
+        ("partitioned", "model.blocks[0].h", [[np.inf, 1]], [],
+         "model.blocks[0].h[0][0]: not finite"),
+        ("general", "model.measurements[1].matrix", [[0, 0], [np.nan, 0]], [],
+         "model.measurements[1].matrix[1][0]: not finite"),
+        ("multimodel", "model.transitions[0].matrix", [[1, np.inf], [0, 1]],
+         [], "model.transitions[0].matrix[0][1]: not finite"),
+    ]},
+}
 
 
-def with_change(node, path, value):
-    node = copy.deepcopy(node)
-    at = node
-    for key in path[:-1]:
+def with_change(doc, path, value):
+    """doc with the value at path (`model.blocks[0].h`) set, or deleted."""
+    *keys, last = [int(k) if k.isdigit() else k for k in
+                   path.replace("[", ".").replace("]", "").split(".")]
+    doc = copy.deepcopy(doc)
+    at = doc
+    for key in keys:
         at = at[key]
     if value is DELETE:
-        del at[path[-1]]
+        del at[last]
     else:
-        at[path[-1]] = value
-    return node
+        at[last] = value
+    return doc
 
 
-@pytest.mark.parametrize("kind, path, value, message", BAD_NESTED,
-                         ids=[m for *_, m in BAD_NESTED])
-def test_bad_model_value_names_its_path(kind, path, value, message):
-    node = with_change({"kind": kind, **kind_cases()[kind][0]}, path, value)
-    with pytest.raises(ConfigError) as exc:
-        parse_config(config_text(node))
-    assert str(exc.value) == message
+def config_error_test(cases):
+    """A test that runs `simulate` on each case's config: it must exit 1,
+    print only the case's message and make no output directory."""
+    @pytest.mark.parametrize("kind, path, value, args, message",
+                             cases.values(), ids=list(cases))
+    def test(tmp_path, capsys, kind, path, value, args, message):
+        node = {"kind": kind, **kind_cases()[kind][0]}
+        cfg_file, out = tmp_path / "cfg.yaml", tmp_path / "out"
+        cfg_file.write_text(yaml.safe_dump(
+            with_change(document(node), path, value)))
+        assert main(["simulate", "--config", str(cfg_file),
+                     "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    return test
 
 
-def test_general_model_parses_like_every_kind():
-    # it requires rw, has no per-model noises, and names a bad matrix once
-    node = {"kind": "general", **kind_cases()["general"][0]}
-    for path, value, message in (
-            (("rw",), DELETE, "model: missing field 'rw'"),
-            (("per_model_noise",), [RW2, RW2],
-             "model: unknown field 'per_model_noise'"),
-            (("f",), [1, 2], "model.f: expected a matrix (list of rows)"),
-            (("rv",), "x", "model.rv: not a numeric matrix "
-             "(could not convert string to float: 'x')")):
-        with pytest.raises(ConfigError) as exc:
-            parse_config(config_text(with_change(node, path, value)))
-        assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("path, value, message", [
-    (("cov",), "abc", "initial.cov: not a numeric matrix "
-     "(could not convert string to float: 'abc')"),
-    (("cov",), {"rotation": {"period": "x"}},
-     "initial.cov.rotation.period: not a number"),
-    (("mean",), ["a", 0.0], "initial.mean[0]: not a number"),
-    (("cov",), [[1.0, 2.0], [2.0, 1.0]],
-     "initial: cov is not positive semidefinite"),
-    (("mean",), {"a": 1}, "initial.mean: expected a list"),
-    (("mean",), [[50.0, 0.0]], "initial.mean[0]: not a number"),
-    (("cov",), np.eye(3).tolist(), "initial: mean/cov dimension mismatch"),
-    (("cov",), [[1.0, 0.5], [0.0, 1.0]], "initial: cov is not symmetric"),
-], ids=["cov", "cov-rotation", "mean", "cov-psd", "mean-mapping",
-        "mean-nested", "cov-dimension", "cov-asymmetric"])
-def test_bad_initial_value_is_named_once(path, value, message):
-    node = {"kind": "nahi", **kind_cases()["nahi"][0]}
-    doc = with_change(document(node), ("initial", *path), value)
-    with pytest.raises(ConfigError) as exc:
-        parse_config(yaml.safe_dump(doc))
-    assert str(exc.value) == message
-
-
-# (kind, path in the document, a non-finite value written there, the path
-# the error names)
-NON_FINITE = [
-    ("nahi", ("model", "h"), [[np.inf, 1.0], [1.0, -1.0]], "model.h"),
-    ("nahi", ("model", "f"), [[np.nan, 0.0], [0.0, 1.0]], "model.f"),
-    ("nahi", ("model", "rv"), [[np.inf, 0.0], [0.0, 2.0]], "model.rv"),
-    ("nahi", ("model", "rw"), [[1.0, 0.0], [0.0, -np.inf]], "model.rw"),
-    ("nahi", ("initial", "cov"), [[np.nan, 0.0], [0.0, 1.0]], "initial.cov"),
-    ("nahi", ("initial", "mean"), [0.0, np.inf], "initial.mean[1]"),
-    ("nahi", ("model", "p"), np.nan, "model.p"),
-    ("nahi", ("model", "f"), {"rotation": {"period": np.inf}},
-     "model.f.rotation.period"),
-    ("partitioned", ("model", "blocks", 0, "h"), [[np.inf, 1.0]],
-     "model.blocks[0].h"),
-    ("general", ("model", "measurements", 1, "matrix"),
-     [[0.0, 0.0], [np.nan, 0.0]], "model.measurements[1].matrix"),
-    ("multimodel", ("model", "transitions", 0, "matrix"),
-     [[1.0, np.inf], [0.0, 1.0]], "model.transitions[0].matrix"),
-]
-
-
-@pytest.mark.parametrize("kind, path, value, where", NON_FINITE,
-                         ids=[where for *_, where in NON_FINITE])
-def test_non_finite_matrix_names_its_path(kind, path, value, where):
-    node = {"kind": kind, **kind_cases()[kind][0]}
-    doc = with_change(document(node), path, value)
-    with pytest.raises(ConfigError) as exc:
-        parse_config(yaml.safe_dump(doc))
-    assert str(exc.value) == f"{where}: not finite"
+for _name, _cases in CONFIG_ERRORS.items():
+    globals()[_name] = config_error_test(_cases)
 
 
 class TestRunModes:
@@ -397,10 +384,13 @@ class TestRunModes:
         assert code != 0
         assert "header" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row, cells", [("0.5", 1), ("0.5,1,2", 3)],
-                             ids=["short", "long"])
+    @pytest.mark.parametrize("row, problem", [
+        ("0.5", "1 cells, expected 2"), ("0.5,1,2", "3 cells, expected 2"),
+        ("3,abc", "a non-numeric cell "
+         "(could not convert string to float: 'abc')"),
+    ], ids=["short", "long", "non-numeric"])
     def test_filter_ragged_row_fails_naming_line(self, tmp_path, capsys,
-                                                 row, cells):
+                                                 row, problem):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"y1,y2\n1.0,2.0\n\n{row}\n1.5,0.5\n")
         code = main(["filter", "--config", str(SIM1),
@@ -408,7 +398,7 @@ class TestRunModes:
                      "--measurements", str(bad)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {bad}: line 4 has {cells} cells, expected 2\n")
+            f"error: {bad}: line 4 has {problem}\n")
 
     def test_filter_non_finite_measurement_fails_with_step(self, tmp_path,
                                                           capsys):
@@ -502,7 +492,7 @@ class TestRunModes:
         ("filter", SIM1, ("", ""), [],
          "filter mode needs a 'measurements' CSV path"),
         ("filter", SIM1, ("", ""), ["--measurements", "{csv}"],
-         "{csv}: non-numeric measurement "
+         "{csv}: line 2 has a non-numeric cell "
          "(could not convert string to float: 'abc')"),
         ("sweep", SIM2, ("", ""), [],
          "sweep mode needs a non-empty 'gammas' list"),

@@ -189,9 +189,9 @@ def test_every_model_kind_parses_to_its_adapter_bit_for_bit(kind):
 
 
 DELETE = object()
-# Every config error, grouped by what it names; each group is one test made
-# by config_error_test: {id: (model kind, path in the document, the value
-# written there or DELETE, extra CLI arguments, the whole message)}
+# Every config error in one table, {test name: {id: (model kind, path in
+# the document, the value written there or DELETE, extra CLI arguments,
+# the whole message)}}; config_error_test runs each test name's cases.
 CONFIG_ERRORS = {
     "test_bad_value_fails_cleanly_naming_its_field": {
         "horizon": ("nahi", "horizon", "abc", [], "horizon: not an integer"),

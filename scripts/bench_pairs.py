@@ -59,7 +59,8 @@ def export(rev: str, dest: Path) -> str:
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
               trace: int) -> dict:
-    """One perfbench run of `tree`: its JSON result, plus when it ran."""
+    """One perfbench run of `tree`: its JSON result, plus when it ran.
+    Raises unless the run exited 0 with every operation correct."""
     started = time.time()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -71,6 +72,12 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
         raise RuntimeError(f"{tree.name} {workload}: exit {proc.returncode}"
                            f"\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
+    if not result["correct"] or result["failed"]:
+        # perfbench exits 0 after failed operations
+        raise RuntimeError("\n".join(
+            [f"{tree.name} {workload}: failed "
+             f"{result['failed']}/{result['attempted']}"]
+            + [line for line in lines if line.startswith("FAILED ")]))
     result["started"] = started
     return result
 

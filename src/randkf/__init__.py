@@ -15,10 +15,7 @@ from .filter_core import (
     StepModel,
     constant_provider,
     filter_sequence,
-    init,
-    predict,
     stack_models,
-    update,
 )
 from .adapters import (
     MultiModelDynamics,

@@ -10,6 +10,8 @@ where X_k = E(x_k x_k^T) takes the same time update as P_k; the two are
 stacked as one ``moments`` array, and ``filter_sequence`` records every
 step's in one ``FilterRecord`` (De Koning's gain schedule).  With
 deterministic parameter matrices it reduces to a standard Kalman filter.
+``filter_sequence`` is the one entry point: it checks its inputs once,
+and ``predict``/``update`` are its steps, which only write its record.
 
 The data-independent half (P, X, S, K) accepts an optional leading model
 axis: ``stack_models`` turns several StepModels of one shape into one
@@ -197,33 +199,16 @@ def _effective_noise(R: np.ndarray, spec: RandomMatrixSpec,
     return R + quad_form(spec, X) if spec.factors.shape[-3] else R
 
 
-def _check_mean(mean: np.ndarray, M: np.ndarray, what: str) -> None:
-    if M.shape[-1] != mean.shape[-1]:
-        raise ValueError(f"state dimension does not match {what}")
-    # a 1-D mean would meet the model axis twice (through M, then
-    # through the gain) and come out with a wrong shape
-    if M.ndim > 2 and mean.ndim == 1:
-        raise ValueError("a stacked model needs a run axis on the mean: "
-                         "(runs, K+1, N) measurements")
-
-
-def predict(s: FilterState, m: StepModel, *,
-            out: FilterState | None = None) -> FilterState:
-    """Time update through the random transition matrix: P and X both
-    take Fbar M Fbar^T + Rv + E(F~ X F~^T), in one product over the
-    stacked moments, and the means (if any runs) go through Fbar; the
-    result goes into ``out`` (a FilterRecord's step) if given."""
+def predict(s: FilterState, m: StepModel, *, out: FilterState) -> FilterState:
+    """Time update through the random transition matrix, written into
+    ``out`` (a FilterRecord's step): P and X both take
+    Fbar M Fbar^T + Rv + E(F~ X F~^T), in one product over the stacked
+    moments, and the means (if any runs) go through Fbar."""
     Fbar = m.F.mean
-    _check_mean(s.mean, Fbar, "transition matrix")
     Rv_eff = _effective_noise(m.Rv, m.F, s.second_moment)
     F = Fbar[..., None, :, :]
     moments = F @ s.moments @ F.mT + Rv_eff[..., None, :, :]
-    mean = s.mean @ Fbar.mT if s.mean.size else s.mean
-    if out is None:
-        out = FilterState(s.step + 1,
-                          np.empty(moments.shape[:-3] + s.mean.shape[-2:]),
-                          np.empty(moments.shape))
-    out.mean[...] = mean
+    out.mean[...] = s.mean @ Fbar.mT if s.mean.size else s.mean
     symmetrize(moments, out=out.moments)
     if not np.isfinite(out.moments).all():
         name = "X" if np.isfinite(out.cov).all() else "P"
@@ -252,22 +237,17 @@ def _gain(HP: np.ndarray, S: np.ndarray, Rw_min: np.ndarray) -> np.ndarray:
     return K
 
 
-def update(p: FilterState, y, m: StepModel, *,
-           out: FilterState | None = None) -> FilterState:
-    """Measurement update with the random measurement matrix.
+def update(p: FilterState, y: np.ndarray, m: StepModel, *,
+           out: FilterState) -> FilterState:
+    """Measurement update with the random measurement matrix, written
+    into ``out`` (a FilterRecord's step, or ``p`` itself).
 
     The innovation covariance uses Rw + E(H~ X H~^T) evaluated at the
     predicted second moment; it and the gain serve every run (row) of
     the mean and of ``y``.  P takes P - K (Hbar P); the second moment X
-    is unconditional and passes through unchanged.  The result goes into
-    ``out`` (a FilterRecord's step) if given, else into new arrays.
-    ``y`` is not checked here: ``filter_sequence`` checks all of them.
+    is unconditional and passes through unchanged.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
     Hbar = m.H.mean
-    if y.shape[-1] != Hbar.shape[-2]:
-        raise ValueError("measurement dimension mismatch")
-    _check_mean(p.mean, Hbar, "measurement matrix")
     P = p.cov
     Rw_eff = _effective_noise(m.Rw, m.H, p.second_moment)
     HP = Hbar @ P
@@ -276,15 +256,21 @@ def update(p: FilterState, y, m: StepModel, *,
         raise ValueError(f"S is not finite at step {p.step}")
     K = _gain(HP, S, m.Rw_min)
     cov = P - K @ HP
-    mean = p.mean + (y - p.mean @ Hbar.mT) @ K.mT if p.mean.size else p.mean
-    if out is None:
-        out = FilterState(p.step, np.empty(cov.shape[:-2] + p.mean.shape[-2:]),
-                          np.empty(cov.shape[:-2] + p.moments.shape[-3:]))
-    out.mean[...] = mean
+    out.mean[...] = (p.mean + (y - p.mean @ Hbar.mT) @ K.mT if p.mean.size
+                     else p.mean)
     symmetrize(cov, out=out.cov)
     if out is not p:
         out.second_moment[...] = p.second_moment
     return out
+
+
+def _check_shapes(m: StepModel, k: int, shapes: tuple) -> None:
+    """Raise unless step k's Fbar and Hbar have the run's ``shapes``:
+    its state and measurement dimensions and step 0's model axes."""
+    got = (m.F.mean.shape, m.H.mean.shape)
+    if got != shapes:
+        raise ValueError(f"model at step {k} has F {got[0]} and H {got[1]}; "
+                         f"the run needs F {shapes[0]} and H {shapes[1]}")
 
 
 def filter_sequence(provider: ModelProvider, ic: InitialCondition,
@@ -299,7 +285,9 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     model.  provider(k) is called once per step, in order, and the prior
     takes provider(0)'s model axes.  With no runs (runs = 0) only the
     data-independent P, X, S, K are left.  A non-finite measurement, P, X
-    or S raises a ValueError that names its (first) step.
+    or S, and a model whose dimensions or model axes differ from the
+    run's, raise a ValueError that names its (first) step; the steps
+    check no input of their own.
     """
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
@@ -309,7 +297,15 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
         raise ValueError(f"measurement is not finite at step {step}")
     m = provider(0)
     s, lead, steps = init(ic), m.Rv.shape[:-2], ys.shape[-2]
+    if lead and ys.ndim == 2:
+        # a 1-D mean would meet the model axis twice (through Hbar, then
+        # through the gain) and come out with a wrong shape
+        raise ValueError("a stacked model needs a run axis: "
+                         "(runs, K+1, N) measurements")
     runs = ys.shape[:-2] + s.mean.shape
+    r, N = ic.mean.size, ys.shape[-1]
+    shapes = (lead + (r, r), lead + (N, r))
+    _check_shapes(m, 0, shapes)
     rec = FilterRecord(np.empty(lead + runs[:-1] + (steps,) + runs[-1:]),
                        np.empty((steps,) + lead + s.moments.shape))
     s = FilterState(0, np.broadcast_to(s.mean, runs),
@@ -318,5 +314,6 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     for k in range(1, steps):
         p = predict(s, m, out=rec[k])
         m = provider(k)
+        _check_shapes(m, k, shapes)
         s = update(p, ys[..., k, :], m, out=p)
     return rec

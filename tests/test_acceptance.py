@@ -7,7 +7,6 @@ the budget fails the criterion even if the numbers are right.
 
 import csv
 import time
-from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -36,10 +35,8 @@ from lmv_oracle import batch_lmv_oracle, sample_converted_noises
 from randkf import (
     InitialCondition,
     MatrixDist,
-    MultiModelDynamics,
     NahiModel,
     PartitionedObsModel,
-    build_multimodel,
     build_nahi,
     build_partitioned,
     filter_sequence,
@@ -97,57 +94,6 @@ def test_a1_recursive_filter_matches_batch_lmv_oracle():
             N = int(rng.integers(1, 4))
             K = int(rng.integers(0, 4))
             prov = constant_provider(rand_random_model(rng, r, N))
-            ic = rand_ic(rng, r)
-            ys = [rng.standard_normal(N) * 3 for _ in range(K + 1)]
-            mean, cov = batch_lmv_oracle(prov, ic, ys)
-            rec = filter_sequence(prov, ic, ys)[-1]
-            assert_allclose_rel(rec.mean, mean, 1e-9)
-            assert_allclose_rel(rec.cov, cov, 1e-9)
-
-
-def _kind_provider(rng, kind, r, N, K, varying):
-    """A random Nahi, partitioned (2-3 blocks) or multimodel system: one
-    model, or one per step from a p(k) or bank weights that change every
-    step."""
-    F, h = rng.standard_normal((r, r)), rng.standard_normal((N, r))
-    Rv, Rw = rand_psd(rng, r, 0.1), rand_psd(rng, N, 0.5)
-    ps = rng.uniform(size=(K + 1, 3))
-
-    def p(i):
-        return (lambda k: ps[k, i]) if varying else ps[0, i]
-
-    if kind == "nahi":
-        m = NahiModel(h=h, p=p(0), F=F, Rv=Rv, Rw=Rw)
-        step = partial(build_nahi, m)
-    elif kind == "partitioned":
-        blocks = np.array_split(h, int(rng.integers(2, N + 1)))
-        m = PartitionedObsModel(
-            blocks=[(b, p(i)) for i, b in enumerate(blocks)], F=F, Rv=Rv,
-            Rw=Rw)
-        step = partial(build_partitioned, m)
-    else:
-        mats = rng.standard_normal((3, r, r))
-        weights = ps / ps.sum(axis=1, keepdims=True)
-
-        def step(k):
-            bank = MatrixDist.of(zip(mats, weights[k]))
-            return build_multimodel(MultiModelDynamics(
-                transition_dist=bank, H=h, Rv=Rv, Rw=Rw), k)
-    return step if varying else constant_provider(step(0))
-
-
-def test_every_adapter_kind_matches_batch_lmv_oracle():
-    # A1 runs general MatrixDist models; this runs the other kinds, each
-    # time-invariant and under a schedule that changes every step
-    with _Check("A1 (adapter kinds)", 5, "Nahi, partitioned and multimodel "
-                "filters vs. exact batch LMV estimate, 120 random "
-                "instances, 1e-9 relative"):
-        rng = np.random.default_rng(111)
-        for trial in range(120):
-            kind = ("nahi", "partitioned", "multimodel")[trial % 3]
-            r, K = int(rng.integers(1, 4)), int(rng.integers(0, 5))
-            N = int(rng.integers(2 if kind == "partitioned" else 1, 4))
-            prov = _kind_provider(rng, kind, r, N, K, varying=trial % 2 == 1)
             ic = rand_ic(rng, r)
             ys = [rng.standard_normal(N) * 3 for _ in range(K + 1)]
             mean, cov = batch_lmv_oracle(prov, ic, ys)

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import (
     H_SIM1,
-    enumerated_partition_dist,
     factor_tensor,
     model_arrays,
     nahi_reference,
@@ -169,31 +168,6 @@ class TestPartitioned:
         with pytest.raises(ValueError, match="Rw"):
             build_partitioned(m, 0)
 
-    def test_quad_form_block_diagonal(self, rng):
-        # structural claim: independent blocks give exactly block-diagonal
-        # inflation, matching the per-block formula and the 2^B mixture
-        for _ in range(20):
-            B = int(rng.integers(2, 5))
-            sizes = rng.integers(1, 3, size=B)
-            r = 3
-            blocks = tuple((rng.standard_normal((int(n), r)),
-                            float(rng.uniform(0.1, 0.9))) for n in sizes)
-            N = int(sizes.sum())
-            m = PartitionedObsModel(blocks=blocks, F=np.eye(r),
-                                    Rv=np.eye(r), Rw=np.eye(N))
-            X = rand_psd(rng, r)
-            full = quad_form(build_partitioned(m, 0).H, X)
-            fast = partitioned_quad_form(m, X)
-            enum = quad_form_discrete(enumerated_partition_dist(m.blocks), X)
-            np.testing.assert_allclose(full, fast, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(full, enum, rtol=0, atol=1e-12)
-            mask = np.ones((N, N), dtype=bool)
-            at = 0
-            for n in sizes:
-                mask[at:at + n, at:at + n] = False
-                at += int(n)
-            assert np.abs(full[mask]).max(initial=0.0) < 1e-12
-
 
 class TestMultiModel:
     def test_single_model_reduces_to_standard_kf(self, rng):
@@ -227,51 +201,28 @@ class TestMultiModel:
         np.testing.assert_allclose(r_eff, [[1.0]], atol=1e-15)
 
 
-class TestLastBuildReuse:
-    """A p(k) schedule built step by step: each build is the fresh one,
-    and a probability that leaves [0, 1] raises at its step."""
+class TestProbabilityLeavingRange:
+    """A p(k) schedule that leaves [0, 1] raises at its step."""
 
     @staticmethod
     def models(p):
-        dropout = MatrixDist.of([(H_SIM1, 0.95), (np.zeros((2, 2)), 0.05)])
-        bank = MatrixDist.of([(rotation_matrix(300), 0.3),
-                              (rotation_matrix(100), 0.7)])
         return (
-            (build_uncertain_obs,
-             UncertainObsModel(measurement_dist=dropout,
-                               F=rotation_matrix(300), Rv=2 * np.eye(2),
-                               Rw=np.eye(2))),
             (build_nahi, NahiModel(h=H_SIM1, p=p, F=rotation_matrix(300),
                                    Rv=2 * np.eye(2), Rw=np.eye(2))),
             (build_partitioned,
              PartitionedObsModel(blocks=((H_SIM1[:1], p), (H_SIM1[1:], 0.6)),
                                  F=rotation_matrix(300), Rv=2 * np.eye(2),
                                  Rw=np.eye(2))),
-            (build_multimodel,
-             MultiModelDynamics(transition_dist=bank, H=H_SIM1,
-                                Rv=2 * np.eye(2), Rw=np.eye(2))),
         )
-
-    def test_changing_probability_matches_fresh_builds(self):
-        def p(k):
-            return 0.3 if k % 2 else 0.8
-
-        for i, (build, m) in enumerate(self.models(p)):
-            for k in range(6):
-                got = build(m, k)
-                ref = build(self.models(p)[i][1], k)
-                np.testing.assert_array_equal(got.H.mean, ref.H.mean)
-                np.testing.assert_array_equal(got.H.factors, ref.H.factors)
 
     def test_probability_leaving_range_raises_at_its_step(self, rng):
         def p(k):
             return 1.2 if k == 7 else 0.9
 
-        # the Nahi and partitioned models, which take probability functions;
         # built directly, filtered and sampled, the error names step 7
         ic = rand_ic(rng, 2)
         ys = rng.standard_normal((10, 2))
-        for build, m in self.models(p)[1:3]:
+        for build, m in self.models(p):
             for k in range(7):
                 build(m, k)
             prov = partial(build, m)

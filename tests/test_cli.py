@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import subprocess
 import numpy as np
 import pytest
 import yaml
@@ -601,12 +602,17 @@ def test_compare_outputs_script(tmp_path, capsys):
     assert cmp.main([str(a), str(b)]) == 1
 
 
-def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, capsys):
+def load_bench_pairs():
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", REPO / "scripts" / "bench_pairs.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, capsys):
+    bench = load_bench_pairs()
     work = tmp_path / "work"
     with pytest.raises(SystemExit) as exc:
         bench.main(["HEAD", "HEAD", "--seed", "1", "--pairs", "1",
@@ -614,3 +620,27 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--pairs must be at least 2" in capsys.readouterr().err
     assert not work.exists()
+
+
+@pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1),
+                                             (False, 2)])
+def test_bench_pairs_rejects_a_run_with_failed_operations(
+        tmp_path, monkeypatch, correct, failed):
+    # perfbench exits 0 after failed operations, e.g. a traced run whose
+    # required layer was never called; either flag must stop the run
+    bench = load_bench_pairs()
+    result = {"correct": correct, "attempted": 4, "failed": failed,
+              "metrics": {}}
+    stdout = "\n".join(["FAILED traced: no calls recorded for filter_core.update",
+                        "FAILED untraced: exit 1",
+                        f"mc-dropout failed_ops {failed}/4",
+                        json.dumps(result)]) + "\n"
+    monkeypatch.setattr(bench.subprocess, "run",
+                        lambda args, **kw: subprocess.CompletedProcess(
+                            args, 0, stdout=stdout, stderr=""))
+    with pytest.raises(RuntimeError) as exc:
+        bench.run_bench(tmp_path / "head", "mc-dropout", 1, 1.0, 1)
+    assert str(exc.value) == (
+        f"head mc-dropout: failed {failed}/4\n"
+        "FAILED traced: no calls recorded for filter_core.update\n"
+        "FAILED untraced: exit 1")

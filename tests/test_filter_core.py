@@ -21,22 +21,21 @@ from randkf import (
     MatrixDist,
     deterministic,
     filter_sequence,
-    init,
     moments_from_dist,
-    predict,
     quad_form,
-    update,
 )
 from randkf.config import rotation_matrix
 from randkf.filter_core import (
     COND_LIMIT,
-    FilterRecord,
     FilterState,
     StepModel,
     _gain,
     constant_provider,
+    init,
+    predict,
     stack_models,
     symmetrize,
+    update,
 )
 from randkf.sim_harness import (
     covariance_recursion,
@@ -51,6 +50,12 @@ def scalar_spec(mean, var):
     from randkf.random_matrix import RandomMatrixSpec
     return RandomMatrixSpec(mean=np.array([[mean]]),
                             factors=np.full((1, 1, 1), np.sqrt(var)))
+
+
+def slot(s: FilterState, step: int) -> FilterState:
+    """A state of new NaN arrays of s's shapes, for one step to write."""
+    return FilterState(step, np.full_like(s.mean, np.nan),
+                       np.full_like(s.moments, np.nan))
 
 
 class TestInit:
@@ -121,7 +126,7 @@ class TestPredict:
                                 np.eye(2))
         s = init(InitialCondition(mean=rng.standard_normal(2),
                                   cov=rand_psd(rng, 2)))
-        p = predict(s, m)
+        p = predict(s, m, out=slot(s, 1))
         np.testing.assert_allclose(p.mean, s.mean, atol=1e-15)
         np.testing.assert_allclose(p.cov, s.cov, atol=1e-14)
         np.testing.assert_allclose(p.second_moment, s.second_moment,
@@ -134,7 +139,7 @@ class TestPredict:
                       Rv=np.zeros((1, 1)), Rw=np.eye(1))
         s = FilterState(step=0, mean=np.array([1.0]),
                         moments=np.array([[[1.0]], [[2.0]]]))
-        p = predict(s, m)
+        p = predict(s, m, out=slot(s, 1))
         np.testing.assert_allclose(p.mean, [1.0])
         np.testing.assert_allclose(p.cov, [[3.0]])
         np.testing.assert_allclose(p.second_moment, [[4.0]])
@@ -144,14 +149,8 @@ class TestPredict:
                                 2.0 * np.eye(2), np.eye(2))
         s = FilterState(step=0, mean=np.zeros(2),
                         moments=np.stack([0.5 * np.eye(2)] * 2))
-        p = predict(s, m)
+        p = predict(s, m, out=slot(s, 1))
         np.testing.assert_allclose(p.cov, 2.5 * np.eye(2), atol=1e-14)
-
-    def test_rejects_dimension_mismatch(self):
-        m = deterministic_model(np.eye(3), np.eye(3), np.eye(3), np.eye(3))
-        s = init(InitialCondition(mean=np.zeros(2), cov=np.eye(2)))
-        with pytest.raises(ValueError):
-            predict(s, m)
 
 
 class TestUpdate:
@@ -160,14 +159,14 @@ class TestUpdate:
         p = FilterState(step=1, mean=rng.standard_normal(2),
                         moments=np.stack([rand_psd(rng, 2, floor=0.1),
                                           rand_psd(rng, 2, floor=0.5)]))
-        s = update(p, m.H.mean @ p.mean, m)
+        s = update(p, m.H.mean @ p.mean, m, out=slot(p, 1))
         np.testing.assert_allclose(s.mean, p.mean, atol=1e-12)
 
     def test_scalar_hand_evaluated(self):
         m = deterministic_model([[1.0]], [[1.0]], [[1.0]], [[1.0]])
         p = FilterState(step=1, mean=np.array([0.0]),
                         moments=np.array([[[1.0]], [[1.0]]]))
-        s = update(p, np.array([1.0]), m)
+        s = update(p, np.array([1.0]), m, out=slot(p, 1))
         np.testing.assert_allclose(s.mean, [0.5])
         np.testing.assert_allclose(s.cov, [[0.5]])
 
@@ -188,7 +187,7 @@ class TestUpdate:
         m = rand_random_model(rng, 2, 2)
         p = FilterState(step=1, mean=np.zeros(2),
                         moments=np.stack([np.eye(2), rand_psd(rng, 2, 1.0)]))
-        s = update(p, rng.standard_normal(2), m)
+        s = update(p, rng.standard_normal(2), m, out=slot(p, 1))
         np.testing.assert_array_equal(s.second_moment, p.second_moment)
 
     def test_singular_innovation_uses_pseudo_inverse(self):
@@ -198,7 +197,7 @@ class TestUpdate:
                       Rv=np.zeros((2, 2)), Rw=np.zeros((1, 1)))
         p = FilterState(step=1, mean=np.array([1.0, 2.0]),
                         moments=np.stack([np.eye(2), 2 * np.eye(2)]))
-        s = update(p, np.array([0.3]), m)
+        s = update(p, np.array([0.3]), m, out=slot(p, 1))
         np.testing.assert_array_equal(s.mean, p.mean)
         np.testing.assert_allclose(s.cov, p.cov)
 
@@ -246,21 +245,23 @@ def test_batched_filter_matches_per_run_calls(rng):
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
-    # filter_sequence's arrays against init/predict/update on new arrays;
-    # the stacked models take both gain paths at every step
+    # filter_sequence's arrays against init/predict/update written into
+    # new slots of the record's shapes; the stacked models take both gain
+    # paths at every step
     runs, K = 3, 25
     members = mixed_nahi_models()
     m = stack_models(members) if stacked else members[4]
     ic = rand_ic(rng, 2)
     ys = 3 * rng.standard_normal((runs, K + 1, 2))
     lead = (len(members),) if stacked else ()
+    rec = filter_sequence(lambda k: m, ic, ys)
     s0 = init(ic)
     prior = FilterState(step=0, mean=np.broadcast_to(s0.mean, (runs, 2)),
                         moments=np.broadcast_to(s0.moments, lead + (2, 2, 2)))
-    hand = [update(prior, ys[:, 0], m)]
+    hand = [update(prior, ys[:, 0], m, out=slot(rec[0], 0))]
     for k in range(1, K + 1):
-        hand.append(update(predict(hand[-1], m), ys[:, k], m))
-    rec = filter_sequence(lambda k: m, ic, ys)
+        p = predict(hand[-1], m, out=slot(rec[k], k))
+        hand.append(update(p, ys[:, k], m, out=slot(rec[k], k)))
     assert rec.mean.shape == lead + (runs, K + 1, 2)
     assert rec.moments.shape == (K + 1,) + lead + (2, 2, 2)
     assert len(rec) == K + 1 and rec[-1].step == K
@@ -275,59 +276,7 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
         np.testing.assert_array_equal(s.moments, h.moments)
 
 
-@pytest.mark.parametrize("mixed", [False, True])
-@pytest.mark.parametrize("runs", [0, 3])
-@pytest.mark.parametrize("stacked", [False, True])
-def test_steps_in_place_equal_fresh_arrays_bit_for_bit(rng, stacked, runs,
-                                                       mixed):
-    # predict into a record slot, then update that slot in place, against
-    # the same calls on new arrays.  The edge models take the
-    # pseudo-inverse gain; the mixed stack takes both gain paths, and its
-    # unstacked member (Rw = I) the solve.
-    edge = edge_nahi_models()
-    members = mixed_nahi_models() if mixed else edge
-    m = stack_models(members) if stacked else members[5 if mixed else 2]
-    lead = (len(members),) if stacked else ()
-    ys = 3 * rng.standard_normal((runs, 3, 2))
-    rec = FilterRecord(np.full(lead + (runs, 3, 2), np.nan),
-                       np.full((3,) + lead + (2, 2, 2), np.nan))
-    s0 = init(rand_ic(rng, 2))
-    prior = FilterState(step=0, mean=np.broadcast_to(s0.mean, (runs, 2)),
-                        moments=np.broadcast_to(s0.moments, lead + (2, 2, 2)))
-    # the prior's mean has no model axis: both steps give it one
-    assert predict(prior, m).mean.shape == lead + (runs, 2)
-    fresh = update(prior, ys[:, 0], m)
-    s = update(prior, ys[:, 0], m, out=rec[0])
-    for k in (1, 2):
-        # a stacked model broadcasts the run means over its members,
-        # also when there are no runs
-        assert fresh.mean.shape == s.mean.shape == lead + (runs, 2)
-        np.testing.assert_array_equal(s.mean, fresh.mean)
-        np.testing.assert_array_equal(s.moments, fresh.moments)
-        fresh = predict(fresh, m)
-        p = predict(s, m, out=rec[k])
-        assert p.step == fresh.step == k
-        assert np.shares_memory(p.moments, rec.moments)
-        assert p.mean.shape == fresh.mean.shape == lead + (runs, 2)
-        np.testing.assert_array_equal(p.mean, fresh.mean)
-        np.testing.assert_array_equal(p.moments, fresh.moments)
-        fresh = update(fresh, ys[:, k], m)
-        s = update(p, ys[:, k], m, out=p)
-        assert s is p
-    np.testing.assert_array_equal(rec[2].moments, fresh.moments)
-    np.testing.assert_array_equal(rec.mean[..., 2, :], fresh.mean)
-
-
 STACKED_NEEDS_RUNS = r"stacked model needs .*\(runs, K\+1, N\) measurements"
-
-
-@pytest.mark.parametrize("step", ["predict", "update"])
-def test_stacked_model_with_unstacked_mean_raises(rng, step):
-    # a 1-D mean would take the model axis twice: update gave (M, M, r)
-    m = stack_models(edge_nahi_models())
-    s = init(rand_ic(rng, 2))
-    with pytest.raises(ValueError, match=STACKED_NEEDS_RUNS):
-        predict(s, m) if step == "predict" else update(s, np.ones(2), m)
 
 
 def test_filter_sequence_of_a_stack_needs_a_run_axis(rng):
@@ -347,6 +296,48 @@ def test_filter_sequence_of_a_stack_needs_a_run_axis(rng):
                                    atol=1e-12 * np.abs(own.mean).max())
 
 
+def fit_model(r, N, members):
+    """A deterministic model with state dimension r and N measurement
+    rows; a stack of `members` copies if members > 0."""
+    m = deterministic_model(np.eye(r), np.ones((N, r)), np.eye(r), np.eye(N))
+    return stack_models([m] * members) if members else m
+
+
+# (step, (r, N, members) before it, from it on, message)
+MISFITS = {
+    "state dimension": (3, (2, 2, 0), (3, 2, 0),
+                        "F (3, 3) and H (2, 3); "
+                        "the run needs F (2, 2) and H (2, 2)"),
+    "measurement rows": (3, (2, 2, 0), (2, 1, 0),
+                         "F (2, 2) and H (1, 2); "
+                         "the run needs F (2, 2) and H (2, 2)"),
+    "step 0 against the measurements": (0, (2, 1, 0), (2, 1, 0),
+                                        "F (2, 2) and H (1, 2); "
+                                        "the run needs F (2, 2) and H (2, 2)"),
+    "stack members": (2, (2, 2, 3), (2, 2, 2),
+                      "F (2, 2, 2) and H (2, 2, 2); "
+                      "the run needs F (3, 2, 2) and H (3, 2, 2)"),
+}
+
+
+@pytest.mark.parametrize("case", MISFITS)
+def test_model_that_does_not_fit_the_run_names_its_step(rng, case):
+    # filter_sequence checks every step's model against the run's state
+    # and measurement dimensions and step 0's model axes
+    step, before, after, message = MISFITS[case]
+    calls = []
+
+    def provider(k):
+        calls.append(k)
+        return fit_model(*(after if k >= step else before))
+
+    with pytest.raises(ValueError) as exc:
+        filter_sequence(provider, rand_ic(rng, 2),
+                        rng.standard_normal((1, 6, 2)))
+    assert str(exc.value) == f"model at step {step} has {message}"
+    assert calls == list(range(step + 1))
+
+
 def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     # a matrix without deviation factors adds exactly no noise, so only
     # the random H's quad form runs: none in predict, one per update
@@ -359,13 +350,13 @@ def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     m = StepModel(F=deterministic(rotation_matrix(50)), H=H, Rv=np.eye(2),
                   Rw=np.eye(2))
     s0 = init(InitialCondition(mean=np.ones(2), cov=np.eye(2)))
-    p = predict(s0, m)
+    p = predict(s0, m, out=slot(s0, 1))
     assert calls == []
     F = m.F.mean
     for got, ref in ((p.cov, F @ s0.cov @ F.T + m.Rv),
                      (p.second_moment, F @ s0.second_moment @ F.T + m.Rv)):
         np.testing.assert_array_equal(got, 0.5 * (ref + ref.T))
-    update(p, np.ones(2), m)
+    update(p, np.ones(2), m, out=p)
     assert calls == [H]
 
 

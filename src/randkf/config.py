@@ -156,7 +156,9 @@ MODEL_KINDS = tuple(_KINDS)
 
 
 def _build_model(node: Any):
-    if not isinstance(node, dict) or "kind" not in node:
+    if not isinstance(node, dict):
+        raise ConfigError("model: expected a mapping")
+    if "kind" not in node:
         raise ConfigError("model: missing field 'kind'")
     kind = node["kind"]
     # a tuple, not the dict: an unhashable kind is reported, not raised

@@ -18,6 +18,7 @@ from .filter_core import (
     InitialCondition,
     ModelProvider,
     StepModel,
+    _check_shapes,
     constant_provider,
     filter_sequence,
     stack_models,
@@ -79,8 +80,9 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     a run depends on its own seed only.  F is realized one step at a time
     inside the state recursion; H and the noise factors once per distinct
     step model.  A deterministic matrix takes its mean; a random one
-    without a source distribution raises a ValueError naming the matrix
-    and the step.
+    without a source distribution, and a model whose F and H do not fit
+    the prior's state dimension and step 0's measurement rows (a stacked
+    model never does), raise a ValueError naming its first step.
     """
     if K < 1:
         raise ValueError("need K >= 1")
@@ -91,6 +93,8 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     for k, m in enumerate(models):
         steps_of.setdefault(id(m), []).append(k)
     groups = [(models[s[0]], np.array(s)) for s in steps_of.values()]
+    for m, steps in groups:  # in order of first step
+        _check_shapes(m, steps[0], ((r, r), (N, r)))
     nH = {id(m): _draw_width(m.H, "H", s[0]) for m, s in groups}
     nF = {id(m): _draw_width(m.F, "F", s[0]) for m, s in groups if s[0] < K}
     # where each step's uniforms start: H_0..H_K, then F_0..F_{K-1}

@@ -11,19 +11,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randkf import (
-    InitialCondition,
-    MatrixDist,
+from randkf.adapters import (
     MultiModelDynamics,
     NahiModel,
     build_multimodel,
     build_nahi,
-    constant_provider,
-    deterministic,
-    moments_from_dist,
 )
 from randkf.config import rotation_matrix
-from randkf.filter_core import StepModel
+from randkf.filter_core import (
+    InitialCondition,
+    StepModel,
+    constant_provider,
+    stack_models,
+)
+from randkf.random_matrix import MatrixDist, deterministic, moments_from_dist
 
 REPO = Path(__file__).resolve().parent.parent
 SIM1 = REPO / "configs" / "simulation1.yaml"
@@ -82,6 +83,13 @@ def deterministic_model(F, H, Rv, Rw) -> StepModel:
     return StepModel(F=deterministic(F), H=deterministic(H),
                      Rv=np.asarray(Rv, dtype=float),
                      Rw=np.asarray(Rw, dtype=float))
+
+
+def fit_model(r, N, members):
+    """A deterministic model with state dimension r and N measurement
+    rows; a stack of `members` copies if members > 0."""
+    m = deterministic_model(np.eye(r), np.ones((N, r)), np.eye(r), np.eye(N))
+    return stack_models([m] * members) if members else m
 
 
 def textbook_kf(F, H, Q, R, mu0, P0, ys):

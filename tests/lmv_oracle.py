@@ -10,8 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from randkf import InitialCondition
-from randkf.filter_core import ModelProvider, symmetrize
+from randkf.filter_core import InitialCondition, ModelProvider, symmetrize
 from randkf.random_matrix import quad_form
 from randkf.sim_harness import derive_run_seeds, simulate_truth
 

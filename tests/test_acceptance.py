@@ -32,25 +32,26 @@ from conftest import (
     textbook_kf,
 )
 from lmv_oracle import batch_lmv_oracle, sample_converted_noises
-from randkf import (
-    InitialCondition,
-    MatrixDist,
+from randkf.adapters import (
     NahiModel,
     PartitionedObsModel,
     build_nahi,
     build_partitioned,
-    filter_sequence,
-    moments_from_dist,
-    monte_carlo,
-    quad_form,
 )
 from randkf.cli import main as cli_main
 from randkf.config import rotation_matrix
-from randkf.filter_core import StepModel, constant_provider
+from randkf.filter_core import (
+    InitialCondition,
+    StepModel,
+    constant_provider,
+    filter_sequence,
+)
+from randkf.random_matrix import MatrixDist, moments_from_dist, quad_form
 from randkf.sim_harness import (
     covariance_recursion,
     derive_run_seeds,
     gamma_sweep,
+    monte_carlo,
     run_filter_on,
     simulate_truth,
 )

@@ -17,9 +17,7 @@ from conftest import (
     sim2_model,
     textbook_kf,
 )
-from randkf import (
-    InitialCondition,
-    MatrixDist,
+from randkf.adapters import (
     MultiModelDynamics,
     NahiModel,
     PartitionedObsModel,
@@ -28,10 +26,10 @@ from randkf import (
     build_nahi,
     build_partitioned,
     build_uncertain_obs,
-    filter_sequence,
-    quad_form,
 )
 from randkf.config import rotation_matrix
+from randkf.filter_core import InitialCondition, filter_sequence
+from randkf.random_matrix import MatrixDist, quad_form
 from randkf.sim_harness import covariance_recursion, simulate_truth
 
 class TestUncertainObs:

@@ -19,8 +19,7 @@ from conftest import (
     sim1_model,
     sim2_model,
 )
-from randkf import (
-    MatrixDist,
+from randkf.adapters import (
     MultiModelDynamics,
     NahiModel,
     PartitionedObsModel,
@@ -37,6 +36,7 @@ from randkf.config import (
     parse_config,
     rotation_matrix,
 )
+from randkf.random_matrix import MatrixDist
 
 MINIMAL = """
 mode: simulate
@@ -221,6 +221,8 @@ CONFIG_ERRORS = {
                       "initial: mean/cov dimension mismatch"),
         "missing-field": ("nahi", "horizon", DELETE, [],
                           "config: missing field 'horizon'"),
+        "mode": ("nahi", "mode", "train", [], "mode: 'train' not one of "
+                 "('filter', 'simulate', 'montecarlo', 'sweep')"),
     },
     "test_bad_model_value_names_its_path": {row[-1]: row for row in [
         ("general", "model.measurements[1].prob", 1.5, [],
@@ -259,6 +261,9 @@ CONFIG_ERRORS = {
          "model.rv[0][1]: not a number"),
         ("nahi", "model.rw", [[1, 0], [0]], [],
          "model.rw: expected a matrix (list of rows)"),
+        ("nahi", "model", 5, [], "model: expected a mapping"),
+        ("nahi", "model.rv", np.eye(3).tolist(), [],
+         "model: Rv dimension must match state dimension"),
     ]},
     # it requires rw, has no per-model noises, and names a bad matrix once
     "test_general_model_parses_like_every_kind": {
@@ -287,6 +292,10 @@ CONFIG_ERRORS = {
                           "initial: mean/cov dimension mismatch"),
         "cov-asymmetric": ("nahi", "initial.cov", [[1, 0.5], [0, 1]], [],
                            "initial: cov is not symmetric"),
+        "mapping": ("nahi", "initial", 5, [], "initial: expected a mapping"),
+        "state-dimension": (
+            "nahi", "initial", {"mean": [0, 0, 0], "cov": np.eye(3).tolist()},
+            [], "initial.mean: dimension 3 does not match state dimension 2"),
     },
     "test_non_finite_matrix_names_its_path": {row[1]: row for row in [
         ("nahi", "model.h", [[np.inf, 1], [1, -1]], [],
@@ -488,13 +497,16 @@ class TestRunModes:
         assert not out.exists()
 
     # (subcommand, config file, (text, its replacement), extra arguments,
-    # the error message); {csv} is a measurements file with a bad cell
+    # the error message); {csv} is a measurements file with a bad cell,
+    # {empty} one with a header and no rows
     @pytest.mark.parametrize("command, config, edit, args, message", [
         ("filter", SIM1, ("", ""), [],
          "filter mode needs a 'measurements' CSV path"),
         ("filter", SIM1, ("", ""), ["--measurements", "{csv}"],
          "{csv}: line 2 has a non-numeric cell "
          "(could not convert string to float: 'abc')"),
+        ("filter", SIM1, ("", ""), ["--measurements", "{empty}"],
+         "{empty}: no measurement rows"),
         ("sweep", SIM2, ("", ""), [],
          "sweep mode needs a non-empty 'gammas' list"),
         ("sweep", SIM2, ("horizon: 300", "horizon: 300\ngammas: [0.5]"), [],
@@ -502,18 +514,20 @@ class TestRunModes:
         ("sweep", SIM1, ("[0.5, 0.7, 0.9, 0.95, 1.0]", "[0.5, 1.5]"), [],
          "gammas[1]: probability 1.5 outside [0, 1]"),
     ], ids=["filter-no-measurements", "filter-malformed-csv",
-            "sweep-no-gammas", "sweep-multimodel", "sweep-gamma-out-of-range"])
+            "filter-no-rows", "sweep-no-gammas", "sweep-multimodel",
+            "sweep-gamma-out-of-range"])
     def test_failed_run_writes_nothing(self, tmp_path, capsys, command,
                                        config, edit, args, message):
-        cfg_file, csv_file = tmp_path / "cfg.yaml", tmp_path / "ys.csv"
+        cfg_file, out = tmp_path / "cfg.yaml", tmp_path / "out"
         cfg_file.write_text(config.read_text().replace(*edit))
-        csv_file.write_text("y1,y2\n1.0,abc\n")
-        out = tmp_path / "out"
+        files = {"csv": tmp_path / "ys.csv", "empty": tmp_path / "empty.csv"}
+        files["csv"].write_text("y1,y2\n1.0,abc\n")
+        files["empty"].write_text("y1,y2\n\n")
         code = main([command, "--config", str(cfg_file), "--out", str(out),
-                     *(a.format(csv=csv_file) for a in args)])
+                     *(a.format(**files) for a in args)])
         assert code == 1
         assert capsys.readouterr().err == \
-            f"error: {message.format(csv=csv_file)}\n"
+            f"error: {message.format(**files)}\n"
         assert not out.exists()
 
     def test_missing_config_fails_cleanly(self, tmp_path, capsys):

@@ -8,6 +8,7 @@ from conftest import (
     SIM1_IC,
     deterministic_model,
     edge_nahi_models,
+    fit_model,
     joseph_recursion,
     mixed_nahi_models,
     rand_dist,
@@ -16,26 +17,26 @@ from conftest import (
     rand_random_model,
     textbook_kf,
 )
-from randkf import (
-    InitialCondition,
-    MatrixDist,
-    deterministic,
-    filter_sequence,
-    moments_from_dist,
-    quad_form,
-)
 from randkf.config import rotation_matrix
 from randkf.filter_core import (
     COND_LIMIT,
     FilterState,
+    InitialCondition,
     StepModel,
     _gain,
     constant_provider,
+    filter_sequence,
     init,
     predict,
     stack_models,
     symmetrize,
     update,
+)
+from randkf.random_matrix import (
+    MatrixDist,
+    deterministic,
+    moments_from_dist,
+    quad_form,
 )
 from randkf.sim_harness import (
     covariance_recursion,
@@ -107,6 +108,25 @@ def test_step_model_noise_covariances_read_only():
     for a in (m.Rv, m.Rw):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 5.0
+
+
+# {case: (F, H, Rv, the whole message)}, each with Rw = I (2)
+BAD_STEP_MODELS = {
+    "F not square": (np.ones((2, 3)), np.eye(2), np.eye(2),
+                     "F must be square"),
+    "H columns": (np.eye(2), np.ones((2, 3)), np.eye(2),
+                  "H column count must match state dimension"),
+    "Rv not square": (np.eye(2), np.eye(2), np.ones((2, 3)),
+                      "Rv is not square: (2, 3)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_STEP_MODELS)
+def test_step_model_of_mismatched_shapes_rejected(case):
+    *arrays, message = BAD_STEP_MODELS[case]
+    with pytest.raises(ValueError) as exc:
+        deterministic_model(*arrays, np.eye(2))
+    assert str(exc.value) == message
 
 
 def test_initial_condition_keeps_read_only_copies():
@@ -296,11 +316,20 @@ def test_filter_sequence_of_a_stack_needs_a_run_axis(rng):
                                    atol=1e-12 * np.abs(own.mean).max())
 
 
-def fit_model(r, N, members):
-    """A deterministic model with state dimension r and N measurement
-    rows; a stack of `members` copies if members > 0."""
-    m = deterministic_model(np.eye(r), np.ones((N, r)), np.eye(r), np.eye(N))
-    return stack_models([m] * members) if members else m
+def test_filter_sequence_rejects_one_dimensional_measurements():
+    m = deterministic_model(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match=r"^need \(K\+1, N\) or "
+                       r"\(runs, K\+1, N\) measurements$"):
+        filter_sequence(constant_provider(m), SIM1_IC, np.zeros(6))
+
+
+def test_non_finite_innovation_covariance_names_its_step():
+    # Hbar = 1e200 I puts 1e400 into S at the first update
+    m = deterministic_model(np.eye(2), 1e200 * np.eye(2), np.eye(2),
+                            np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="^S is not finite at step 0$"):
+        filter_sequence(constant_provider(m), SIM1_IC, np.zeros((3, 2)))
 
 
 # (step, (r, N, members) before it, from it on, message)

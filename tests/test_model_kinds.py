@@ -25,9 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import assert_allclose_rel, enumerated_partition_dist
 from lmv_oracle import batch_lmv_oracle
-from randkf import (
-    InitialCondition,
-    MatrixDist,
+from randkf.adapters import (
     MultiModelDynamics,
     NahiModel,
     PartitionedObsModel,
@@ -36,10 +34,15 @@ from randkf import (
     build_nahi,
     build_partitioned,
     build_uncertain_obs,
-    filter_sequence,
 )
 from randkf.config import MODEL_KINDS
-from randkf.filter_core import constant_provider, stack_models
+from randkf.filter_core import (
+    InitialCondition,
+    constant_provider,
+    filter_sequence,
+    stack_models,
+)
+from randkf.random_matrix import MatrixDist
 
 
 @st.composite

@@ -14,7 +14,7 @@ from conftest import (
     rand_psd,
     sim2_model,
 )
-from randkf import (
+from randkf.random_matrix import (
     BlockDropout,
     MatrixDist,
     RandomMatrixSpec,
@@ -41,6 +41,12 @@ class TestMatrixDist:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             MatrixDist.of([(np.eye(2), 0.5), (np.zeros((3, 2)), 0.5)])
+
+    def test_rejects_probability_count_mismatch(self):
+        with pytest.raises(ValueError,
+                           match="^2 samples but 3 probabilities$"):
+            MatrixDist(samples=(np.eye(2), np.zeros((2, 2))),
+                       probs=np.array([0.5, 0.25, 0.25]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from conftest import (
     assert_allclose_rel,
     deterministic_model,
     edge_nahi_models,
+    fit_model,
     joseph_recursion,
     mixed_nahi_models,
     rand_ic,
@@ -23,36 +24,66 @@ from conftest import (
     textbook_kf,
 )
 from lmv_oracle import batch_lmv_oracle, sample_converted_noises
-from randkf import (
-    InitialCondition,
-    MatrixDist,
+from randkf.adapters import (
     MultiModelDynamics,
     NahiModel,
     PartitionedObsModel,
-    RandomMatrixSpec,
-    StepModel,
     UncertainObsModel,
     build_multimodel,
     build_nahi,
     build_partitioned,
     build_uncertain_obs,
-    deterministic,
-    filter_sequence,
-    monte_carlo,
-    run_filter_on,
-    simulate_truth,
 )
 from randkf.config import rotation_matrix
-from randkf.filter_core import constant_provider, stack_models
-from randkf.random_matrix import quad_form
+from randkf.filter_core import (
+    InitialCondition,
+    StepModel,
+    constant_provider,
+    filter_sequence,
+    stack_models,
+)
+from randkf.random_matrix import (
+    MatrixDist,
+    RandomMatrixSpec,
+    deterministic,
+    quad_form,
+)
 from randkf.sim_harness import (
     _gauss_factor,
     _mv,
     covariance_recursion,
     derive_run_seeds,
     gamma_sweep,
+    monte_carlo,
     nees,
+    run_filter_on,
+    simulate_truth,
 )
+
+
+def switch_at(step, before, after):
+    """fit_model(*before) before `step`, fit_model(*after) from it on."""
+    return lambda k: fit_model(*(after if k >= step else before))
+
+
+# {case: (provider, the whole message)}; every run has a 2-D prior
+SAMPLER_MISFITS = {
+    "state dimension": (switch_at(3, (2, 2, 0), (3, 2, 0)),
+                        "model at step 3 has F (3, 3) and H (2, 3); "
+                        "the run needs F (2, 2) and H (2, 2)"),
+    "measurement rows": (switch_at(3, (2, 2, 0), (2, 1, 0)),
+                         "model at step 3 has F (2, 2) and H (1, 2); "
+                         "the run needs F (2, 2) and H (2, 2)"),
+    "step 0 against the prior": (constant_provider(fit_model(3, 2, 0)),
+                                 "model at step 0 has F (3, 3) and H (2, 3); "
+                                 "the run needs F (2, 2) and H (2, 2)"),
+    "deterministic stack": (constant_provider(fit_model(2, 2, 3)),
+                            "model at step 0 has F (3, 2, 2) and H (3, 2, 2); "
+                            "the run needs F (2, 2) and H (2, 2)"),
+    "nahi stack": (constant_provider(stack_models(edge_nahi_models())),
+                   "model at step 0 has F (5, 2, 2) and H (5, 2, 2); "
+                   "the run needs F (2, 2) and H (2, 2)"),
+}
 
 
 class TestSimulateTruth:
@@ -80,6 +111,20 @@ class TestSimulateTruth:
             with pytest.raises(ValueError, match=f"{name} at step 0 is "
                                "random but has no source"):
                 simulate_truth(prov, ic, 12, seed=0)
+
+    @pytest.mark.parametrize("case", SAMPLER_MISFITS)
+    def test_model_that_does_not_fit_the_run_names_its_step(self, rng, case):
+        # the filter's shape rule: F (r, r) and H (N, r), with the prior's
+        # r and step 0's N, and no model axes
+        provider, message = SAMPLER_MISFITS[case]
+        with pytest.raises(ValueError) as exc:
+            simulate_truth(provider, rand_ic(rng, 2), 5,
+                           derive_run_seeds(1, 2))
+        assert str(exc.value) == message
+
+    def test_rejects_no_steps(self):
+        with pytest.raises(ValueError, match="^need K >= 1$"):
+            simulate_truth(sim1_provider(), SIM1_IC, 0, seed=0)
 
     def test_noise_free_rotation_preserves_radius(self):
         m = NahiModel(h=H_SIM1, p=1.0, F=rotation_matrix(300),
@@ -262,6 +307,10 @@ class TestMonteCarlo:
         np.testing.assert_allclose(
             b.per_step_sq_error * 8,
             a.per_step_sq_error * 4 + extra, rtol=1e-13)
+
+    def test_rejects_no_runs(self):
+        with pytest.raises(ValueError, match="^need runs >= 1$"):
+            monte_carlo(sim1_provider(), SIM1_IC, 5, 0, 7)
 
     def test_metrics_finite_on_tracking_config(self):
         metrics = monte_carlo(sim1_provider(), SIM1_IC, 50, 5, 123)

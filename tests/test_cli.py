@@ -262,6 +262,7 @@ CONFIG_ERRORS = {
         ("nahi", "model.rw", [[1, 0], [0]], [],
          "model.rw: expected a matrix (list of rows)"),
         ("nahi", "model", 5, [], "model: expected a mapping"),
+        ("nahi", "model.kind", DELETE, [], "model: missing field 'kind'"),
         ("nahi", "model.rv", np.eye(3).tolist(), [],
          "model: Rv dimension must match state dimension"),
     ]},

@@ -4,7 +4,10 @@ The benchmark under perfbench/ wraps library functions by name and drives
 the CLI with its own seeded inputs.  These tests import it as it stands
 (its directory goes on sys.path, nothing in it changes) and check that
 every name it traces still exists, that each workload's CLI call passes
-the workload's own output check, and that the scaling rows still run.
+the workload's own output check, that under the benchmark's own tracer
+each call records the layers the benchmark requires of it and none it
+forbids (a traced benchmark run counts either as a failed operation),
+and that the scaling rows still run.
 """
 
 import importlib
@@ -42,6 +45,24 @@ def test_each_workload_passes_its_own_check(bench, tmp_path):
         out = work / "out"
         assert main([*wl.argv, "--out", str(out)]) == 0, name
         wl.check(out)
+
+
+def test_each_workload_exercises_its_layers(bench, tmp_path):
+    tracing = bench["tracing"]
+    for name, make in bench["workloads"].WORKLOADS.items():
+        work = tmp_path / name
+        work.mkdir()
+        wl = make(REPO, work, SEED)
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            assert main([*wl.argv, "--out", str(work / "out")]) == 0, name
+        calls = {layer: found["calls"]
+                 for layer, found in tracer.layers().items()}
+        missing = sorted(n for n in tracing.EXERCISED[name]
+                         if not calls.get(n))
+        extra = sorted(n for n in tracing.MC_ONLY - tracing.EXERCISED[name]
+                       if calls.get(n))
+        assert not missing and not extra, (name, missing, extra)
 
 
 def test_scale_rows_run(bench):

@@ -323,13 +323,43 @@ def test_filter_sequence_rejects_one_dimensional_measurements():
         filter_sequence(constant_provider(m), SIM1_IC, np.zeros(6))
 
 
-def test_non_finite_innovation_covariance_names_its_step():
+# the prior mean 1e153 puts X_0 at 1e306; F = 2 I quadruples X per step
+# until it overflows at step 4, while the observed P stays bounded
+HUGE_MEAN_IC = InitialCondition(mean=[1e153, 0.0], cov=0.5 * np.eye(2))
+I2 = np.eye(2)
+DROPOUT_H = moments_from_dist(MatrixDist.of([(I2, 0.9), (0 * I2, 0.1)]))
+# {id: (model at step k, prior, horizon, the whole message)}
+NON_FINITE = {
+    "P overflow": (lambda k: deterministic_model(1e160 * I2, I2, I2, I2),
+                   SIM1_IC, 3, "P is not finite at step 1"),
+    "X overflow, random H": (
+        lambda k: StepModel(F=deterministic(2 * I2), H=DROPOUT_H, Rv=I2,
+                            Rw=I2),
+        HUGE_MEAN_IC, 6, "X is not finite at step 4"),
+    "X overflow, deterministic H": (
+        lambda k: deterministic_model(2 * I2, I2, I2, I2),
+        HUGE_MEAN_IC, 6, "X is not finite at step 4"),
     # Hbar = 1e200 I puts 1e400 into S at the first update
-    m = deterministic_model(np.eye(2), 1e200 * np.eye(2), np.eye(2),
-                            np.eye(2))
+    "S overflow": (lambda k: deterministic_model(I2, 1e200 * I2, I2, I2),
+                   SIM1_IC, 2, "S is not finite at step 0"),
+    "X before S": (
+        lambda k: deterministic_model(2 * I2, (1e200 if k >= 6 else 1) * I2,
+                                      I2, I2),
+        HUGE_MEAN_IC, 8, "X is not finite at step 4"),
+}
+
+
+@pytest.mark.parametrize("runs", [0, 2])
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_moment_or_innovation_covariance_names_its_step(case,
+                                                                   runs):
+    # the first step where P, X or S is not finite; P and X at a step
+    # are named before that step's S
+    provider, ic, K, message = NON_FINITE[case]
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="^S is not finite at step 0$"):
-        filter_sequence(constant_provider(m), SIM1_IC, np.zeros((3, 2)))
+            pytest.raises(ValueError) as exc:
+        filter_sequence(provider, ic, np.zeros((runs, K + 1, 2)))
+    assert str(exc.value) == message
 
 
 # (step, (r, N, members) before it, from it on, message)

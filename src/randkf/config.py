@@ -36,6 +36,9 @@ from .filter_core import (
 from .random_matrix import MatrixDist
 
 MODES = ("filter", "simulate", "montecarlo", "sweep")
+# Most bytes the arrays of one run may take (8 GiB); a horizon or run
+# count past it fails at parse time instead of exhausting memory.
+MAX_RUN_BYTES = 8 * 2**30
 
 
 # libyaml's parser where it is installed; both build documents with
@@ -227,8 +230,8 @@ def parse_config(text: str, *, mode: str | None = None,
         raise ConfigError(f"malformed config document: {exc}") from exc
     _require_keys(doc, _TOP_ALLOWED, {"mode", "model", "initial", "horizon"},
                   "config")
-    for value in (doc["mode"], mode):
-        if value is not None and value not in MODES:
+    for value in (doc["mode"],) if mode is None else (doc["mode"], mode):
+        if value not in MODES:
             raise ConfigError(f"mode: '{value}' not one of {MODES}")
     horizon = _number(doc["horizon"], "horizon", int, 1)
     doc_runs = _number(doc.get("runs", 50), "runs", int, 1)
@@ -261,4 +264,25 @@ def parse_config(text: str, *, mode: str | None = None,
         raise ConfigError(
             f"initial.mean: dimension {ic.mean.size} does not match "
             f"state dimension {m0.F.shape[0]}")
+    _check_run_size(cfg, m0, "runs" if runs is None else "--runs")
     return cfg
+
+
+def _check_run_size(cfg: ExperimentConfig, m: StepModel,
+                    runs_path: str) -> None:
+    """Raise unless the arrays a run grows with its horizon fit in
+    MAX_RUN_BYTES: per run and step the draws' uniforms, the noise
+    normals (N + r), state noise, state, measurement, a drawn H (N r),
+    filter mean and error; per step and member the record's P and X."""
+    N, r = m.H.shape
+    per_run = (sum(s.source.width for s in (m.F, m.H) if s.source)
+               + 2 * N + 5 * r + N * r)
+    runs, members = {"montecarlo": (cfg.runs, 1), "simulate": (1, 0),
+                     "sweep": (0, len(cfg.gammas))}.get(cfg.mode, (0, 0))
+    one, size = (8 * (cfg.horizon + 1) * (n * per_run + members * 2 * r * r)
+                 for n in (min(runs, 1), runs))
+    if size > MAX_RUN_BYTES:
+        what = (f"{cfg.horizon} steps would allocate {size / 2**30:.3g} GiB"
+                f", over the {MAX_RUN_BYTES // 2**30} GiB limit")
+        raise ConfigError(f"{runs_path}: {runs} runs of {what}"
+                          if one <= MAX_RUN_BYTES else f"horizon: {what}")

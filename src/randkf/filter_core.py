@@ -10,13 +10,11 @@ where X_k = E(x_k x_k^T) takes the same time update as P_k; the two are
 stacked as one ``moments`` array, and ``filter_sequence`` records every
 step's in one ``FilterRecord`` (De Koning's gain schedule).  With
 deterministic parameter matrices it reduces to a standard Kalman filter.
-``filter_sequence`` is the one entry point: it checks its inputs once,
-and ``predict``/``update`` are its steps, which only write its record.
-
-The data-independent half (P, X, S, K) accepts an optional leading model
-axis: ``stack_models`` turns several StepModels of one shape into one
-whose arrays carry that axis, and a single recursion then runs every
-member, each bit-identical to its own unstacked run.
+``filter_sequence`` is the one entry point: it checks its inputs once and
+scans the record's P and X for finiteness once, and ``predict``/``update``
+are its steps, which only write its record, each symmetrizing what it
+records once.  The data-independent half (P, X, S, K) accepts a leading
+model axis (``stack_models``); each member is bit-identical to its own run.
 """
 
 from __future__ import annotations
@@ -86,9 +84,9 @@ class StepModel:
 
     ``Rv`` and ``Rw`` are read-only, as the spec arrays are: one model may
     serve every step and both the sampler and the filter.  A stacked
-    model (see ``stack_models``) has the same leading model axes on all
-    four; only the filter's covariance recursion accepts one.
-    ``Rw_min`` is the smallest eigenvalue of (each member of) Rw.
+    model (``stack_models``) has the same leading model axes on all four.
+    ``Rw_min`` is (each member's) smallest eigenvalue of Rw, and
+    ``S_trace_max`` the trace below which it certifies a solve (``_gain``).
     """
 
     F: RandomMatrixSpec
@@ -96,6 +94,7 @@ class StepModel:
     Rv: np.ndarray
     Rw: np.ndarray
     Rw_min: np.ndarray = field(init=False, repr=False)
+    S_trace_max: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         Rv, _ = _check_psd(self.Rv, "Rv")
@@ -113,7 +112,8 @@ class StepModel:
         if not (self.H.mean.shape[:-2] == Rv.shape[:-2] == Rw.shape[:-2]
                 == lead):
             raise ValueError("F, H, Rv and Rw disagree on the model axes")
-        for name, a in (("Rv", Rv), ("Rw", Rw), ("Rw_min", Rw_min)):
+        for name, a in (("Rv", Rv), ("Rw", Rw), ("Rw_min", Rw_min),
+                        ("S_trace_max", COND_LIMIT / 2 * Rw_min)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -194,25 +194,25 @@ def init(ic: InitialCondition) -> FilterState:
 
 
 def _effective_noise(R: np.ndarray, spec: RandomMatrixSpec,
-                     X: np.ndarray) -> np.ndarray:
-    """R + E(M~ X M~^T); a matrix with no deviation factors adds nothing."""
-    return R + quad_form(spec, X) if spec.factors.shape[-3] else R
+                     s: FilterState) -> np.ndarray:
+    """R + E(M~ X M~^T) at s's X; a matrix without deviation factors adds
+    nothing and reads no X."""
+    return (R + quad_form(spec, s.second_moment) if spec.factors.shape[-3]
+            else R)
 
 
 def predict(s: FilterState, m: StepModel, *, out: FilterState) -> FilterState:
     """Time update through the random transition matrix, written into
     ``out`` (a FilterRecord's step): P and X both take
     Fbar M Fbar^T + Rv + E(F~ X F~^T), in one product over the stacked
-    moments, and the means (if any runs) go through Fbar."""
+    moments, symmetrized once; the means (if any runs) go through Fbar."""
     Fbar = m.F.mean
-    Rv_eff = _effective_noise(m.Rv, m.F, s.second_moment)
+    Rv_eff = _effective_noise(m.Rv, m.F, s)
     F = Fbar[..., None, :, :]
     moments = F @ s.moments @ F.mT + Rv_eff[..., None, :, :]
-    out.mean[...] = s.mean @ Fbar.mT if s.mean.size else s.mean
+    if s.mean.size:
+        out.mean[...] = s.mean @ Fbar.mT
     symmetrize(moments, out=out.moments)
-    if not np.isfinite(out.moments).all():
-        name = "X" if np.isfinite(out.cov).all() else "P"
-        raise ValueError(f"{name} is not finite at step {s.step + 1}")
     return out
 
 
@@ -222,11 +222,10 @@ def _gain(HP: np.ndarray, S: np.ndarray, Rw_min: np.ndarray) -> np.ndarray:
     S dominates Rw, so cond(S) <= tr(S) / lambda_min(Rw).  The members
     where that bound is below COND_LIMIT / 2 (2 to spare for rounding)
     are solved in one batch; every other member gets one batched
-    eigenvalue-truncated pseudo-inverse (K = 0 where S = 0).
+    eigenvalue-truncated pseudo-inverse of S's lower triangle (K = 0
+    where S = 0).  ``update`` solves a step it certifies whole itself.
     """
     good = S.trace(axis1=-2, axis2=-1) < COND_LIMIT / 2 * Rw_min
-    if good.all():
-        return np.linalg.solve(S, HP).mT
     K = np.empty(HP.mT.shape)
     if good.any():
         K[good] = np.linalg.solve(S[good], HP[good]).mT
@@ -242,23 +241,27 @@ def update(p: FilterState, y: np.ndarray, m: StepModel, *,
     """Measurement update with the random measurement matrix, written
     into ``out`` (a FilterRecord's step, or ``p`` itself).
 
-    The innovation covariance uses Rw + E(H~ X H~^T) evaluated at the
-    predicted second moment; it and the gain serve every run (row) of
-    the mean and of ``y``.  P takes P - K (Hbar P); the second moment X
-    is unconditional and passes through unchanged.
+    Both gain paths read one S = Hbar P Hbar^T + Rw + E(H~ X H~^T), at
+    the predicted X, unsymmetrized: a step whose every member S >= Rw
+    certifies (tr(S) < S_trace_max) is solved here, any other goes to
+    ``_gain`` if S is finite (a non-finite diagonal is never certified).
+    S and the gain serve every run (row) of the mean and of ``y``.  P
+    takes P - K (Hbar P), symmetrized; X passes through unchanged.
     """
     Hbar = m.H.mean
     P = p.cov
-    Rw_eff = _effective_noise(m.Rw, m.H, p.second_moment)
     HP = Hbar @ P
-    S = symmetrize(HP @ Hbar.mT + Rw_eff)
-    if not np.isfinite(S).all():
+    S = HP @ Hbar.mT + _effective_noise(m.Rw, m.H, p)
+    good = S.trace(axis1=-2, axis2=-1) < m.S_trace_max
+    if np.count_nonzero(good) == good.size:  # .all(), at a third the cost
+        K = np.linalg.solve(S, HP).mT
+    elif np.isfinite(S).all():
+        K = _gain(HP, S, m.Rw_min)
+    else:
         raise ValueError(f"S is not finite at step {p.step}")
-    K = _gain(HP, S, m.Rw_min)
-    cov = P - K @ HP
-    out.mean[...] = (p.mean + (y - p.mean @ Hbar.mT) @ K.mT if p.mean.size
-                     else p.mean)
-    symmetrize(cov, out=out.cov)
+    if p.mean.size:
+        out.mean[...] = p.mean + (y - p.mean @ Hbar.mT) @ K.mT
+    symmetrize(P - K @ HP, out=out.cov)
     if out is not p:
         out.second_moment[...] = p.second_moment
     return out
@@ -271,6 +274,17 @@ def _check_shapes(m: StepModel, k: int, shapes: tuple) -> None:
     if got != shapes:
         raise ValueError(f"model at step {k} has F {got[0]} and H {got[1]}; "
                          f"the run needs F {shapes[0]} and H {shapes[1]}")
+
+
+def _check_finite(moments: np.ndarray) -> None:
+    """Raise naming the first of steps 1, 2, ... of ``moments`` whose P,
+    or else X, is not finite."""
+    ok = np.isfinite(moments).all(axis=(-2, -1))
+    ok = ok.all(axis=tuple(range(1, ok.ndim - 1)))  # (steps, [P, X])
+    if not ok.all():
+        k = int(np.argmin(ok.all(axis=1)))
+        raise ValueError(f"{'X' if ok[k, 0] else 'P'} is not finite at "
+                         f"step {k + 1}")
 
 
 def filter_sequence(provider: ModelProvider, ic: InitialCondition,
@@ -286,8 +300,8 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     takes provider(0)'s model axes.  With no runs (runs = 0) only the
     data-independent P, X, S, K are left.  A non-finite measurement, P, X
     or S, and a model whose dimensions or model axes differ from the
-    run's, raise a ValueError that names its (first) step; the steps
-    check no input of their own.
+    run's, raise a ValueError that names its (first) step.  P and X are
+    scanned once, after the last step or at the first other failure.
     """
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
@@ -310,10 +324,14 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
                        np.empty((steps,) + lead + s.moments.shape))
     s = FilterState(0, np.broadcast_to(s.mean, runs),
                     np.broadcast_to(s.moments, lead + s.moments.shape))
-    s = update(s, ys[..., 0, :], m, out=rec[0])
-    for k in range(1, steps):
-        p = predict(s, m, out=rec[k])
-        m = provider(k)
-        _check_shapes(m, k, shapes)
-        s = update(p, ys[..., k, :], m, out=p)
+    s, k = update(s, ys[..., 0, :], m, out=rec[0]), 0
+    try:
+        for k in range(1, steps):
+            p = predict(s, m, out=rec[k])
+            m, prev = provider(k), m
+            if m is not prev:
+                _check_shapes(m, k, shapes)
+            s = update(p, ys[..., k, :], m, out=p)
+    finally:  # a P or X that is not finite is named before a later failure
+        _check_finite(rec.moments[1:k + 1])
     return rec

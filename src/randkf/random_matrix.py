@@ -173,18 +173,20 @@ def moments_from_dist(dist: MatrixDist | BlockDropout) -> RandomMatrixSpec:
 def quad_form(spec: RandomMatrixSpec, X) -> np.ndarray:
     """E(M~ X M~^T) = sum_l G_l X G_l^T over the deviation factors.
 
-    The numeric result is symmetrized to kill round-off asymmetry since
-    the downstream Riccati steps assume symmetry.  Leading axes of a
-    stacked spec and of X broadcast; each member's result is
-    bit-identical to its own unstacked call.
+    The sum is not symmetrized, so it is symmetric only to rounding: the
+    filter adds it into P, X or S and symmetrizes each recorded P and X
+    once.  Leading axes of a stacked spec and of X broadcast; each
+    member's result is bit-identical to its own unstacked call.
     """
     X = np.asarray(X, dtype=float)
     G = spec.factors
     q = G.shape[-1]
     if X.shape[-2:] != (q, q):
         raise ValueError(f"X has shape {X.shape}, expected ({q}, {q})")
-    out = np.add.reduce(G @ X[..., None, :, :] @ G.mT, axis=-3)
-    return 0.5 * (out + out.mT)
+    terms = G @ X[..., None, :, :] @ G.mT
+    if G.shape[-3] == 1:  # one factor (a Nahi sensor) is its own sum
+        return terms[..., 0, :, :]
+    return np.add.reduce(terms, axis=-3)
 
 
 def sample_matrix(dist: MatrixDist | BlockDropout,

@@ -99,6 +99,17 @@ class TestParseConfig:
         assert cfg.raw == yaml.safe_load(text)
         assert cfg.raw["mode"] == "montecarlo"
 
+    def test_too_many_runs_fail_at_parse_time(self):
+        # 10^9 runs of sim1's 300 steps, named by the field or the option
+        text = SIM1.read_text()
+        what = ("1000000000 runs of 300 steps would allocate 4.26e+04 GiB, "
+                "over the 8 GiB limit")
+        for kwargs, path in (({"runs": 10**9}, "--runs"), ({}, "runs")):
+            with pytest.raises(ConfigError) as exc:
+                parse_config(text.replace("runs: 50", "runs: 1000000000"),
+                             **kwargs)
+            assert str(exc.value) == f"{path}: {what}"
+
     def test_simulation2_bundle(self):
         cfg = parse_config(SIM2.read_text())
         m = cfg.provider()(0)
@@ -223,6 +234,14 @@ CONFIG_ERRORS = {
                           "config: missing field 'horizon'"),
         "mode": ("nahi", "mode", "train", [], "mode: 'train' not one of "
                  "('filter', 'simulate', 'montecarlo', 'sweep')"),
+        # the subcommand overrides the document's mode; both are checked
+        "mode-null": ("nahi", "mode", None, [], "mode: 'None' not one of "
+                      "('filter', 'simulate', 'montecarlo', 'sweep')"),
+        # refused before any array is allocated
+        "horizon-too-large": (
+            "nahi", "horizon", 10**30, [],
+            f"horizon: {10**30} steps would allocate 1.42e+23 GiB, "
+            "over the 8 GiB limit"),
     },
     "test_bad_model_value_names_its_path": {row[-1]: row for row in [
         ("general", "model.measurements[1].prob", 1.5, [],

@@ -296,6 +296,23 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
         np.testing.assert_array_equal(s.moments, h.moments)
 
 
+SYMMETRY_CASES = {
+    "random F and H": lambda rng: rand_random_model(rng, 3, 2),
+    "stack on both gain paths": lambda rng: stack_models(mixed_nahi_models()),
+}
+
+
+@pytest.mark.parametrize("case", SYMMETRY_CASES)
+def test_every_recorded_moment_is_exactly_symmetric(rng, case):
+    # quad_form's sums and S are symmetric only to rounding; every P and
+    # X in the record is symmetrized once, so it is symmetric bit for bit
+    m = SYMMETRY_CASES[case](rng)
+    ys = rng.standard_normal((2, 41, m.H.shape[0]))
+    rec = filter_sequence(constant_provider(m), rand_ic(rng, m.F.shape[0]),
+                          ys)
+    np.testing.assert_array_equal(rec.moments, rec.moments.mT)
+
+
 STACKED_NEEDS_RUNS = r"stacked model needs .*\(runs, K\+1, N\) measurements"
 
 

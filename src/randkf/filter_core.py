@@ -324,7 +324,8 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
                        np.empty((steps,) + lead + s.moments.shape))
     s = FilterState(0, np.broadcast_to(s.mean, runs),
                     np.broadcast_to(s.moments, lead + s.moments.shape))
-    s, k = update(s, ys[..., 0, :], m, out=rec[0]), 0
+    s = update(s, ys[..., 0, :], m, out=rec[0])
+    k = 0  # the last step written, for the scan
     try:
         for k in range(1, steps):
             p = predict(s, m, out=rec[k])

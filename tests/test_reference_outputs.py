@@ -25,16 +25,14 @@ from randkf.cli import main
 
 REF = REPO / "tests" / "reference"
 # output directory under REF -> CLI arguments, without --out
-RUNS = {
-    **{f"sim{i}/{command}": [command, "--config", str(cfg), *extra]
-       for i, cfg in ((1, SIM1), (2, SIM2))
-       for command, extra in (
-           ("simulate", []),
-           ("montecarlo", ["--runs", "200", "--seed", "7"]),
-           ("filter", ["--measurements",
-                       str(REF / f"sim{i}" / "simulate" / "measurements.csv")]))},
-    "sim1/sweep": ["sweep", "--config", str(SIM1)],
-}
+RUNS = {"sim1/sweep": ["sweep", "--config", str(SIM1)]}
+for _i, _cfg in ((1, SIM1), (2, SIM2)):
+    _ys = REF / f"sim{_i}" / "simulate" / "measurements.csv"
+    for _command, _extra in (("simulate", []),
+                             ("montecarlo", ["--runs", "200", "--seed", "7"]),
+                             ("filter", ["--measurements", str(_ys)])):
+        RUNS[f"sim{_i}/{_command}"] = [_command, "--config", str(_cfg),
+                                       *_extra]
 
 
 @pytest.fixture(scope="module")

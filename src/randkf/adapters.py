@@ -9,17 +9,19 @@ independently dropping measurement blocks are B blocks, which give B
 deviation factors and are sampled with one Bernoulli draw per block, so
 neither the build nor a draw enumerates the 2^B on/off patterns.
 
-Each ``build_*(m, k)`` is a plain function of the model and the step: it
-builds and validates a new StepModel on every call.  A model with
-constant probabilities is the same every step, so its caller builds it
-once and serves it with ``constant_provider(build_x(m, 0))``; a p(k)
-schedule is served per step by ``lambda k: build_x(m, k)``.
+Each ``build_*(m, k)`` builds and validates a new StepModel from the
+model alone: k is not read, and is kept because callers build every kind
+alike as ``build_x(m, 0)``.  An adapter model is the same every step, so
+its caller builds it once and serves it with
+``constant_provider(build_x(m, 0))``.  A model that varies over time is
+a provider of its own, such as
+``lambda k: build_nahi(replace(m, p=p(k)), k)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,17 +32,6 @@ from .random_matrix import (
     deterministic,
     moments_from_dist,
 )
-
-ProbFn = Callable[[int], float] | float
-
-
-def _prob_at(p: ProbFn, k: int, i: int) -> float:
-    val = float(p(k)) if callable(p) else float(p)
-    if not 0.0 <= val <= 1.0:
-        raise ValueError(f"p(k) of block {i} = {val} is outside [0, 1] "
-                         f"at step {k}")
-    return val
-
 
 @dataclass(frozen=True)
 class UncertainObsModel:
@@ -58,7 +49,7 @@ class NahiModel:
     """Single sensor whose reading contains the signal only with probability p."""
 
     h: np.ndarray
-    p: ProbFn
+    p: float
     F: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray
@@ -68,7 +59,7 @@ class NahiModel:
 class PartitionedObsModel:
     """Measurement split into independent blocks, each with its own dropout."""
 
-    blocks: Sequence[tuple[np.ndarray, ProbFn]]
+    blocks: Sequence[tuple[np.ndarray, float]]
     F: np.ndarray
     Rv: np.ndarray
     Rw: np.ndarray
@@ -102,10 +93,11 @@ def build_partitioned(m: PartitionedObsModel, k: int) -> StepModel:
 
     The blocks and their probabilities form a BlockDropout, whose B
     deviation factors make the quad form block-diagonal with blocks
-    (1-p_i) p_i h_i X h_i^T.
+    (1-p_i) p_i h_i X h_i^T.  BlockDropout names the first block whose
+    probability is outside [0, 1].
     """
-    ps = [_prob_at(p, k, i) for i, (_, p) in enumerate(m.blocks)]
-    dist = BlockDropout(blocks=tuple(h for h, _ in m.blocks), probs=ps)
+    dist = BlockDropout(blocks=tuple(h for h, _ in m.blocks),
+                        probs=[p for _, p in m.blocks])
     return StepModel(F=deterministic(m.F), H=moments_from_dist(dist),
                      Rv=m.Rv, Rw=m.Rw)
 

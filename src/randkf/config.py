@@ -85,9 +85,12 @@ def _matrix(node: Any, where: str) -> np.ndarray:
 
 def _number(node: Any, where: str, kind: type = float,
             low: float = -math.inf):
-    """node (a number, or a string: YAML 1.1 reads 1e-3 as one) as a finite
-    float, or an int neither boolean nor fraction, >= low; else ConfigError."""
+    """node (a number, or a string read by float(): YAML 1.1 reads 3e2 as
+    one) as a finite float, or an int neither boolean nor fraction, >= low;
+    else ConfigError."""
     try:
+        if isinstance(node, str):
+            node = float(node)
         value = kind(node)
         fraction = kind is int and isinstance(node, float) and value != node
         if isinstance(node, bool) or fraction:
@@ -196,8 +199,8 @@ class ExperimentConfig:
     gammas: list[float]
     raw: dict
 
-    # YAML probabilities are numbers: a config's model is the same every
-    # step, so it is built once and serves every step
+    # an adapter model is the same every step (no builder reads k), so
+    # it is built once and serves every step
     @cached_property
     def step_model(self) -> StepModel:
         return _BUILDERS[type(self.model)](self.model, 0)

@@ -85,15 +85,14 @@ class StepModel:
     ``Rv`` and ``Rw`` are read-only, as the spec arrays are: one model may
     serve every step and both the sampler and the filter.  A stacked
     model (``stack_models``) has the same leading model axes on all four.
-    ``Rw_min`` is (each member's) smallest eigenvalue of Rw, and
-    ``S_trace_max`` the trace below which it certifies a solve (``_gain``).
+    ``S_trace_max`` is (each member's) COND_LIMIT / 2 * lambda_min(Rw),
+    the trace of S below which ``update`` certifies a solve.
     """
 
     F: RandomMatrixSpec
     H: RandomMatrixSpec
     Rv: np.ndarray
     Rw: np.ndarray
-    Rw_min: np.ndarray = field(init=False, repr=False)
     S_trace_max: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -112,7 +111,7 @@ class StepModel:
         if not (self.H.mean.shape[:-2] == Rv.shape[:-2] == Rw.shape[:-2]
                 == lead):
             raise ValueError("F, H, Rv and Rw disagree on the model axes")
-        for name, a in (("Rv", Rv), ("Rw", Rw), ("Rw_min", Rw_min),
+        for name, a in (("Rv", Rv), ("Rw", Rw),
                         ("S_trace_max", COND_LIMIT / 2 * Rw_min)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -216,16 +215,13 @@ def predict(s: FilterState, m: StepModel, *, out: FilterState) -> FilterState:
     return out
 
 
-def _gain(HP: np.ndarray, S: np.ndarray, Rw_min: np.ndarray) -> np.ndarray:
+def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
     """K = (Hbar P)^T S^+ for one S (N, N) or a stack (..., N, N).
 
-    S dominates Rw, so cond(S) <= tr(S) / lambda_min(Rw).  The members
-    where that bound is below COND_LIMIT / 2 (2 to spare for rounding)
-    are solved in one batch; every other member gets one batched
-    eigenvalue-truncated pseudo-inverse of S's lower triangle (K = 0
-    where S = 0).  ``update`` solves a step it certifies whole itself.
+    The members ``update`` certifies (``good``) are solved in one batch;
+    every other member gets one batched eigenvalue-truncated
+    pseudo-inverse of S's lower triangle (K = 0 where S = 0).
     """
-    good = S.trace(axis1=-2, axis2=-1) < COND_LIMIT / 2 * Rw_min
     K = np.empty(HP.mT.shape)
     if good.any():
         K[good] = np.linalg.solve(S[good], HP[good]).mT
@@ -242,9 +238,11 @@ def update(p: FilterState, y: np.ndarray, m: StepModel, *,
     into ``out`` (a FilterRecord's step, or ``p`` itself).
 
     Both gain paths read one S = Hbar P Hbar^T + Rw + E(H~ X H~^T), at
-    the predicted X, unsymmetrized: a step whose every member S >= Rw
-    certifies (tr(S) < S_trace_max) is solved here, any other goes to
-    ``_gain`` if S is finite (a non-finite diagonal is never certified).
+    the predicted X, unsymmetrized.  S dominates Rw, so cond(S) <=
+    tr(S) / lambda_min(Rw) certifies the members with tr(S) <
+    S_trace_max (2 to spare for rounding).  A step certified whole is
+    solved here; any other goes to ``_gain`` with the certificate if S
+    is finite (a non-finite diagonal is never certified).
     S and the gain serve every run (row) of the mean and of ``y``.  P
     takes P - K (Hbar P), symmetrized; X passes through unchanged.
     """
@@ -256,7 +254,7 @@ def update(p: FilterState, y: np.ndarray, m: StepModel, *,
     if np.count_nonzero(good) == good.size:  # .all(), at a third the cost
         K = np.linalg.solve(S, HP).mT
     elif np.isfinite(S).all():
-        K = _gain(HP, S, m.Rw_min)
+        K = _gain(HP, S, good)
     else:
         raise ValueError(f"S is not finite at step {p.step}")
     if p.mean.size:

@@ -188,15 +188,14 @@ def enumerated_partition_dist(blocks):
     return MatrixDist.of(pairs)
 
 
-def partitioned_quad_form(m, X, k=0):
+def partitioned_quad_form(m, X):
     """Block-diagonal E(H~ X H~^T) of a PartitionedObsModel, block by
     block: (1 - p_i) p_i h_i X h_i^T."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     blocks = []
     for h, p in m.blocks:
         h = np.atleast_2d(np.asarray(h, dtype=float))
-        pi = float(p(k)) if callable(p) else float(p)
-        blocks.append((1.0 - pi) * pi * h @ X @ h.T)
+        blocks.append((1.0 - p) * p * h @ X @ h.T)
     N = sum(b.shape[0] for b in blocks)
     out = np.zeros((N, N))
     at = 0

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -105,15 +106,18 @@ class TestNahi:
                                    rtol=0, atol=1e-15)
 
     def test_time_varying_probability(self):
-        m = NahiModel(h=H_SIM1, p=lambda k: 1.0 / (k + 1), F=np.eye(2),
-                      Rv=np.eye(2), Rw=np.eye(2))
-        np.testing.assert_allclose(build_nahi(m, 0).H.mean, H_SIM1)
-        np.testing.assert_allclose(build_nahi(m, 3).H.mean, 0.25 * H_SIM1)
+        # a p(k) schedule is a provider: one model of its own each step
+        m = NahiModel(h=H_SIM1, p=1.0, F=np.eye(2), Rv=np.eye(2),
+                      Rw=np.eye(2))
+        provider = lambda k: build_nahi(replace(m, p=1.0 / (k + 1)), k)
+        np.testing.assert_allclose(provider(0).H.mean, H_SIM1)
+        np.testing.assert_allclose(provider(3).H.mean, 0.25 * H_SIM1)
 
     def test_probability_out_of_range_rejected(self):
         m = NahiModel(h=H_SIM1, p=1.2, F=np.eye(2), Rv=np.eye(2),
                       Rw=np.eye(2))
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match=r"^block 0: probability 1\.2 "
+                           r"outside \[0, 1\]$"):
             build_nahi(m, 0)
 
     def test_matches_specialized_recursion(self, rng):
@@ -200,36 +204,52 @@ class TestMultiModel:
 
 
 class TestProbabilityLeavingRange:
-    """A p(k) schedule that leaves [0, 1] raises at its step."""
+    """A p(k) schedule is a provider; where p leaves [0, 1] its build
+    raises, and the filter and the sampler stop there."""
 
     @staticmethod
-    def models(p):
+    def providers(p):
+        """(provider, its message at p(k) = 1.2): Nahi's one block and
+        the second of two partitioned blocks follow p(k)."""
+        nahi = NahiModel(h=H_SIM1, p=0.9, F=rotation_matrix(300),
+                         Rv=2 * np.eye(2), Rw=np.eye(2))
+        part = PartitionedObsModel(
+            blocks=((H_SIM1[:1], 0.6), (H_SIM1[1:], 0.9)),
+            F=rotation_matrix(300), Rv=2 * np.eye(2), Rw=np.eye(2))
         return (
-            (build_nahi, NahiModel(h=H_SIM1, p=p, F=rotation_matrix(300),
-                                   Rv=2 * np.eye(2), Rw=np.eye(2))),
-            (build_partitioned,
-             PartitionedObsModel(blocks=((H_SIM1[:1], p), (H_SIM1[1:], 0.6)),
-                                 F=rotation_matrix(300), Rv=2 * np.eye(2),
-                                 Rw=np.eye(2))),
+            (lambda k: build_nahi(replace(nahi, p=p(k)), k),
+             "block 0: probability 1.2 outside [0, 1]"),
+            (lambda k: build_partitioned(replace(part, blocks=(
+                (H_SIM1[:1], 0.6), (H_SIM1[1:], p(k)))), k),
+             "block 1: probability 1.2 outside [0, 1]"),
         )
 
     def test_probability_leaving_range_raises_at_its_step(self, rng):
         def p(k):
             return 1.2 if k == 7 else 0.9
 
-        # built directly, filtered and sampled, the error names step 7
+        # filtered and sampled, the provider is called through step 7
+        # only, and its own error comes out unchanged
         ic = rand_ic(rng, 2)
         ys = rng.standard_normal((10, 2))
-        for build, m in self.models(p):
-            for k in range(7):
-                build(m, k)
-            prov = partial(build, m)
-            for run in (lambda: build(m, 7),
-                        lambda: filter_sequence(prov, ic, ys),
-                        lambda: simulate_truth(prov, ic, 9, 0)):
-                with pytest.raises(ValueError, match=r"p\(k\) of block 0 = "
-                                   r"1\.2 is outside \[0, 1\] at step 7$"):
-                    run()
+        for provider, message in self.providers(p):
+            for run in (partial(filter_sequence, ic=ic, measurements=ys),
+                        partial(simulate_truth, ic=ic, K=9, seed=0)):
+                calls, raised = [], []
+
+                def spy(k):
+                    calls.append(k)
+                    try:
+                        return provider(k)
+                    except ValueError as exc:
+                        raised.append(exc)
+                        raise
+
+                with pytest.raises(ValueError) as exc:
+                    run(spy)
+                assert calls == list(range(8))
+                assert len(raised) == 1 and raised[0] is exc.value
+                assert str(exc.value) == message
 
 
 class TestScale:

@@ -120,14 +120,20 @@ class TestParseConfig:
         assert_restated(cfg, sim2_model())
 
     def test_strings_float_reads_are_numbers(self):
-        # YAML 1.1 reads 1e-3 and 1.0e3 as strings, not floats
+        # YAML 1.1 reads 1e-3, 1.0e3 and 3e2 as strings, not floats; an
+        # integer field reads a whole one as an int
         text = MINIMAL.replace("p: 0.9", "p: 1e-3").replace(
-            "rw: [[1, 0], [0, 1]]", "rw: [[1e-3, 0], [0, 1.0e3]]")
-        assert yaml.safe_load(text)["model"]["p"] == "1e-3"
-        model = parse_config(text).model
-        assert model.p == 0.001
-        np.testing.assert_array_equal(model.Rw, [[0.001, 0], [0, 1000.0]],
+            "rw: [[1, 0], [0, 1]]", "rw: [[1e-3, 0], [0, 1.0e3]]").replace(
+            "horizon: 5", "horizon: 3e2\nruns: 5e1").replace(
+            "seed: 3", "seed: 7.0e0")
+        doc = yaml.safe_load(text)
+        assert (doc["model"]["p"], doc["horizon"]) == ("1e-3", "3e2")
+        cfg = parse_config(text)
+        assert cfg.model.p == 0.001
+        np.testing.assert_array_equal(cfg.model.Rw, [[0.001, 0], [0, 1000.0]],
                                       strict=True)
+        got = (cfg.horizon, cfg.runs, cfg.seed)
+        assert got == (300, 50, 7) and {type(v) for v in got} == {int}
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"),
@@ -220,6 +226,10 @@ CONFIG_ERRORS = {
         "runs-fraction": ("nahi", "runs", 1.9, [], "runs: not an integer"),
         "seed-fraction": ("nahi", "seed", 2.5, [], "seed: not an integer"),
         "seed-negative": ("nahi", "seed", -3, [], "seed: must be >= 0"),
+        "horizon-exponent-fraction": ("nahi", "horizon", "2.5e0", [],
+                                      "horizon: not an integer"),
+        "runs-exponent-fraction": ("nahi", "runs", "15e-2", [],
+                                   "runs: not an integer"),
         "seed-override-negative": ("nahi", "seed", 3, ["--seed", "-3"],
                                    "--seed: must be >= 0"),
         "measurements": ("nahi", "measurements", 5, [],
@@ -241,6 +251,10 @@ CONFIG_ERRORS = {
         "horizon-too-large": (
             "nahi", "horizon", 10**30, [],
             f"horizon: {10**30} steps would allocate 1.42e+23 GiB, "
+            "over the 8 GiB limit"),
+        "horizon-exponent-too-large": (
+            "nahi", "horizon", "1e30", [],
+            f"horizon: {int(1e30)} steps would allocate 1.42e+23 GiB, "
             "over the 8 GiB limit"),
     },
     "test_bad_model_value_names_its_path": {row[-1]: row for row in [

@@ -493,13 +493,13 @@ def test_gain_over_a_mixed_stack(rng):
     assert w[0] > 0 and w[1] / w[0] > COND_LIMIT
     cov = np.stack([rand_psd(rng, 3) for _ in S])
     Hbar = rng.standard_normal((len(S), 2, 3))
-    # S >= I certifies the first member's solve; the third's positive
-    # Rw_min is too small to certify anything
-    Rw_min = np.array([1.0, 0.0, 0.5 * w[0], 0.0])
+    # only the first member is certified (its S >= I); the others take
+    # the pseudo-inverse
+    good = np.array([True, False, False, False])
     HP = Hbar @ cov
-    K = _gain(HP, S, Rw_min)
+    K = _gain(HP, S, good)
     for i in range(len(S)):
-        np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], Rw_min[i]))
+        np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], good[i]))
     assert not K[3].any() and not np.signbit(K[3]).any()
     np.testing.assert_allclose(K[0], cov[0] @ Hbar[0].T @ np.linalg.inv(S[0]),
                                rtol=1e-12, atol=1e-12)
@@ -594,9 +594,9 @@ def test_certified_solve_agrees_with_the_pseudo_inverse_gain(
     Hbar = m.H.mean
     HP = Hbar @ P
     S = symmetrize(HP @ Hbar.mT + m.Rw + quad_form(m.H, X))
-    K = _gain(HP, S, m.Rw_min)
-    pinv_K = _gain(HP, S, np.zeros(lead))
-    certified = np.trace(S, axis1=-2, axis2=-1) < COND_LIMIT / 2 * m.Rw_min
+    certified = np.trace(S, axis1=-2, axis2=-1) < m.S_trace_max
+    K = _gain(HP, S, certified)
+    pinv_K = _gain(HP, S, np.zeros(lead, dtype=bool))
     w = np.linalg.eigvalsh(S)
     eps = np.finfo(float).eps
     for c, wi, Ki, pinv_Ki in zip(certified.reshape(-1), w.reshape(-1, N),
@@ -610,4 +610,4 @@ def test_certified_solve_agrees_with_the_pseudo_inverse_gain(
         else:
             np.testing.assert_array_equal(Ki, pinv_Ki)
     for i in range(members):
-        np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], m.Rw_min[i]))
+        np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], certified[i]))

@@ -81,11 +81,10 @@ def systems(draw, kind):
 
         def step(Rw, k):
             if kind == "nahi":
-                return build_nahi(NahiModel(h=h, p=lambda k: p(k)[0], F=F,
-                                            Rv=Rv, Rw=Rw), k)
+                return build_nahi(NahiModel(h=h, p=p(k)[0], F=F, Rv=Rv,
+                                            Rw=Rw), k)
             return build_partitioned(PartitionedObsModel(
-                blocks=[(b, lambda k, i=i: p(k)[i]) for i, b in enumerate(hs)],
-                F=F, Rv=Rv, Rw=Rw), k)
+                blocks=[*zip(hs, p(k))], F=F, Rv=Rv, Rw=Rw), k)
 
         def mixture(Rw):
             return lambda k: build_uncertain_obs(UncertainObsModel(

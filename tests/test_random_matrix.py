@@ -282,14 +282,19 @@ class TestBlockDropout:
 
     def test_rejects_invalid_blocks(self):
         h = np.ones((1, 2))
-        for blocks, probs, match in (
-                ((), [], "at least one"),
-                ((h, h), [0.5], "2 blocks but 1"),
-                ((h, np.ones((1, 3))), [0.5, 0.5], "state dimension"),
-                ((h,), [1.5], "outside"),
-                ((h,), [np.nan], "outside")):
-            with pytest.raises(ValueError, match=match):
+        for blocks, probs, message in (
+                ((), [], "need at least one block"),
+                ((h, h), [0.5], "2 blocks but 1 probabilities"),
+                ((h, np.ones((1, 3))), [0.5, 0.5],
+                 "blocks disagree on state dimension"),
+                ((h,), [1.5], "block 0: probability 1.5 outside [0, 1]"),
+                ((h, h, h), [0.5, 1.2, -0.1],
+                 "block 1: probability 1.2 outside [0, 1]"),
+                ((h, h), [0.5, np.nan],
+                 "block 1: probability nan outside [0, 1]")):
+            with pytest.raises(ValueError) as exc:
                 BlockDropout(blocks=blocks, probs=probs)
+            assert str(exc.value) == message
 
     def test_draws_independent_blocks(self):
         # blocks [1] and [[2], [3]]: each draw keeps or zeroes whole

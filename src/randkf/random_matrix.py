@@ -106,10 +106,11 @@ class BlockDropout:
                 f"{len(blocks)} blocks but {probs.size} probabilities")
         if len({h.shape[1] for h in blocks}) > 1:
             raise ValueError("blocks disagree on state dimension")
-        bad = np.flatnonzero(~((probs >= 0) & (probs <= 1)))  # NaN too
-        if bad.size:
-            raise ValueError(f"block {bad[0]}: probability {probs[bad[0]]} "
-                             "outside [0, 1]")
+        ok = (probs >= 0) & (probs <= 1)  # False for NaN
+        if not ok.all():
+            i = np.argmin(ok)
+            raise ValueError(f"block {i}: probability {probs[i]} outside "
+                             "[0, 1]")
         rows = np.repeat(np.arange(probs.size), [h.shape[0] for h in blocks])
         on = rows == np.arange(probs.size)[:, None]
         stacked = np.where(on[..., None], np.vstack(blocks), 0.0)

@@ -12,9 +12,11 @@ step's in one ``FilterRecord`` (De Koning's gain schedule).  With
 deterministic parameter matrices it reduces to a standard Kalman filter.
 ``filter_sequence`` is the one entry point: it checks its inputs once and
 scans the record's P and X for finiteness once, and ``predict``/``update``
-are its steps, which only write its record, each symmetrizing what it
-records once.  The data-independent half (P, X, S, K) accepts a leading
-model axis (``stack_models``); each member is bit-identical to its own run.
+are its steps, which only write its record; ``update`` symmetrizes each
+step's [P, X] once.  A step whose every member the S >= Rw certificate
+covers is solved by LAPACK's gufunc directly (``_lapack_solve``).  The
+data-independent half (P, X, S, K) accepts a leading model axis
+(``stack_models``); each member is bit-identical to its own run.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+# the gufunc np.linalg.solve wraps; a numpy without it fails this import
+from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 from .random_matrix import RandomMatrixSpec, quad_form
 
@@ -86,7 +90,9 @@ class StepModel:
     serve every step and both the sampler and the filter.  A stacked
     model (``stack_models``) has the same leading model axes on all four.
     ``S_trace_max`` is (each member's) COND_LIMIT / 2 * lambda_min(Rw),
-    the trace of S below which ``update`` certifies a solve.
+    the trace of S below which ``update`` certifies a member's solve, and
+    the float ``S_trace_sum_max`` is its smallest member's: a trace of S
+    summed over the members below it certifies every member.
     """
 
     F: RandomMatrixSpec
@@ -94,6 +100,7 @@ class StepModel:
     Rv: np.ndarray
     Rw: np.ndarray
     S_trace_max: np.ndarray = field(init=False, repr=False)
+    S_trace_sum_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         Rv, _ = _check_psd(self.Rv, "Rv")
@@ -111,10 +118,12 @@ class StepModel:
         if not (self.H.mean.shape[:-2] == Rv.shape[:-2] == Rw.shape[:-2]
                 == lead):
             raise ValueError("F, H, Rv and Rw disagree on the model axes")
-        for name, a in (("Rv", Rv), ("Rw", Rw),
-                        ("S_trace_max", COND_LIMIT / 2 * Rw_min)):
+        S_trace_max = COND_LIMIT / 2 * Rw_min
+        for name, a in (("Rv", Rv), ("Rw", Rw), ("S_trace_max", S_trace_max)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        object.__setattr__(self, "S_trace_sum_max",
+                           float(np.min(S_trace_max, initial=np.inf)))
 
 
 ModelProvider = Callable[[int], StepModel]
@@ -204,14 +213,15 @@ def predict(s: FilterState, m: StepModel, *, out: FilterState) -> FilterState:
     """Time update through the random transition matrix, written into
     ``out`` (a FilterRecord's step): P and X both take
     Fbar M Fbar^T + Rv + E(F~ X F~^T), in one product over the stacked
-    moments, symmetrized once; the means (if any runs) go through Fbar."""
+    moments, as summed (``update`` symmetrizes the slot); the means (if
+    any runs) go through Fbar."""
     Fbar = m.F.mean
     Rv_eff = _effective_noise(m.Rv, m.F, s)
     F = Fbar[..., None, :, :]
-    moments = F @ s.moments @ F.mT + Rv_eff[..., None, :, :]
+    moments = np.matmul(F @ s.moments, F.mT, out=out.moments)
+    moments += Rv_eff[..., None, :, :]
     if s.mean.size:
-        out.mean[...] = s.mean @ Fbar.mT
-    symmetrize(moments, out=out.moments)
+        np.matmul(s.mean, Fbar.mT, out=out.mean)
     return out
 
 
@@ -224,7 +234,7 @@ def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
     """
     K = np.empty(HP.mT.shape)
     if good.any():
-        K[good] = np.linalg.solve(S[good], HP[good]).mT
+        K[good] = _lapack_solve(S[good], HP[good]).mT
     w, V = np.linalg.eigh(S[~good])
     keep = (COND_LIMIT * w > w[..., -1:])[..., None, :]
     Vw = np.divide(V, w[..., None, :], where=keep, out=np.zeros_like(V))
@@ -238,30 +248,35 @@ def update(p: FilterState, y: np.ndarray, m: StepModel, *,
     into ``out`` (a FilterRecord's step, or ``p`` itself).
 
     Both gain paths read one S = Hbar P Hbar^T + Rw + E(H~ X H~^T), at
-    the predicted X, unsymmetrized.  S dominates Rw, so cond(S) <=
-    tr(S) / lambda_min(Rw) certifies the members with tr(S) <
-    S_trace_max (2 to spare for rounding).  A step certified whole is
-    solved here; any other goes to ``_gain`` with the certificate if S
-    is finite (a non-finite diagonal is never certified).
-    S and the gain serve every run (row) of the mean and of ``y``.  P
-    takes P - K (Hbar P), symmetrized; X passes through unchanged.
+    the predicted P and X as ``predict`` summed them, unsymmetrized.  S
+    dominates Rw, so cond(S) <= tr(S) / lambda_min(Rw) certifies the
+    members with tr(S) < S_trace_max (2 to spare for rounding); every
+    tr(S) is at least 0, so a trace summed over the members below
+    S_trace_sum_max certifies them all.  Such a step is solved here by
+    LAPACK's gufunc, without ``np.linalg.solve``'s wrapper: S is square
+    float64 and, certified, finite and nonsingular, so none of the
+    wrapper's checks could fire.  Any other step goes to ``_gain`` with
+    the members' certificate if S is finite (a non-finite diagonal never
+    passes the sum).  S and the gain serve every run (row) of the mean
+    and of ``y``.  P takes P - K (Hbar P), and the slot [P, X] is
+    symmetrized once.
     """
     Hbar = m.H.mean
     P = p.cov
     HP = Hbar @ P
     S = HP @ Hbar.mT + _effective_noise(m.Rw, m.H, p)
-    good = S.trace(axis1=-2, axis2=-1) < m.S_trace_max
-    if np.count_nonzero(good) == good.size:  # .all(), at a third the cost
-        K = np.linalg.solve(S, HP).mT
+    if np.add.reduce(S.diagonal(0, -2, -1), axis=None) < m.S_trace_sum_max:
+        K = _lapack_solve(S, HP).mT
     elif np.isfinite(S).all():
-        K = _gain(HP, S, good)
+        K = _gain(HP, S, S.trace(axis1=-2, axis2=-1) < m.S_trace_max)
     else:
         raise ValueError(f"S is not finite at step {p.step}")
     if p.mean.size:
-        out.mean[...] = p.mean + (y - p.mean @ Hbar.mT) @ K.mT
-    symmetrize(P - K @ HP, out=out.cov)
+        np.add(p.mean, (y - p.mean @ Hbar.mT) @ K.mT, out=out.mean)
+    np.subtract(P, K @ HP, out=out.cov)
     if out is not p:
         out.second_moment[...] = p.second_moment
+    symmetrize(out.moments, out=out.moments)
     return out
 
 

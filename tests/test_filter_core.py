@@ -1,10 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randkf.filter_core
 from conftest import (
+    REPO,
     SIM1_IC,
     deterministic_model,
     edge_nahi_models,
@@ -15,9 +19,10 @@ from conftest import (
     rand_ic,
     rand_psd,
     rand_random_model,
+    sim1_model,
     textbook_kf,
 )
-from randkf.config import rotation_matrix
+from randkf.config import parse_config, rotation_matrix
 from randkf.filter_core import (
     COND_LIMIT,
     FilterState,
@@ -359,6 +364,11 @@ NON_FINITE = {
     # Hbar = 1e200 I puts 1e400 into S at the first update
     "S overflow": (lambda k: deterministic_model(I2, 1e200 * I2, I2, I2),
                    SIM1_IC, 2, "S is not finite at step 0"),
+    # the summed trace of the stack is infinite: the fallback finds S
+    "S overflow, one stacked member": (
+        lambda k: stack_models([deterministic_model(I2, I2, I2, I2),
+                                deterministic_model(I2, 1e200 * I2, I2, I2)]),
+        SIM1_IC, 2, "S is not finite at step 0"),
     "X before S": (
         lambda k: deterministic_model(2 * I2, (1e200 if k >= 6 else 1) * I2,
                                       I2, I2),
@@ -416,7 +426,8 @@ def test_model_that_does_not_fit_the_run_names_its_step(rng, case):
 
 def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     # a matrix without deviation factors adds exactly no noise, so only
-    # the random H's quad form runs: none in predict, one per update
+    # the random H's quad form runs: none in predict, one per update;
+    # predict leaves its sums to update to symmetrize
     calls = []
     real = randkf.filter_core.quad_form
     monkeypatch.setattr(randkf.filter_core, "quad_form",
@@ -431,7 +442,7 @@ def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     F = m.F.mean
     for got, ref in ((p.cov, F @ s0.cov @ F.T + m.Rv),
                      (p.second_moment, F @ s0.second_moment @ F.T + m.Rv)):
-        np.testing.assert_array_equal(got, 0.5 * (ref + ref.T))
+        np.testing.assert_array_equal(got, ref)
     update(p, np.ones(2), m, out=p)
     assert calls == [H]
 
@@ -611,3 +622,76 @@ def test_certified_solve_agrees_with_the_pseudo_inverse_gain(
             np.testing.assert_array_equal(Ki, pinv_Ki)
     for i in range(members):
         np.testing.assert_array_equal(K[i], _gain(HP[i], S[i], certified[i]))
+
+
+def partitioned_b8(monkeypatch):
+    """The B = 8 partitioned model the benchmark filters, with a prior,
+    over the benchmark's horizon."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    wl = importlib.import_module("workloads")
+    r = wl.PART_STATE
+    cfg = parse_config(yaml.safe_dump({
+        "mode": "filter", "horizon": wl.PART_HORIZON,
+        "model": wl.partitioned_model(811, wl.PART_BLOCKS),
+        "initial": {"mean": np.linspace(-5.0, 5.0, r).tolist(),
+                    "cov": np.eye(r).tolist()}}))
+    return cfg.step_model, cfg.initial, cfg.horizon
+
+
+# {id: monkeypatch -> (model, prior, horizon)}, each certified at every step
+CERTIFIED_RUNS = {
+    "sim1": lambda mp: (sim1_model(), SIM1_IC, 300),
+    "sim1 over six gammas": lambda mp: (
+        stack_models([sim1_model(g) for g in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)]),
+        SIM1_IC, 300),
+    "partitioned B=8": partitioned_b8,
+}
+
+
+@pytest.mark.parametrize("case", CERTIFIED_RUNS)
+def test_certified_step_solves_bit_equal_to_numpy(monkeypatch, case):
+    # every step of the benchmarked models is certified whole, so update
+    # solves it by LAPACK's gufunc directly; the K it gives is
+    # np.linalg.solve's bit for bit
+    m, ic, K = CERTIFIED_RUNS[case](monkeypatch)
+    solves = []
+    real = randkf.filter_core._lapack_solve
+    monkeypatch.setattr(randkf.filter_core, "_lapack_solve",
+                        lambda S, HP: solves.append((S, HP, real(S, HP)))
+                        or solves[-1][2])
+
+    def no_gain(*args):
+        raise AssertionError("a step missed the certificate")
+
+    monkeypatch.setattr(randkf.filter_core, "_gain", no_gain)
+    covariance_recursion(constant_provider(m), ic, K)
+    assert len(solves) == K + 1
+    for S, HP, KT in solves:
+        np.testing.assert_array_equal(KT, np.linalg.solve(S, HP))
+
+
+def test_summed_trace_over_the_bound_falls_back_member_by_member(
+        monkeypatch):
+    # each member alone is certified at every step, the first within its
+    # small bound (S_trace_max 5; tr S about 1 at step 0, then 0.2); the
+    # stack's summed trace (12 at step 0, then about 180) is over that
+    # bound, so every step goes to _gain, whose mask certifies both
+    tight = deterministic_model(0.5 * I2, I2, 0.1 * I2, 1e-11 * I2)
+    loose = deterministic_model(0.5 * I2, 3 * I2, 10 * I2, I2)
+    stacked = stack_models([tight, loose])
+    assert stacked.S_trace_sum_max == tight.S_trace_max == 5.0
+    K, gains = 40, []
+    real = randkf.filter_core._gain
+    monkeypatch.setattr(randkf.filter_core, "_gain",
+                        lambda HP, S, good: gains.append((S, good))
+                        or real(HP, S, good))
+    rec = covariance_recursion(constant_provider(stacked), SIM1_IC, K)
+    assert len(gains) == K + 1
+    for S, good in gains:
+        assert good.tolist() == [True, True]
+        assert np.trace(S, axis1=-2, axis2=-1).sum() > 5.0
+    gains.clear()
+    for i, m in enumerate((tight, loose)):
+        own = covariance_recursion(constant_provider(m), SIM1_IC, K)
+        assert gains == []
+        np.testing.assert_array_equal(rec.moments[:, i], own.moments)

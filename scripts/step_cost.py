@@ -1,23 +1,32 @@
 #!/usr/bin/env python3
-"""Microseconds per step of the covariance recursion, tree against tree.
+"""Time per step of the filter's two halves, tree against tree.
 
     python scripts/step_cost.py TREE [TREE ...]
 
 Each TREE is a checkout of this repository.  Every one of ROUNDS rounds
 runs each tree once in its own child process, alternating the order of
 the trees from round to round.  The child builds the config of each
-workload in the tree's perfbench/workloads.py at SEED, and times
-`sim_harness.covariance_recursion` on the model that workload filters,
-REPEATS times after one warm-up call (garbage collection off, as
-`timeit` does):
+workload in the tree's perfbench/workloads.py at SEED, and times each
+case REPEATS times after one warm-up call (garbage collection off, as
+`timeit` does).  The data-independent half is
+`sim_harness.covariance_recursion` on the model that workload filters:
 
 - mc-dropout: configs/simulation1.yaml's model over its horizon;
 - sweep-dropout: that model stacked over the workload's seeded arrival
   probabilities, as `sweep` runs it;
 - filter-partitioned: the B = 8 partitioned model over its horizon.
 
+The run-axis half is timed on the Monte-Carlo workload's model, at its
+own `--runs` and at BIG_RUNS, with the per-run seeds `monte_carlo`
+derives from SEED:
+
+- `<workload> truth xR`: `sim_harness.simulate_truth` of R runs;
+- `<workload> filter xR`: `filter_core.filter_sequence` over those
+  runs' measurements.
+
 The report gives each tree's minimum and median over every timed call,
-in µs per recorded step (the record's K + 1 steps).
+in µs per recorded step (the record's K + 1 steps), and the minimum in
+ms per call.
 """
 
 from __future__ import annotations
@@ -33,39 +42,54 @@ from pathlib import Path
 SEED = 4242
 ROUNDS = 6
 REPEATS = 20
+BIG_RUNS = 500
 
-# run in the tree's directory, with the tree's src/ on the path
+# run in the tree's directory, with the tree's src/ on the path; prints
+# {case: [K + 1, seconds of each timed call]}
 CHILD = """
 import json, sys, tempfile, timeit
 from pathlib import Path
 sys.path.insert(0, "perfbench")
 from workloads import WORKLOADS
 from randkf.config import parse_config
-from randkf.filter_core import constant_provider, stack_models
-from randkf.sim_harness import covariance_recursion
+from randkf.filter_core import (constant_provider, filter_sequence,
+                                stack_models)
+from randkf.sim_harness import (covariance_recursion, derive_run_seeds,
+                                simulate_truth)
 
-seed, repeats = json.loads(sys.argv[1])
+seed, repeats, big_runs = json.loads(sys.argv[1])
 out = {}
+
+def record(case, run, K):
+    run()
+    out[case] = [K + 1, timeit.repeat(run, number=1, repeat=repeats)]
+
 with tempfile.TemporaryDirectory() as work:
     for name, make in WORKLOADS.items():
-        cfg = parse_config(make(Path("."), Path(work), seed).config
-                           .read_text())
+        w = make(Path("."), Path(work), seed)
+        cfg = parse_config(w.config.read_text())
         m = (stack_models([cfg.model_for_gamma(g) for g in cfg.gammas])
-             if cfg.gammas else cfg.step_model)
-        prov, K = constant_provider(m), cfg.horizon
-        run = lambda: covariance_recursion(prov, cfg.initial, K)
-        run()
-        out[name] = [1e6 * t / (K + 1)
-                     for t in timeit.repeat(run, number=1, repeat=repeats)]
+             if cfg.mode == "sweep" else cfg.step_model)
+        prov, ic, K = constant_provider(m), cfg.initial, cfg.horizon
+        record(name, lambda: covariance_recursion(prov, ic, K), K)
+        if "--runs" not in w.argv:
+            continue
+        for runs in (int(w.argv[w.argv.index("--runs") + 1]), big_runs):
+            seeds = derive_run_seeds(seed, runs)
+            truth = lambda: simulate_truth(prov, ic, K, seeds)
+            ys = truth().measurements
+            record(f"{name} truth x{runs}", truth, K)
+            record(f"{name} filter x{runs}",
+                 lambda: filter_sequence(prov, ic, ys), K)
 print(json.dumps(out))
 """
 
 
-def measure(tree: Path) -> dict[str, list[float]]:
-    """One child process of `tree`: µs per step of each case's calls."""
+def measure(tree: Path) -> dict[str, list]:
+    """One child process of `tree`: each case's K + 1 and call times."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([SEED, REPEATS])],
+        [sys.executable, "-c", CHILD, json.dumps([SEED, REPEATS, BIG_RUNS])],
         cwd=tree, env=env, capture_output=True, text=True, timeout=600)
     if proc.returncode:
         raise RuntimeError(f"{tree}: exit {proc.returncode}\n"
@@ -82,17 +106,20 @@ def main(argv=None) -> int:
     for tree in trees:
         if not (tree / "src" / "randkf").is_dir():
             ap.error(f"{tree} has no src/randkf")
+    steps: dict[str, int] = {}
     times: dict[Path, dict[str, list[float]]] = {t: {} for t in trees}
     for i in range(ROUNDS):
         for tree in trees if i % 2 == 0 else trees[::-1]:
-            for case, us in measure(tree).items():
-                times[tree].setdefault(case, []).extend(us)
-    print(f"{'case':<20} {'min µs':>8} {'median µs':>10}  tree")
+            for case, (n, secs) in measure(tree).items():
+                steps[case] = n
+                times[tree].setdefault(case, []).extend(secs)
+    print(f"{'case':<28} {'min µs/step':>11} {'median µs/step':>14} "
+          f"{'min ms/call':>11}  tree")
     for case in times[trees[0]]:
         for tree in trees:
-            us = times[tree][case]
-            print(f"{case:<20} {min(us):8.2f} {statistics.median(us):10.2f}"
-                  f"  {tree}")
+            us = [1e6 * t / steps[case] for t in times[tree][case]]
+            print(f"{case:<28} {min(us):11.2f} {statistics.median(us):14.2f}"
+                  f" {1e-3 * min(us) * steps[case]:11.2f}  {tree}")
     return 0
 
 

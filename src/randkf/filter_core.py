@@ -54,7 +54,7 @@ def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} is not finite")
     atol = PSD_TOL * np.maximum(1.0, np.abs(np.trace(m, axis1=-2, axis2=-1)))
-    if not np.allclose(m, m.mT, atol=atol[..., None, None]):
+    if not np.allclose(m, m.mT, rtol=0, atol=atol[..., None, None]):
         raise ValueError(f"{name} is not symmetric")
     m = symmetrize(m)
     w_min = np.linalg.eigvalsh(m).min(axis=-1, initial=np.inf)
@@ -182,7 +182,10 @@ class FilterState(_Moments):
 class FilterRecord(_Moments):
     """Every step's ``mean`` ([models,] [runs,] K+1, r) and ``moments``
     (K+1, [models,] 2, r, r); ``rec[k]`` is step k's FilterState, whose
-    arrays are views of the record's."""
+    arrays are views of the record's.  ``filter_sequence`` stores the
+    means step-major, (K+1, [models,] [runs,] r), and ``mean`` is an
+    np.moveaxis view of that storage, so each step's are one contiguous
+    block."""
 
     mean: np.ndarray
     moments: np.ndarray
@@ -305,7 +308,10 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     """Run the filter over measurements y_0 ... y_K.
 
     ``measurements`` is (K+1, N), or (runs, K+1, N) for runs of one model
-    sequence; the state means then carry the run axis.  y_0 is absorbed
+    sequence; the state means then carry the run axis.  The measurements
+    are read through a step-major np.moveaxis view, so a TruthTrajectory's
+    are used as they are, with no copy, and the means are recorded
+    step-major (see FilterRecord).  y_0 is absorbed
     by a measurement-only update of the prior at step 0 (the prior plays
     the role of the step-0 prediction); each later y_k follows a predict
     through provider(k-1) and an update with provider(k)'s measurement
@@ -319,25 +325,26 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
         raise ValueError("need (K+1, N) or (runs, K+1, N) measurements")
+    ys = np.moveaxis(ys, -2, 0)  # step-major view: ys[k] is step k's
     if not np.isfinite(ys).all():
-        step = np.nonzero(~np.isfinite(ys))[-2].min()
+        step = np.nonzero(~np.isfinite(ys))[0].min()
         raise ValueError(f"measurement is not finite at step {step}")
     m = provider(0)
-    s, lead, steps = init(ic), m.Rv.shape[:-2], ys.shape[-2]
+    s, lead, steps = init(ic), m.Rv.shape[:-2], len(ys)
     if lead and ys.ndim == 2:
         # a 1-D mean would meet the model axis twice (through Hbar, then
         # through the gain) and come out with a wrong shape
         raise ValueError("a stacked model needs a run axis: "
                          "(runs, K+1, N) measurements")
-    runs = ys.shape[:-2] + s.mean.shape
+    runs = ys.shape[1:-1] + s.mean.shape
     r, N = ic.mean.size, ys.shape[-1]
     shapes = (lead + (r, r), lead + (N, r))
     _check_shapes(m, 0, shapes)
-    rec = FilterRecord(np.empty(lead + runs[:-1] + (steps,) + runs[-1:]),
+    rec = FilterRecord(np.moveaxis(np.empty((steps,) + lead + runs), 0, -2),
                        np.empty((steps,) + lead + s.moments.shape))
     s = FilterState(0, np.broadcast_to(s.mean, runs),
                     np.broadcast_to(s.moments, lead + s.moments.shape))
-    s = update(s, ys[..., 0, :], m, out=rec[0])
+    s = update(s, ys[0], m, out=rec[0])
     k = 0  # the last step written, for the scan
     try:
         for k in range(1, steps):
@@ -345,7 +352,7 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
             m, prev = provider(k), m
             if m is not prev:
                 _check_shapes(m, k, shapes)
-            s = update(p, ys[..., k, :], m, out=p)
+            s = update(p, ys[k], m, out=p)
     finally:  # a P or X that is not finite is named before a later failure
         _check_finite(rec.moments[1:k + 1])
     return rec

@@ -29,7 +29,9 @@ from .random_matrix import sample_matrix
 @dataclass(frozen=True)
 class TruthTrajectory:
     """Sampled states and measurements; from a list of seeds, with a run
-    axis first."""
+    axis first.  Both are stored step-major, (K+1, [runs,] .), so each
+    step's runs are one contiguous block; the fields are np.moveaxis
+    views of that storage with the shapes below."""
 
     states: np.ndarray        # ([runs,] K+1, r)
     measurements: np.ndarray  # ([runs,] K+1, N)
@@ -82,7 +84,10 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     step model.  A deterministic matrix takes its mean; a random one
     without a source distribution, and a model whose F and H do not fit
     the prior's state dimension and step 0's measurement rows (a stacked
-    model never does), raise a ValueError naming its first step.
+    model never does), raise a ValueError naming its first step.  After
+    the draws every run-axis array (the uniforms, the noise products, the
+    states and the measurements) is stored step-major, so each step reads
+    and writes one contiguous block of runs.
     """
     if K < 1:
         raise ValueError("need K >= 1")
@@ -106,32 +111,36 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
         rng = np.random.Generator(np.random.PCG64(s))  # default_rng(s)
         u[i] = rng.random(u.shape[1])
         z[i] = rng.standard_normal(z.shape[1])
+    # indexing a step-major view by steps gathers a contiguous copy
+    u = u.T.copy()
     z0, zw, zv = np.split(z, [r, r + (K + 1) * N], axis=1)
-    zw, zv = zw.reshape(runs, K + 1, N), zv.reshape(runs, K, r)
+    zw = np.moveaxis(zw.reshape(runs, K + 1, N), 0, 1)
+    zv = np.moveaxis(zv.reshape(runs, K, r), 0, 1)
 
     Lv = _gauss_factor(np.stack([m.Rv for m, _ in groups]))
     Lw = _gauss_factor(np.stack([m.Rw for m, _ in groups]))
-    vn = np.empty_like(zv)
+    vn = np.empty(zv.shape)
     for g, (m, steps) in enumerate(groups):
         f = steps[steps < K]
-        vn[:, f] = _mv(Lv[g], zv[:, f])
-    states = np.empty((runs, K + 1, r))
-    states[:, 0] = x = ic.mean + _mv(_gauss_factor(ic.cov), z0)
+        vn[f] = _mv(Lv[g], zv[f])
+    states = np.empty((K + 1, runs, r))
+    states[0] = x = ic.mean + _mv(_gauss_factor(ic.cov), z0)
     f_at = start[K + 1:]
     for k, m in enumerate(models[:K]):
         a, b = f_at[k], f_at[k + 1]
-        F = sample_matrix(m.F.source, u[:, a:b]) if b > a else m.F.mean
-        states[:, k + 1] = x = _mv(F, x) + vn[:, k]
-    ys = np.empty((runs, K + 1, N))
+        F = sample_matrix(m.F.source, u[a:b].T) if b > a else m.F.mean
+        states[k + 1] = x = _mv(F, x) + vn[k]
+    ys = np.empty((K + 1, runs, N))
     for g, (m, steps) in enumerate(groups):
         H, n = m.H.mean, nH[id(m)]
         if n:
-            H = sample_matrix(m.H.source,
-                              u[:, start[steps, None] + np.arange(n)])
-        ys[:, steps] = _mv(H, states[:, steps]) + _mv(Lw[g], zw[:, steps])
+            H = sample_matrix(m.H.source, np.moveaxis(
+                u[start[steps, None] + np.arange(n)], -1, -2))
+        ys[steps] = _mv(H, states[steps]) + _mv(Lw[g], zw[steps])
     if np.ndim(seed):
-        return TruthTrajectory(states, ys)
-    return TruthTrajectory(states[0], ys[0])
+        return TruthTrajectory(np.moveaxis(states, 1, 0),
+                               np.moveaxis(ys, 1, 0))
+    return TruthTrajectory(states[:, 0], ys[:, 0])
 
 
 def nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -298,6 +298,10 @@ CONFIG_ERRORS = {
         ("nahi", "model.kind", DELETE, [], "model: missing field 'kind'"),
         ("nahi", "model.rv", np.eye(3).tolist(), [],
          "model: Rv dimension must match state dimension"),
+        # off by 5e-6: inside np.allclose's default rtol, far outside the
+        # trace-scaled PSD_TOL
+        ("nahi", "model.rv", [[2, 1.000005], [1, 2]], [],
+         "model: Rv is not symmetric"),
     ]},
     # it requires rw, has no per-model noises, and names a bad matrix once
     "test_general_model_parses_like_every_kind": {
@@ -326,6 +330,9 @@ CONFIG_ERRORS = {
                           "initial: mean/cov dimension mismatch"),
         "cov-asymmetric": ("nahi", "initial.cov", [[1, 0.5], [0, 1]], [],
                            "initial: cov is not symmetric"),
+        "cov-nearly-symmetric": ("nahi", "initial.cov",
+                                 [[2, 1.000005], [1, 2]], [],
+                                 "initial: cov is not symmetric"),
         "mapping": ("nahi", "initial", 5, [], "initial: expected a mapping"),
         "state-dimension": (
             "nahi", "initial", {"mean": [0, 0, 0], "cov": np.eye(3).tolist()},

@@ -293,6 +293,49 @@ def test_batched_nees_matches_per_run_pinv(rng):
                                        rtol=1e-12)
 
 
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("runs", [0, 1, 15])
+def test_run_axis_arrays_are_step_major(runs, stacked):
+    # each step's runs are one contiguous block behind the documented
+    # ([models,] [runs,] K+1, .) shapes
+    K, gammas = 12, (0.5, 0.95)
+    m = (stack_models([sim1_model(g) for g in gammas]) if stacked
+         else sim1_model())
+    lead = (len(gammas),) if stacked else ()
+    traj = simulate_truth(sim1_provider(), SIM1_IC, K,
+                          derive_run_seeds(3, runs))
+    rec = filter_sequence(constant_provider(m), SIM1_IC, traj.measurements)
+    assert traj.states.shape == traj.measurements.shape == (runs, K + 1, 2)
+    assert rec.mean.shape == lead + (runs, K + 1, 2)
+    for k in (0, 5, K):
+        assert traj.states[:, k].flags.c_contiguous
+        assert traj.measurements[:, k].flags.c_contiguous
+        assert rec[k].mean.flags.c_contiguous
+        assert rec[k].mean.shape == lead + (runs, 2)
+
+
+@pytest.mark.parametrize("provider", [sim1_provider(), sim2_provider()],
+                         ids=["sim1", "sim2"])
+def test_run_prefix_is_bit_stable(provider):
+    # the first n runs of a call with more runs are the n-run call's, bit
+    # for bit: in the sampler from one run on, in the filter from two (a
+    # single run's mean takes another BLAS kernel; see
+    # test_batched_filter_matches_per_run_calls)
+    K, seeds = 60, derive_run_seeds(5, 200)
+    one = [simulate_truth(provider, SIM1_IC, K, s) for s in seeds[:65]]
+    for n in (1, 3, 64, 65):
+        traj = simulate_truth(provider, SIM1_IC, K, seeds[:n])
+        for i in range(n):
+            np.testing.assert_array_equal(traj.states[i], one[i].states)
+            np.testing.assert_array_equal(traj.measurements[i],
+                                          one[i].measurements)
+    ys = simulate_truth(provider, SIM1_IC, K, seeds).measurements
+    full = filter_sequence(provider, SIM1_IC, ys).mean
+    for n in (2, 3, 64, 65, 130):
+        np.testing.assert_array_equal(
+            filter_sequence(provider, SIM1_IC, ys[:n]).mean, full[:n])
+
+
 class TestMonteCarlo:
     def test_prefix_runs_unchanged_when_doubling(self):
         prov = sim1_provider()

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time per step of the filter's two halves, tree against tree.
+"""Per-step cost of the data-independent and run-axis halves, by tree.
 
     python scripts/step_cost.py TREE [TREE ...]
 
@@ -80,7 +80,7 @@ with tempfile.TemporaryDirectory() as work:
             ys = truth().measurements
             record(f"{name} truth x{runs}", truth, K)
             record(f"{name} filter x{runs}",
-                 lambda: filter_sequence(prov, ic, ys), K)
+                   lambda: filter_sequence(prov, ic, ys), K)
 print(json.dumps(out))
 """
 

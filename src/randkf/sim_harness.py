@@ -111,7 +111,8 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
         rng = np.random.Generator(np.random.PCG64(s))  # default_rng(s)
         u[i] = rng.random(u.shape[1])
         z[i] = rng.standard_normal(z.shape[1])
-    # indexing a step-major view by steps gathers a contiguous copy
+    # step-major: the uniforms as a copy, the normals as views that
+    # indexing by steps gathers into contiguous blocks
     u = u.T.copy()
     z0, zw, zv = np.split(z, [r, r + (K + 1) * N], axis=1)
     zw = np.moveaxis(zw.reshape(runs, K + 1, N), 0, 1)

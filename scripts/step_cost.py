@@ -24,9 +24,11 @@ derives from SEED:
 - `<workload> filter xR`: `filter_core.filter_sequence` over those
   runs' measurements.
 
-The report gives each tree's minimum and median over every timed call,
-in µs per recorded step (the record's K + 1 steps), and the minimum in
-ms per call.
+The report gives each tree's minimum and median over every timed call
+and the median over rounds of each round's minimum, in µs per recorded
+step (the record's K + 1 steps), and the minimum in ms per call.  Compare
+trees by the median of round minima: one round that runs unusually slow
+or fast cannot move it past the other rounds' values.
 """
 
 from __future__ import annotations
@@ -97,6 +99,17 @@ def measure(tree: Path) -> dict[str, list]:
     return json.loads(proc.stdout)
 
 
+def summary(rounds: list[list[float]], steps: int) -> list[float]:
+    """Of call times in seconds, grouped by round: the minimum, the
+    median and the median of round minima in µs per step, and the
+    minimum in ms per call."""
+    us = [[1e6 * t / steps for t in calls] for calls in rounds]
+    every = [t for calls in us for t in calls]
+    return [min(every), statistics.median(every),
+            statistics.median(min(calls) for calls in us),
+            1e-3 * min(every) * steps]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("trees", nargs="+", type=Path,
@@ -107,19 +120,19 @@ def main(argv=None) -> int:
         if not (tree / "src" / "randkf").is_dir():
             ap.error(f"{tree} has no src/randkf")
     steps: dict[str, int] = {}
-    times: dict[Path, dict[str, list[float]]] = {t: {} for t in trees}
+    times: dict[Path, dict[str, list[list[float]]]] = {t: {} for t in trees}
     for i in range(ROUNDS):
         for tree in trees if i % 2 == 0 else trees[::-1]:
             for case, (n, secs) in measure(tree).items():
                 steps[case] = n
-                times[tree].setdefault(case, []).extend(secs)
+                times[tree].setdefault(case, []).append(secs)
     print(f"{'case':<28} {'min µs/step':>11} {'median µs/step':>14} "
-          f"{'min ms/call':>11}  tree")
+          f"{'median of round mins':>20} {'min ms/call':>11}  tree")
     for case in times[trees[0]]:
         for tree in trees:
-            us = [1e6 * t / steps[case] for t in times[tree][case]]
-            print(f"{case:<28} {min(us):11.2f} {statistics.median(us):14.2f}"
-                  f" {1e-3 * min(us) * steps[case]:11.2f}  {tree}")
+            lo, mid, round_mid, call = summary(times[tree][case], steps[case])
+            print(f"{case:<28} {lo:11.2f} {mid:14.2f} {round_mid:20.2f}"
+                  f" {call:11.2f}  {tree}")
     return 0
 
 

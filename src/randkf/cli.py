@@ -78,8 +78,7 @@ def run(cfg: ExperimentConfig, out_dir: Path) -> int:
     """Execute one experiment; returns a process exit status."""
     provider = cfg.provider()
     ic = cfg.initial
-    r = ic.mean.size
-    N = provider(0).H.shape[0]
+    N, r = cfg.step_model.H.shape
 
     if cfg.mode == "filter":
         if not cfg.measurements:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -186,8 +186,7 @@ _BUILDERS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, ready to run; frozen, so the
-    model built once by ``step_model`` stays the config's model."""
+    """Validated experiment description and its built model; frozen."""
 
     mode: str
     model: object
@@ -198,12 +197,7 @@ class ExperimentConfig:
     measurements: str | None
     gammas: list[float]
     raw: dict
-
-    # an adapter model is the same every step (no builder reads k), so
-    # it is built once and serves every step
-    @cached_property
-    def step_model(self) -> StepModel:
-        return _BUILDERS[type(self.model)](self.model, 0)
+    step_model: StepModel
 
     def provider(self) -> ModelProvider:
         return constant_provider(self.step_model)
@@ -252,31 +246,33 @@ def parse_config(text: str, *, mode: str | None = None,
     model = _build_model(doc["model"])
     doc_seed = _number(doc.get("seed", 0), "seed", int, 0)
 
-    cfg = ExperimentConfig(
-        mode=mode or doc["mode"], model=model, initial=ic, horizon=horizon,
-        runs=doc_runs if runs is None else _number(runs, "--runs", int, 1),
-        seed=doc_seed if seed is None else _number(seed, "--seed", int, 0),
-        measurements=measurements or doc.get("measurements"), gammas=gammas,
-        raw=doc)
-    # surface dimension mismatches at parse time
+    run_count = doc_runs if runs is None else _number(runs, "--runs", int, 1)
+    seed = doc_seed if seed is None else _number(seed, "--seed", int, 0)
+    # the one model build (no builder reads k); a misfit fails at parse
     try:
-        m0 = cfg.step_model
+        m0 = _BUILDERS[type(model)](model, 0)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     if m0.F.shape[0] != ic.mean.size:
         raise ConfigError(
             f"initial.mean: dimension {ic.mean.size} does not match "
             f"state dimension {m0.F.shape[0]}")
-    _check_run_size(cfg, m0, "runs" if runs is None else "--runs")
+    cfg = ExperimentConfig(
+        mode=mode or doc["mode"], model=model, initial=ic, horizon=horizon,
+        runs=run_count, seed=seed,
+        measurements=measurements or doc.get("measurements"), gammas=gammas,
+        raw=doc, step_model=m0)
+    _check_run_size(cfg, "runs" if runs is None else "--runs")
     return cfg
 
 
-def _check_run_size(cfg: ExperimentConfig, m: StepModel,
-                    runs_path: str) -> None:
+def _check_run_size(cfg: ExperimentConfig, runs_path: str) -> None:
     """Raise unless the arrays a run grows with its horizon fit in
     MAX_RUN_BYTES: per run and step the draws' uniforms, the noise
     normals (N + r), state noise, state, measurement, a drawn H (N r),
-    filter mean and error; per step and member the record's P and X."""
+    filter mean and error; per step and member the record's P and X.
+    An upper bound: the sampler writes its state noise into the states."""
+    m = cfg.step_model
     N, r = m.H.shape
     per_run = (sum(s.source.width for s in (m.F, m.H) if s.source)
                + 2 * N + 5 * r + N * r)

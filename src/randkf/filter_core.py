@@ -245,10 +245,9 @@ def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
     return K
 
 
-def update(p: FilterState, y: np.ndarray, m: StepModel, *,
-           out: FilterState) -> FilterState:
-    """Measurement update with the random measurement matrix, written
-    into ``out`` (a FilterRecord's step, or ``p`` itself).
+def update(p: FilterState, y: np.ndarray, m: StepModel) -> FilterState:
+    """Measurement update with the random measurement matrix, in place:
+    ``p`` (a FilterRecord's step) takes the posterior and is returned.
 
     Both gain paths read one S = Hbar P Hbar^T + Rw + E(H~ X H~^T), at
     the predicted P and X as ``predict`` summed them, unsymmetrized.  S
@@ -261,8 +260,8 @@ def update(p: FilterState, y: np.ndarray, m: StepModel, *,
     wrapper's checks could fire.  Any other step goes to ``_gain`` with
     the members' certificate if S is finite (a non-finite diagonal never
     passes the sum).  S and the gain serve every run (row) of the mean
-    and of ``y``.  P takes P - K (Hbar P), and the slot [P, X] is
-    symmetrized once.
+    and of ``y``.  P takes P - K (Hbar P), X is kept, and the slot
+    [P, X] is symmetrized once.
     """
     Hbar = m.H.mean
     P = p.cov
@@ -275,12 +274,10 @@ def update(p: FilterState, y: np.ndarray, m: StepModel, *,
     else:
         raise ValueError(f"S is not finite at step {p.step}")
     if p.mean.size:
-        np.add(p.mean, (y - p.mean @ Hbar.mT) @ K.mT, out=out.mean)
-    np.subtract(P, K @ HP, out=out.cov)
-    if out is not p:
-        out.second_moment[...] = p.second_moment
-    symmetrize(out.moments, out=out.moments)
-    return out
+        np.add(p.mean, (y - p.mean @ Hbar.mT) @ K.mT, out=p.mean)
+    P -= K @ HP
+    symmetrize(p.moments, out=p.moments)
+    return p
 
 
 def _check_shapes(m: StepModel, k: int, shapes: tuple) -> None:
@@ -330,21 +327,21 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
         step = np.nonzero(~np.isfinite(ys))[0].min()
         raise ValueError(f"measurement is not finite at step {step}")
     m = provider(0)
-    s, lead, steps = init(ic), m.Rv.shape[:-2], len(ys)
+    lead, steps = m.Rv.shape[:-2], len(ys)
     if lead and ys.ndim == 2:
         # a 1-D mean would meet the model axis twice (through Hbar, then
         # through the gain) and come out with a wrong shape
         raise ValueError("a stacked model needs a run axis: "
                          "(runs, K+1, N) measurements")
-    runs = ys.shape[1:-1] + s.mean.shape
     r, N = ic.mean.size, ys.shape[-1]
+    runs = ys.shape[1:-1] + (r,)
     shapes = (lead + (r, r), lead + (N, r))
     _check_shapes(m, 0, shapes)
     rec = FilterRecord(np.moveaxis(np.empty((steps,) + lead + runs), 0, -2),
-                       np.empty((steps,) + lead + s.moments.shape))
-    s = FilterState(0, np.broadcast_to(s.mean, runs),
-                    np.broadcast_to(s.moments, lead + s.moments.shape))
-    s = update(s, ys[0], m, out=rec[0])
+                       np.empty((steps,) + lead + (2, r, r)))
+    rec.mean[..., 0, :] = ic.mean
+    rec.moments[0] = init(ic).moments
+    s = update(rec[0], ys[0], m)
     k = 0  # the last step written, for the scan
     try:
         for k in range(1, steps):
@@ -352,7 +349,7 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
             m, prev = provider(k), m
             if m is not prev:
                 _check_shapes(m, k, shapes)
-            s = update(p, ys[k], m, out=p)
+            s = update(p, ys[k], m)
     finally:  # a P or X that is not finite is named before a later failure
         _check_finite(rec.moments[1:k + 1])
     return rec

@@ -2,8 +2,8 @@
 
 Everything here is a pure function of (configuration, seed): trajectories
 regenerate bit-identically from their seed, and Monte-Carlo runs derive
-per-run seeds deterministically from the base seed so that adding runs
-never perturbs existing ones.
+per-run seeds deterministically from the base seed: adding runs leaves
+existing runs' truth unchanged, and their filtered means to rounding.
 """
 
 from __future__ import annotations
@@ -84,10 +84,10 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     step model.  A deterministic matrix takes its mean; a random one
     without a source distribution, and a model whose F and H do not fit
     the prior's state dimension and step 0's measurement rows (a stacked
-    model never does), raise a ValueError naming its first step.  After
-    the draws every run-axis array (the uniforms, the noise products, the
-    states and the measurements) is stored step-major, so each step reads
-    and writes one contiguous block of runs.
+    model never does), raise a ValueError naming its first step.  Each
+    step model's noises are written into the states and measurements, to
+    which F x and H x are then added; every run-axis array is stored
+    step-major, so each step reads and writes one contiguous block of runs.
     """
     if K < 1:
         raise ValueError("need K >= 1")
@@ -118,26 +118,24 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     zw = np.moveaxis(zw.reshape(runs, K + 1, N), 0, 1)
     zv = np.moveaxis(zv.reshape(runs, K, r), 0, 1)
 
-    Lv = _gauss_factor(np.stack([m.Rv for m, _ in groups]))
-    Lw = _gauss_factor(np.stack([m.Rw for m, _ in groups]))
-    vn = np.empty(zv.shape)
-    for g, (m, steps) in enumerate(groups):
-        f = steps[steps < K]
-        vn[f] = _mv(Lv[g], zv[f])
     states = np.empty((K + 1, runs, r))
-    states[0] = x = ic.mean + _mv(_gauss_factor(ic.cov), z0)
+    ys = np.empty((K + 1, runs, N))
+    for m, steps in groups:
+        f = steps[steps < K]
+        states[f + 1] = _mv(_gauss_factor(m.Rv), zv[f])
+        ys[steps] = _mv(_gauss_factor(m.Rw), zw[steps])
+    states[0] = ic.mean + _mv(_gauss_factor(ic.cov), z0)
     f_at = start[K + 1:]
     for k, m in enumerate(models[:K]):
         a, b = f_at[k], f_at[k + 1]
         F = sample_matrix(m.F.source, u[a:b].T) if b > a else m.F.mean
-        states[k + 1] = x = _mv(F, x) + vn[k]
-    ys = np.empty((K + 1, runs, N))
-    for g, (m, steps) in enumerate(groups):
+        states[k + 1] += _mv(F, states[k])
+    for m, steps in groups:
         H, n = m.H.mean, nH[id(m)]
         if n:
             H = sample_matrix(m.H.source, np.moveaxis(
                 u[start[steps, None] + np.arange(n)], -1, -2))
-        ys[steps] = _mv(H, states[steps]) + _mv(Lw[g], zw[steps])
+        ys[steps] += _mv(H, states[steps])
     if np.ndim(seed):
         return TruthTrajectory(np.moveaxis(states, 1, 0),
                                np.moveaxis(ys, 1, 0))

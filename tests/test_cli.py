@@ -657,6 +657,23 @@ def test_compare_outputs_script(tmp_path, capsys):
     assert cmp.main([str(a), str(b)]) == 1
 
 
+def test_step_cost_summary_is_not_decided_by_one_slow_round():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "step_cost", REPO / "scripts" / "step_cost.py")
+    step_cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(step_cost)
+    # five quiet rounds (minima 100-108 µs per step at 10 steps) and one
+    # busy round three times slower
+    quiet = [[a * 1e-3, a * 1.5e-3, a * 2e-3]
+             for a in (1.0, 1.02, 1.04, 1.06, 1.08)]
+    busy = [[3e-3, 3.5e-3, 4e-3]]
+    got = step_cost.summary(quiet + busy, 10)
+    assert got == pytest.approx([100.0, 160.5, 105.0, 1.0])
+    # the busy round counts as no more than one more quiet round would
+    assert got[2] == step_cost.summary(quiet + [[1.1e-3] * 3], 10)[2]
+
+
 def load_bench_pairs():
     import importlib.util
     spec = importlib.util.spec_from_file_location(

@@ -15,6 +15,7 @@ from conftest import (
     fit_model,
     joseph_recursion,
     mixed_nahi_models,
+    rand_dist,
     rand_ic,
     rand_psd,
     rand_random_model,
@@ -47,6 +48,7 @@ from randkf.random_matrix import (
     MatrixDist,
     RandomMatrixSpec,
     deterministic,
+    moments_from_dist,
     quad_form,
 )
 from randkf.sim_harness import (
@@ -314,26 +316,50 @@ def test_run_axis_arrays_are_step_major(runs, stacked):
         assert rec[k].mean.shape == lead + (runs, 2)
 
 
-@pytest.mark.parametrize("provider", [sim1_provider(), sim2_provider()],
-                         ids=["sim1", "sim2"])
-def test_run_prefix_is_bit_stable(provider):
+def r30_system(random: str):
+    """A seeded system at r = N = 30 whose F or H (``random``) is drawn
+    from a finite distribution; the other is a dense fixed matrix."""
+    rng, r = np.random.default_rng(30), 30
+    F, H = (moments_from_dist(rand_dist(rng, r, r, scale=0.5 / r ** 0.5))
+            if name == random
+            else deterministic(0.5 / r ** 0.5 * rng.standard_normal((r, r)))
+            for name in "FH")
+    m = StepModel(F=F, H=H, Rv=rand_psd(rng, r, floor=0.1),
+                  Rw=rand_psd(rng, r, floor=0.5))
+    return constant_provider(m), rand_ic(rng, r)
+
+
+PREFIX_SYSTEMS = {
+    "sim1": lambda: (sim1_provider(), SIM1_IC),
+    "sim2": lambda: (sim2_provider(), SIM1_IC),
+    "r30 random H": lambda: r30_system("H"),
+    "r30 random F": lambda: r30_system("F"),
+}
+
+
+@pytest.mark.parametrize("system", PREFIX_SYSTEMS)
+def test_run_prefix_is_bit_stable(system):
     # the first n runs of a call with more runs are the n-run call's, bit
     # for bit: in the sampler from one run on, in the filter from two (a
     # single run's mean takes another BLAS kernel; see
-    # test_batched_filter_matches_per_run_calls)
+    # test_batched_filter_matches_per_run_calls).  The filter's holds at
+    # these sizes: OpenBLAS picks its gemm kernel by row count, and at
+    # r = N = 100 the means of the first 2 to 65 runs of a 200-run call
+    # differ from an n-run call's in the last bits
+    provider, ic = PREFIX_SYSTEMS[system]()
     K, seeds = 60, derive_run_seeds(5, 200)
-    one = [simulate_truth(provider, SIM1_IC, K, s) for s in seeds[:65]]
+    one = [simulate_truth(provider, ic, K, s) for s in seeds[:65]]
     for n in (1, 3, 64, 65):
-        traj = simulate_truth(provider, SIM1_IC, K, seeds[:n])
+        traj = simulate_truth(provider, ic, K, seeds[:n])
         for i in range(n):
             np.testing.assert_array_equal(traj.states[i], one[i].states)
             np.testing.assert_array_equal(traj.measurements[i],
                                           one[i].measurements)
-    ys = simulate_truth(provider, SIM1_IC, K, seeds).measurements
-    full = filter_sequence(provider, SIM1_IC, ys).mean
+    ys = simulate_truth(provider, ic, K, seeds).measurements
+    full = filter_sequence(provider, ic, ys).mean
     for n in (2, 3, 64, 65, 130):
         np.testing.assert_array_equal(
-            filter_sequence(provider, SIM1_IC, ys[:n]).mean, full[:n])
+            filter_sequence(provider, ic, ys[:n]).mean, full[:n])
 
 
 class TestMonteCarlo:

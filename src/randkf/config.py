@@ -248,7 +248,7 @@ def parse_config(text: str, *, mode: str | None = None,
 
     run_count = doc_runs if runs is None else _number(runs, "--runs", int, 1)
     seed = doc_seed if seed is None else _number(seed, "--seed", int, 0)
-    # the one model build (no builder reads k); a misfit fails at parse
+    # built once (no builder reads k); a misfit fails here, at parse time
     try:
         m0 = _BUILDERS[type(model)](model, 0)
     except ValueError as exc:

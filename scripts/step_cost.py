@@ -14,7 +14,9 @@ case REPEATS times after one warm-up call (garbage collection off, as
 - mc-dropout: configs/simulation1.yaml's model over its horizon;
 - sweep-dropout: that model stacked over the workload's seeded arrival
   probabilities, as `sweep` runs it;
-- filter-partitioned: the B = 8 partitioned model over its horizon.
+- filter-partitioned: the B = 8 partitioned model over its horizon;
+- sim2: configs/simulation2.yaml's model (a random F) over its horizon,
+  which no workload runs.
 
 The run-axis half is timed on the Monte-Carlo workload's model, at its
 own `--runs` and at BIG_RUNS, with the per-run seeds `monte_carlo`
@@ -83,6 +85,9 @@ with tempfile.TemporaryDirectory() as work:
             record(f"{name} truth x{runs}", truth, K)
             record(f"{name} filter x{runs}",
                    lambda: filter_sequence(prov, ic, ys), K)
+cfg = parse_config(Path("configs/simulation2.yaml").read_text())
+prov, ic, K = constant_provider(cfg.step_model), cfg.initial, cfg.horizon
+record("sim2", lambda: covariance_recursion(prov, ic, K), K)
 print(json.dumps(out))
 """
 

@@ -267,18 +267,20 @@ def parse_config(text: str, *, mode: str | None = None,
 
 
 def _check_run_size(cfg: ExperimentConfig, runs_path: str) -> None:
-    """Raise unless the arrays a run grows with its horizon fit in
-    MAX_RUN_BYTES: per run and step the draws' uniforms, the noise
-    normals (N + r), state noise, state, measurement, a drawn H (N r),
-    filter mean and error; per step and member the record's P and X.
-    An upper bound: the sampler writes its state noise into the states."""
+    """Raise unless an upper bound of the arrays a run grows with its
+    horizon fits in MAX_RUN_BYTES: per run and step the draws' uniforms,
+    the noise normals (N + r), state noise (kept in the states), state,
+    measurement, a drawn H (N r), filter mean and error; per step and
+    member P, X, X before sym, Rv_eff and a gathered X (r^2 each), and
+    Rw_eff with quad_form's temporaries (2 N^2 + N r)."""
     m = cfg.step_model
     N, r = m.H.shape
     per_run = (sum(s.source.width for s in (m.F, m.H) if s.source)
                + 2 * N + 5 * r + N * r)
+    per_member = 5 * r * r + 2 * N * N + N * r
     runs, members = {"montecarlo": (cfg.runs, 1), "simulate": (1, 0),
                      "sweep": (0, len(cfg.gammas))}.get(cfg.mode, (0, 0))
-    one, size = (8 * (cfg.horizon + 1) * (n * per_run + members * 2 * r * r)
+    one, size = (8 * (cfg.horizon + 1) * (n * per_run + members * per_member)
                  for n in (min(runs, 1), runs))
     if size > MAX_RUN_BYTES:
         what = (f"{cfg.horizon} steps would allocate {size / 2**30:.3g} GiB"

@@ -1,23 +1,14 @@
 """Recursive linear-minimum-variance filter for random parameter matrices.
 
-The system x_{k+1} = F_k x_k + v_k, y_k = H_k x_k + w_k with random F_k,
-H_k is handled by filtering the converted system with mean matrices
-Fbar, Hbar and inflated noise covariances
-
-    Rv_eff = Rv + E(F~ X F~^T),    Rw_eff = Rw + E(H~ X H~^T),
-
-where X_k = E(x_k x_k^T) takes the same time update as P_k; the two are
-stacked as one ``moments`` array, and ``filter_sequence`` records every
-step's in one ``FilterRecord`` (De Koning's gain schedule).  With
-deterministic parameter matrices it reduces to a standard Kalman filter.
-``filter_sequence`` is the one entry point: it checks its inputs once and
-scans the record's P and X for finiteness once, and ``predict``/``update``
-are its steps, which only write its record; ``update`` symmetrizes each
-step's [P, X] once.  A step whose every member the S >= Rw certificate
-covers is solved by LAPACK's gufunc directly (``_lapack_solve``).  The
-data-independent half (P, X, S, K) accepts a leading model axis
-(``stack_models``); each member is bit-identical to its own run.
-"""
+x_{k+1} = F_k x_k + v_k, y_k = H_k x_k + w_k with random F_k, H_k is
+filtered as the system of mean matrices Fbar, Hbar and noises Rv +
+E(F~ X F~^T), Rw + E(H~ X H~^T); X_k = E(x_k x_k^T) follows a linear map
+that reads neither P, nor H, nor the data (De Koning).  ``second_moments``
+runs that map first, so the Riccati loop of ``filter_sequence``, the one
+entry point, carries P alone; its steps ``predict`` and ``update`` only
+write its ``FilterRecord``.  With deterministic matrices this is a
+Kalman filter.  P, X, S and K accept a leading model axis
+(``stack_models``); each member is bit-identical to its own run."""
 
 from __future__ import annotations
 
@@ -156,73 +147,102 @@ def constant_provider(model: StepModel) -> ModelProvider:
     return lambda k: model
 
 
-class _Moments:
-    """``cov`` (P) and ``second_moment`` (X) as views of ``moments``."""
-
-    cov = property(lambda self: self.moments[..., 0, :, :])
-    second_moment = property(lambda self: self.moments[..., 1, :, :])
-
-
 @dataclass(frozen=True)
-class FilterState(_Moments):
-    """Mean, covariance and unconditional second moment after a
-    measurement update or (from ``predict``) before one.
-
-    ``mean`` is (r,), or (runs, r) with one row per run; ``moments`` is
-    [P, X] (2, r, r), data-independent and shared by all runs.  A
-    stacked model puts its model axes in front of both.
-    """
+class FilterState:
+    """Step ``step``'s mean ((r,), or (runs, r)), P (``cov``) and X
+    (``second_moment``, both (r, r) and shared by all runs), after its
+    update or (from ``predict``) before it; model axes lead all three."""
 
     step: int
     mean: np.ndarray
-    moments: np.ndarray
+    cov: np.ndarray
+    second_moment: np.ndarray
 
 
 @dataclass(frozen=True)
-class FilterRecord(_Moments):
-    """Every step's ``mean`` ([models,] [runs,] K+1, r) and ``moments``
-    (K+1, [models,] 2, r, r); ``rec[k]`` is step k's FilterState, whose
-    arrays are views of the record's.  ``filter_sequence`` stores the
-    means step-major, (K+1, [models,] [runs,] r), and ``mean`` is an
-    np.moveaxis view of that storage, so each step's are one contiguous
-    block."""
+class FilterRecord:
+    """Every step's ``mean`` ([models,] [runs,] K+1, r), an np.moveaxis
+    view of step-major storage, and ``cov`` and ``second_moment`` (K+1,
+    [models,] r, r); ``rec[k]`` is step k's FilterState of views."""
 
     mean: np.ndarray
-    moments: np.ndarray
+    cov: np.ndarray
+    second_moment: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.moments)
+        return len(self.cov)
 
     def __getitem__(self, k: int) -> FilterState:
-        k = range(len(self.moments))[operator.index(k)]
-        return FilterState(k, self.mean[..., k, :], self.moments[k])
+        k = range(len(self.cov))[operator.index(k)]
+        return FilterState(k, self.mean[..., k, :], self.cov[k],
+                           self.second_moment[k])
 
 
 def init(ic: InitialCondition) -> FilterState:
     """Initial filter state; X_0 = mu_0 mu_0^T + P_0."""
     x0 = np.outer(ic.mean, ic.mean) + ic.cov
-    return FilterState(0, ic.mean.copy(), np.stack([ic.cov, x0]))
+    return FilterState(0, ic.mean.copy(), ic.cov.copy(), x0)
 
 
-def _effective_noise(R: np.ndarray, spec: RandomMatrixSpec,
-                     s: FilterState) -> np.ndarray:
-    """R + E(M~ X M~^T) at s's X; a matrix without deviation factors adds
-    nothing and reads no X."""
-    return (R + quad_form(spec, s.second_moment) if spec.factors.shape[-3]
-            else R)
+def _step_groups(models: Sequence[StepModel]) -> list:
+    """(model, its steps) per distinct model object, by first step."""
+    steps_of: dict[int, list[int]] = {}
+    for k, m in enumerate(models):
+        steps_of.setdefault(id(m), []).append(k)
+    return [(models[s[0]], np.array(s)) for s in steps_of.values()]
 
 
-def predict(s: FilterState, m: StepModel, *, out: FilterState) -> FilterState:
-    """Time update through the random transition matrix, written into
-    ``out`` (a FilterRecord's step): P and X both take
-    Fbar M Fbar^T + Rv + E(F~ X F~^T), in one product over the stacked
-    moments, as summed (``update`` symmetrizes the slot); the means (if
-    any runs) go through Fbar."""
+def _index(steps: np.ndarray) -> slice | np.ndarray:
+    """Sorted steps as a slice (a view) if they are contiguous."""
+    n = len(steps)
+    contiguous = n and steps[-1] - steps[0] == n - 1
+    return slice(steps[0], steps[0] + n) if contiguous else steps
+
+
+def second_moments(models: Sequence[StepModel], ic: InitialCondition
+                   ) -> tuple[np.ndarray, list, list]:
+    """X (K+1, [models,] r, r) of ``models``' steps, and the noises
+    ``Rv_eff[k]`` of the predict from step k and ``Rw_eff[k]`` of step
+    k's update.  X_{k+1} = sym(Fbar X_k Fbar^T + Rv_eff[k]), Rv_eff[k] =
+    Rv + E(F~ X_k F~^T) of models[k] (a random F's [Fbar; G_l] take X
+    through one product); Rw_eff[k] = Rw + E(H~ X H~^T) reads step k's X
+    before sym, by one ``quad_form`` per model object over its steps."""
+    lead, groups = models[0].Rv.shape[:-2], _step_groups(models)
+    X = np.empty((len(models),) + lead + ic.cov.shape)
+    summed = np.empty_like(X)  # each X before sym
+    summed[0] = X[0] = init(ic).second_moment
+    stack = {id(m): np.concatenate([m.F.mean[..., None, :, :],
+                                    m.F.factors], -3)
+             for m, _ in groups if m.F.factors.shape[-3]}
+    Xe, Rv_eff = X[..., None, :, :], [m.Rv for m in models[:-1]]
+    for k, m in enumerate(models[:-1]):
+        if (A := stack.get(id(m))) is not None:
+            T = A @ Xe[k] @ A.mT
+            Rv_eff[k] = np.add.reduce(T[..., 1:, :, :], axis=-3)
+            Rv_eff[k] += m.Rv
+            FXF = T[..., 0, :, :]
+        else:
+            Fbar = m.F.mean
+            FXF = np.matmul(Fbar @ X[k], Fbar.mT, out=summed[k + 1])
+        np.add(FXF, Rv_eff[k], out=summed[k + 1])
+        symmetrize(summed[k + 1], out=X[k + 1])
+    Rw_eff = [m.Rw for m in models]
+    for m, steps in groups:
+        if m.H.factors.shape[-3]:
+            noise = quad_form(m.H, summed[_index(steps)])
+            noise += m.Rw
+            for k, R in zip(steps.tolist(), noise):
+                Rw_eff[k] = R
+    return X, Rv_eff, Rw_eff
+
+
+def predict(s: FilterState, m: StepModel, *, Rv_eff: np.ndarray,
+            out: FilterState) -> FilterState:
+    """Time update into ``out`` (a record's step): P takes Fbar P Fbar^T +
+    Rv_eff, unsymmetrized, and the means (if any runs) go through Fbar."""
     Fbar = m.F.mean
-    Rv_eff = _effective_noise(m.Rv, m.F, s)
-    F = Fbar[..., None, :, :]
-    moments = np.matmul(F @ s.moments, F.mT, out=out.moments)
-    moments += Rv_eff[..., None, :, :]
+    P = np.matmul(Fbar @ s.cov, Fbar.mT, out=out.cov)
+    P += Rv_eff
     if s.mean.size:
         np.matmul(s.mean, Fbar.mT, out=out.mean)
     return out
@@ -245,28 +265,15 @@ def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
     return K
 
 
-def update(p: FilterState, y: np.ndarray, m: StepModel) -> FilterState:
-    """Measurement update with the random measurement matrix, in place:
-    ``p`` (a FilterRecord's step) takes the posterior and is returned.
-
-    Both gain paths read one S = Hbar P Hbar^T + Rw + E(H~ X H~^T), at
-    the predicted P and X as ``predict`` summed them, unsymmetrized.  S
-    dominates Rw, so cond(S) <= tr(S) / lambda_min(Rw) certifies the
-    members with tr(S) < S_trace_max (2 to spare for rounding); every
-    tr(S) is at least 0, so a trace summed over the members below
-    S_trace_sum_max certifies them all.  Such a step is solved here by
-    LAPACK's gufunc, without ``np.linalg.solve``'s wrapper: S is square
-    float64 and, certified, finite and nonsingular, so none of the
-    wrapper's checks could fire.  Any other step goes to ``_gain`` with
-    the members' certificate if S is finite (a non-finite diagonal never
-    passes the sum).  S and the gain serve every run (row) of the mean
-    and of ``y``.  P takes P - K (Hbar P), X is kept, and the slot
-    [P, X] is symmetrized once.
-    """
-    Hbar = m.H.mean
-    P = p.cov
+def update(p: FilterState, y: np.ndarray, m: StepModel, *,
+           Rw_eff: np.ndarray) -> FilterState:
+    """Measurement update of ``p`` (a record's step) in place: S = Hbar P
+    Hbar^T + Rw_eff >= Rw, so a step whose summed tr(S) StepModel certifies
+    is solved by LAPACK's gufunc without ``np.linalg.solve``'s checks, any
+    other with a finite S by ``_gain``; P takes P - K Hbar P, symmetrized."""
+    Hbar, P = m.H.mean, p.cov
     HP = Hbar @ P
-    S = HP @ Hbar.mT + _effective_noise(m.Rw, m.H, p)
+    S = HP @ Hbar.mT + Rw_eff
     if np.add.reduce(S.diagonal(0, -2, -1), axis=None) < m.S_trace_sum_max:
         K = _lapack_solve(S, HP).mT
     elif np.isfinite(S).all():
@@ -276,7 +283,7 @@ def update(p: FilterState, y: np.ndarray, m: StepModel) -> FilterState:
     if p.mean.size:
         np.add(p.mean, (y - p.mean @ Hbar.mT) @ K.mT, out=p.mean)
     P -= K @ HP
-    symmetrize(p.moments, out=p.moments)
+    symmetrize(P, out=P)
     return p
 
 
@@ -289,36 +296,19 @@ def _check_shapes(m: StepModel, k: int, shapes: tuple) -> None:
                          f"the run needs F {shapes[0]} and H {shapes[1]}")
 
 
-def _check_finite(moments: np.ndarray) -> None:
-    """Raise naming the first of steps 1, 2, ... of ``moments`` whose P,
-    or else X, is not finite."""
-    ok = np.isfinite(moments).all(axis=(-2, -1))
-    ok = ok.all(axis=tuple(range(1, ok.ndim - 1)))  # (steps, [P, X])
-    if not ok.all():
-        k = int(np.argmin(ok.all(axis=1)))
-        raise ValueError(f"{'X' if ok[k, 0] else 'P'} is not finite at "
-                         f"step {k + 1}")
-
-
 def filter_sequence(provider: ModelProvider, ic: InitialCondition,
                     measurements: Sequence) -> FilterRecord:
     """Run the filter over measurements y_0 ... y_K.
 
     ``measurements`` is (K+1, N), or (runs, K+1, N) for runs of one model
-    sequence; the state means then carry the run axis.  The measurements
-    are read through a step-major np.moveaxis view, so a TruthTrajectory's
-    are used as they are, with no copy, and the means are recorded
-    step-major (see FilterRecord).  y_0 is absorbed
-    by a measurement-only update of the prior at step 0 (the prior plays
-    the role of the step-0 prediction); each later y_k follows a predict
-    through provider(k-1) and an update with provider(k)'s measurement
-    model.  provider(k) is called once per step, in order, and the prior
-    takes provider(0)'s model axes.  With no runs (runs = 0) only the
-    data-independent P, X, S, K are left.  A non-finite measurement, P, X
-    or S, and a model whose dimensions or model axes differ from the
-    run's, raise a ValueError that names its (first) step.  P and X are
-    scanned once, after the last step or at the first other failure.
-    """
+    sequence (read through a step-major view), and the means take its run
+    axis.  provider(k) is called once per step, in order; a model that
+    does not fit the run (provider(0)'s model axes) raises a ValueError
+    naming its step.  After ``second_moments``, y_0 updates the prior and
+    each later y_k follows a predict through provider(k-1).  A non-finite
+    measurement, P, X or S raises a ValueError naming its (first) step;
+    P, then X, are scanned once, after the last step or at the first
+    other failure.  With no runs only P, X, S and K are left."""
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
         raise ValueError("need (K+1, N) or (runs, K+1, N) measurements")
@@ -326,30 +316,36 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     if not np.isfinite(ys).all():
         step = np.nonzero(~np.isfinite(ys))[0].min()
         raise ValueError(f"measurement is not finite at step {step}")
-    m = provider(0)
-    lead, steps = m.Rv.shape[:-2], len(ys)
+    models = [provider(0)]
+    lead = models[0].Rv.shape[:-2]
     if lead and ys.ndim == 2:
-        # a 1-D mean would meet the model axis twice (through Hbar, then
-        # through the gain) and come out with a wrong shape
+        # a 1-D mean would meet the model axis twice, in a wrong shape
         raise ValueError("a stacked model needs a run axis: "
                          "(runs, K+1, N) measurements")
     r, N = ic.mean.size, ys.shape[-1]
-    runs = ys.shape[1:-1] + (r,)
     shapes = (lead + (r, r), lead + (N, r))
-    _check_shapes(m, 0, shapes)
-    rec = FilterRecord(np.moveaxis(np.empty((steps,) + lead + runs), 0, -2),
-                       np.empty((steps,) + lead + (2, r, r)))
-    rec.mean[..., 0, :] = ic.mean
-    rec.moments[0] = init(ic).moments
-    s = update(rec[0], ys[0], m)
+    _check_shapes(models[0], 0, shapes)
+    for k in range(1, len(ys)):
+        models.append(provider(k))
+        if models[k] is not models[k - 1]:
+            _check_shapes(models[k], k, shapes)
+    X, Rv_eff, Rw_eff = second_moments(models, ic)
+    mean = np.empty((len(ys),) + lead + ys.shape[1:-1] + (r,))
+    P = np.empty_like(X)
+    mean[0], P[0] = ic.mean, ic.cov
+    s = update(FilterState(0, mean[0], P[0], X[0]), ys[0], models[0],
+               Rw_eff=Rw_eff[0])
     k = 0  # the last step written, for the scan
     try:
-        for k in range(1, steps):
-            p = predict(s, m, out=rec[k])
-            m, prev = provider(k), m
-            if m is not prev:
-                _check_shapes(m, k, shapes)
-            s = update(p, ys[k], m)
-    finally:  # a P or X that is not finite is named before a later failure
-        _check_finite(rec.moments[1:k + 1])
-    return rec
+        for k in range(1, len(ys)):
+            p = predict(s, models[k - 1], Rv_eff=Rv_eff[k - 1],
+                        out=FilterState(k, mean[k], P[k], X[k]))
+            s = update(p, ys[k], models[k], Rw_eff=Rw_eff[k])
+    finally:  # the first step whose P, or else X, is not finite
+        ok = [np.isfinite(a[1:k + 1]).all(axis=tuple(range(1, a.ndim)))
+              for a in (P, X)]
+        if not (ok[0] & ok[1]).all():
+            i = int(np.argmin(ok[0] & ok[1]))
+            raise ValueError(f"{'X' if ok[0][i] else 'P'} is not finite "
+                             f"at step {i + 1}")
+    return FilterRecord(np.moveaxis(mean, 0, -2), P, X)

@@ -174,22 +174,21 @@ def moments_from_dist(dist: MatrixDist | BlockDropout) -> RandomMatrixSpec:
 
 
 def quad_form(spec: RandomMatrixSpec, X) -> np.ndarray:
-    """E(M~ X M~^T) = sum_l G_l X G_l^T over the deviation factors.
-
-    The sum is not symmetrized, so it is symmetric only to rounding: the
-    filter adds it into P, X or S and symmetrizes each recorded P and X
-    once.  Leading axes of a stacked spec and of X broadcast; each
-    member's result is bit-identical to its own unstacked call.
+    """E(M~ X M~^T) = sum_l G_l X G_l^T, added into one output factor by
+    factor, in order, with no (..., L, p, p) tensor of the terms.  It is
+    symmetric only to rounding (the filter symmetrizes what it records).
+    Leading axes of a stacked spec and of X (a batch of steps, say)
+    broadcast; each member is bit-identical to its own unstacked call.
     """
     X = np.asarray(X, dtype=float)
-    G = spec.factors
-    q = G.shape[-1]
+    G = np.moveaxis(spec.factors, -3, 0)
+    p, q = G.shape[-2:]
     if X.shape[-2:] != (q, q):
         raise ValueError(f"X has shape {X.shape}, expected ({q}, {q})")
-    terms = G @ X[..., None, :, :] @ G.mT
-    if G.shape[-3] == 1:  # one factor (a Nahi sensor) is its own sum
-        return terms[..., 0, :, :]
-    return np.add.reduce(terms, axis=-3)
+    out = np.zeros(np.broadcast_shapes(G.shape[1:-2], X.shape[:-2]) + (p, p))
+    for g in G:
+        out += g @ X @ g.mT
+    return out
 
 
 def sample_matrix(dist: MatrixDist | BlockDropout,

@@ -19,6 +19,8 @@ from .filter_core import (
     ModelProvider,
     StepModel,
     _check_shapes,
+    _index,
+    _step_groups,
     constant_provider,
     filter_sequence,
     stack_models,
@@ -57,10 +59,10 @@ def _gauss_factor(cov: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
 
 
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _mv(A: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
     # per-run matrix-vector products; a run's result is bit-identical
     # however many runs share the call
-    return np.einsum("...ij,...j->...i", A, x)
+    return np.einsum("...ij,...j->...i", A, x, out=out)
 
 
 def _draw_width(spec, name: str, k: int) -> int:
@@ -94,10 +96,7 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     models = [provider(k) for k in range(K + 1)]
     seeds = list(seed) if np.ndim(seed) else [seed]
     runs, r, N = len(seeds), ic.mean.size, models[0].H.shape[0]
-    steps_of: dict[int, list[int]] = {}
-    for k, m in enumerate(models):
-        steps_of.setdefault(id(m), []).append(k)
-    groups = [(models[s[0]], np.array(s)) for s in steps_of.values()]
+    groups = _step_groups(models)
     for m, steps in groups:  # in order of first step
         _check_shapes(m, steps[0], ((r, r), (N, r)))
     nH = {id(m): _draw_width(m.H, "H", s[0]) for m, s in groups}
@@ -120,10 +119,14 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
 
     states = np.empty((K + 1, runs, r))
     ys = np.empty((K + 1, runs, N))
-    for m, steps in groups:
+    for m, steps in groups:  # in place where the steps are contiguous
         f = steps[steps < K]
-        states[f + 1] = _mv(_gauss_factor(m.Rv), zv[f])
-        ys[steps] = _mv(_gauss_factor(m.Rw), zw[steps])
+        for a, at, R, z in ((states, f + 1, m.Rv, zv[f]),
+                            (ys, steps, m.Rw, zw[steps])):
+            if isinstance(at := _index(at), slice):
+                _mv(_gauss_factor(R), z, out=a[at])
+            else:
+                a[at] = _mv(_gauss_factor(R), z)
     states[0] = ic.mean + _mv(_gauss_factor(ic.cov), z0)
     f_at = start[K + 1:]
     for k, m in enumerate(models[:K]):
@@ -131,11 +134,11 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
         F = sample_matrix(m.F.source, u[a:b].T) if b > a else m.F.mean
         states[k + 1] += _mv(F, states[k])
     for m, steps in groups:
-        H, n = m.H.mean, nH[id(m)]
+        H, n, at = m.H.mean, nH[id(m)], _index(steps)
         if n:
             H = sample_matrix(m.H.source, np.moveaxis(
                 u[start[steps, None] + np.arange(n)], -1, -2))
-        ys[steps] += _mv(H, states[steps])
+        ys[at] += _mv(H, states[at])
     if np.ndim(seed):
         return TruthTrajectory(np.moveaxis(states, 1, 0),
                                np.moveaxis(ys, 1, 0))

@@ -10,6 +10,7 @@ import randkf.filter_core
 from conftest import (
     REPO,
     SIM1_IC,
+    assert_allclose_rel,
     deterministic_model,
     edge_nahi_models,
     fit_model,
@@ -33,6 +34,7 @@ from randkf.filter_core import (
     filter_sequence,
     init,
     predict,
+    second_moments,
     stack_models,
     symmetrize,
     update,
@@ -61,12 +63,24 @@ def scalar_spec(mean, var):
 def slot(s: FilterState, step: int) -> FilterState:
     """A state of new NaN arrays of s's shapes, for one step to write."""
     return FilterState(step, np.full_like(s.mean, np.nan),
-                       np.full_like(s.moments, np.nan))
+                       np.full_like(s.cov, np.nan),
+                       np.full_like(s.second_moment, np.nan))
 
 
 def copy(s: FilterState) -> FilterState:
     """A state of new arrays equal to s's, for an update in place."""
-    return FilterState(s.step, s.mean.copy(), s.moments.copy())
+    return FilterState(s.step, s.mean.copy(), s.cov.copy(),
+                       s.second_moment.copy())
+
+
+def state(step, mean, P, X) -> FilterState:
+    return FilterState(step, np.asarray(mean, dtype=float),
+                       np.asarray(P, dtype=float), np.asarray(X, dtype=float))
+
+
+def update_at(p: FilterState, y, m: StepModel) -> FilterState:
+    """update with the effective measurement noise at p's X."""
+    return update(p, y, m, Rw_eff=m.Rw + quad_form(m.H, p.second_moment))
 
 
 class TestInit:
@@ -154,49 +168,51 @@ class TestPredict:
     def test_identity_dynamics_noise_free(self, rng):
         m = deterministic_model(np.eye(2), np.eye(2), np.zeros((2, 2)),
                                 np.eye(2))
-        s = init(InitialCondition(mean=rng.standard_normal(2),
-                                  cov=rand_psd(rng, 2)))
-        p = predict(s, m, out=slot(s, 1))
+        ic = InitialCondition(mean=rng.standard_normal(2),
+                              cov=rand_psd(rng, 2))
+        s = init(ic)
+        X, Rv_eff, _ = second_moments([m, m], ic)
+        p = predict(s, m, Rv_eff=Rv_eff[0], out=slot(s, 1))
         np.testing.assert_allclose(p.mean, s.mean, atol=1e-15)
         np.testing.assert_allclose(p.cov, s.cov, atol=1e-14)
-        np.testing.assert_allclose(p.second_moment, s.second_moment,
-                                   atol=1e-12)
+        np.testing.assert_allclose(X[1], s.second_moment, atol=1e-12)
 
     def test_scalar_hand_evaluated(self):
         # mean 1, cov 1, X 2; F mean 1 with deviation variance 1, Rv 0:
-        # cov' = 1*1*1 + 0 + 1*2 = 3, X' = 1*2*1 + 1*2 + 0 = 4
+        # Rv_eff = 0 + 1*2*1 = 2, cov' = 1*1*1 + 2 = 3, X' = 1*2*1 + 2 = 4
         m = StepModel(F=scalar_spec(1.0, 1.0), H=deterministic([[1.0]]),
                       Rv=np.zeros((1, 1)), Rw=np.eye(1))
-        s = FilterState(step=0, mean=np.array([1.0]),
-                        moments=np.array([[[1.0]], [[2.0]]]))
-        p = predict(s, m, out=slot(s, 1))
+        ic = InitialCondition(mean=[1.0], cov=[[1.0]])
+        s = init(ic)
+        X, Rv_eff, _ = second_moments([m, m], ic)
+        np.testing.assert_allclose(X[0], [[2.0]])
+        np.testing.assert_allclose(Rv_eff[0], [[2.0]])
+        p = predict(s, m, Rv_eff=Rv_eff[0], out=slot(s, 1))
         np.testing.assert_allclose(p.mean, [1.0])
         np.testing.assert_allclose(p.cov, [[3.0]])
-        np.testing.assert_allclose(p.second_moment, [[4.0]])
+        np.testing.assert_allclose(X[1], [[4.0]])
 
     def test_rotation_preserves_scaled_identity(self):
         m = deterministic_model(rotation_matrix(300), np.eye(2),
                                 2.0 * np.eye(2), np.eye(2))
-        s = FilterState(step=0, mean=np.zeros(2),
-                        moments=np.stack([0.5 * np.eye(2)] * 2))
-        p = predict(s, m, out=slot(s, 1))
+        s = state(0, np.zeros(2), 0.5 * np.eye(2), 0.5 * np.eye(2))
+        # a deterministic F adds no noise: Rv_eff is Rv
+        p = predict(s, m, Rv_eff=m.Rv, out=slot(s, 1))
         np.testing.assert_allclose(p.cov, 2.5 * np.eye(2), atol=1e-14)
 
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self, rng):
         m = rand_random_model(rng, 2, 2)
-        p = FilterState(step=1, mean=rng.standard_normal(2),
-                        moments=np.stack([rand_psd(rng, 2, floor=0.1),
-                                          rand_psd(rng, 2, floor=0.5)]))
-        s = update(copy(p), m.H.mean @ p.mean, m)
+        p = state(1, rng.standard_normal(2), rand_psd(rng, 2, floor=0.1),
+                  rand_psd(rng, 2, floor=0.5))
+        s = update_at(copy(p), m.H.mean @ p.mean, m)
         np.testing.assert_allclose(s.mean, p.mean, atol=1e-12)
 
     def test_scalar_hand_evaluated(self):
         m = deterministic_model([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        p = FilterState(step=1, mean=np.array([0.0]),
-                        moments=np.array([[[1.0]], [[1.0]]]))
-        s = update(copy(p), np.array([1.0]), m)
+        p = state(1, [0.0], [[1.0]], [[1.0]])
+        s = update_at(copy(p), np.array([1.0]), m)
         np.testing.assert_allclose(s.mean, [0.5])
         np.testing.assert_allclose(s.cov, [[0.5]])
 
@@ -215,9 +231,8 @@ class TestUpdate:
 
     def test_second_moment_not_conditioned_on_data(self, rng):
         m = rand_random_model(rng, 2, 2)
-        p = FilterState(step=1, mean=np.zeros(2),
-                        moments=np.stack([np.eye(2), rand_psd(rng, 2, 1.0)]))
-        s = update(copy(p), rng.standard_normal(2), m)
+        p = state(1, np.zeros(2), np.eye(2), rand_psd(rng, 2, 1.0))
+        s = update_at(copy(p), rng.standard_normal(2), m)
         np.testing.assert_array_equal(s.second_moment, p.second_moment)
 
     def test_singular_innovation_uses_pseudo_inverse(self):
@@ -225,9 +240,8 @@ class TestUpdate:
         m = StepModel(F=deterministic(np.eye(2)),
                       H=deterministic(np.zeros((1, 2))),
                       Rv=np.zeros((2, 2)), Rw=np.zeros((1, 1)))
-        p = FilterState(step=1, mean=np.array([1.0, 2.0]),
-                        moments=np.stack([np.eye(2), 2 * np.eye(2)]))
-        s = update(copy(p), np.array([0.3]), m)
+        p = state(1, [1.0, 2.0], np.eye(2), 2 * np.eye(2))
+        s = update_at(copy(p), np.array([0.3]), m)
         np.testing.assert_array_equal(s.mean, p.mean)
         np.testing.assert_allclose(s.cov, p.cov)
 
@@ -277,8 +291,10 @@ def test_batched_filter_matches_per_run_calls(rng):
 def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     # filter_sequence's arrays against init/predict/update written into
     # new arrays of the record's shapes (the prior broadcast over the run
-    # and model axes); the stacked models take both gain paths at every
-    # step
+    # and model axes), with X and the effective noises by the textbook
+    # step: X' = sym(Fbar X Fbar^T + Rv) and Rw_eff = Rw + E(H~ X H~^T) at
+    # the X before sym (every member's F is deterministic); the stacked
+    # models take both gain paths at every step
     runs, K = 3, 25
     members = mixed_nahi_models()
     m = stack_models(members) if stacked else members[4]
@@ -287,24 +303,30 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     lead = (len(members),) if stacked else ()
     rec = filter_sequence(lambda k: m, ic, ys)
     s0 = init(ic)
+    Fbar = m.F.mean
+    X = [np.tile(s0.second_moment, lead + (1, 1))]
     prior = FilterState(step=0, mean=np.tile(s0.mean, lead + (runs, 1)),
-                        moments=np.tile(s0.moments, lead + (1, 1, 1)))
-    hand = [update(prior, ys[:, 0], m)]
+                        cov=np.tile(s0.cov, lead + (1, 1)),
+                        second_moment=X[0])
+    hand = [update_at(prior, ys[:, 0], m)]
     for k in range(1, K + 1):
-        p = predict(hand[-1], m, out=slot(rec[k], k))
-        hand.append(update(p, ys[:, k], m))
+        summed = Fbar @ X[-1] @ Fbar.mT + m.Rv
+        X.append(symmetrize(summed))
+        p = predict(hand[-1], m, Rv_eff=m.Rv, out=slot(rec[k], k))
+        hand.append(update(p, ys[:, k], m,
+                           Rw_eff=m.Rw + quad_form(m.H, summed)))
     assert rec.mean.shape == lead + (runs, K + 1, 2)
-    assert rec.moments.shape == (K + 1,) + lead + (2, 2, 2)
+    assert rec.cov.shape == rec.second_moment.shape == (K + 1,) + lead + (2, 2)
     assert len(rec) == K + 1 and rec[-1].step == K
     with pytest.raises(TypeError):
         rec[1:]
     for k, (s, h) in enumerate(zip(rec, hand, strict=True)):
         assert s.step == h.step == k
         np.testing.assert_array_equal(rec.mean[..., k, :], h.mean)
-        np.testing.assert_array_equal(rec.moments[k], h.moments)
         np.testing.assert_array_equal(rec.cov[k], h.cov)
-        np.testing.assert_array_equal(rec.second_moment[k], h.second_moment)
-        np.testing.assert_array_equal(s.moments, h.moments)
+        np.testing.assert_array_equal(rec.second_moment[k], X[k])
+        np.testing.assert_array_equal(s.cov, h.cov)
+        np.testing.assert_array_equal(s.second_moment, X[k])
 
 
 SYMMETRY_CASES = {
@@ -321,7 +343,8 @@ def test_every_recorded_moment_is_exactly_symmetric(rng, case):
     ys = rng.standard_normal((2, 41, m.H.shape[0]))
     rec = filter_sequence(constant_provider(m), rand_ic(rng, m.F.shape[0]),
                           ys)
-    np.testing.assert_array_equal(rec.moments, rec.moments.mT)
+    for a in (rec.cov, rec.second_moment):
+        np.testing.assert_array_equal(a, a.mT)
 
 
 STACKED_NEEDS_RUNS = r"stacked model needs .*\(runs, K\+1, N\) measurements"
@@ -432,8 +455,9 @@ def test_model_that_does_not_fit_the_run_names_its_step(rng, case):
 
 def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     # a matrix without deviation factors adds exactly no noise, so only
-    # the random H's quad form runs: none in predict, one per update;
-    # predict leaves its sums to update to symmetrize
+    # the random H's quad form runs, once, in second_moments, for every
+    # step its model serves; predict and update run none, and predict
+    # leaves its sum to update to symmetrize
     calls = []
     real = randkf.filter_core.quad_form
     monkeypatch.setattr(randkf.filter_core, "quad_form",
@@ -442,15 +466,86 @@ def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
                                          (np.zeros((2, 2)), 0.1)]))
     m = StepModel(F=deterministic(rotation_matrix(50)), H=H, Rv=np.eye(2),
                   Rw=np.eye(2))
-    s0 = init(InitialCondition(mean=np.ones(2), cov=np.eye(2)))
-    p = predict(s0, m, out=slot(s0, 1))
-    assert calls == []
-    F = m.F.mean
-    for got, ref in ((p.cov, F @ s0.cov @ F.T + m.Rv),
-                     (p.second_moment, F @ s0.second_moment @ F.T + m.Rv)):
-        np.testing.assert_array_equal(got, ref)
-    update(p, np.ones(2), m)
+    ic = InitialCondition(mean=np.ones(2), cov=np.eye(2))
+    X, Rv_eff, Rw_eff = second_moments([m] * 3, ic)
     assert calls == [H]
+    assert all(R is m.Rv for R in Rv_eff)
+    s0 = init(ic)
+    p = predict(s0, m, Rv_eff=Rv_eff[0], out=slot(s0, 1))
+    F = m.F.mean
+    summed = F @ s0.second_moment @ F.T + m.Rv
+    for got, ref in ((p.cov, F @ s0.cov @ F.T + m.Rv),
+                     (X[1], symmetrize(summed)),
+                     (Rw_eff[1], m.Rw + real(H, summed))):
+        np.testing.assert_array_equal(got, ref)
+    update(p, np.ones(2), m, Rw_eff=Rw_eff[1])
+    assert calls == [H]
+
+
+class TestSecondMoments:
+    def test_x_reads_neither_h_nor_the_data(self, rng):
+        # X follows F, Rv and the prior alone: two models that share them
+        # but not H, Rw, the measurements or even N record equal X
+        r, K = 3, 30
+        F = moments_from_dist(rand_dist(rng, r, r, 3, scale=0.3))
+        Rv, ic = rand_psd(rng, r, floor=0.1), rand_ic(rng, r)
+        a = StepModel(F=F, H=moments_from_dist(rand_dist(rng, 2, r)), Rv=Rv,
+                      Rw=rand_psd(rng, 2, floor=0.5))
+        b = StepModel(F=F, H=deterministic(rng.standard_normal((1, r))),
+                      Rv=Rv, Rw=np.eye(1))
+        rec_a = filter_sequence(constant_provider(a), ic,
+                                rng.standard_normal((4, K + 1, 2)))
+        rec_b = filter_sequence(constant_provider(b), ic,
+                                5 * rng.standard_normal((2, K + 1, 1)))
+        np.testing.assert_array_equal(rec_a.second_moment,
+                                      rec_b.second_moment)
+        assert not np.allclose(rec_a.cov, rec_b.cov)
+
+    def test_random_f_follows_the_kronecker_map(self, rng):
+        # vec X_{k+1} = (Fbar (x) Fbar + sum_l G_l (x) G_l) vec X_k + vec Rv
+        # (row-major vec), the conversion's r^2 x r^2 map as a reference,
+        # at r = 3 with two random-F banks alternating over the steps
+        r, K = 3, 40
+        models = [StepModel(F=moments_from_dist(rand_dist(rng, r, r, 3,
+                                                          scale=0.3)),
+                            H=deterministic(np.eye(r)),
+                            Rv=rand_psd(rng, r, floor=0.1), Rw=np.eye(r))
+                  for _ in range(2)]
+        ic = rand_ic(rng, r)
+        X, Rv_eff, _ = second_moments([models[k % 2] for k in range(K + 1)],
+                                      ic)
+        x = (np.outer(ic.mean, ic.mean) + ic.cov).ravel()
+        for k in range(K + 1):
+            assert_allclose_rel(X[k], x.reshape(r, r), 1e-12)
+            if k < K:
+                m = models[k % 2]
+                dev = sum(np.kron(g, g) for g in m.F.factors) @ x
+                assert_allclose_rel(Rv_eff[k], m.Rv + dev.reshape(r, r),
+                                    1e-12)
+                x = np.kron(m.F.mean, m.F.mean) @ x + dev + m.Rv.ravel()
+
+    def test_new_equal_model_each_step_records_as_a_constant_one(
+            self, monkeypatch, rng):
+        # quad_form runs once per model object, over all its steps: a
+        # provider that builds a new, equal model every step (one step a
+        # call) records the constant provider's (one call) bit for bit
+        m = rand_random_model(rng, 3, 2)
+        ic, K = rand_ic(rng, 3), 20
+        ys = rng.standard_normal((3, K + 1, 2))
+        calls = []
+        real = randkf.filter_core.quad_form
+        monkeypatch.setattr(randkf.filter_core, "quad_form",
+                            lambda spec, X: calls.append(len(X))
+                            or real(spec, X))
+        one = filter_sequence(constant_provider(m), ic, ys)
+        assert calls == [K + 1]
+        calls.clear()
+        fresh = filter_sequence(
+            lambda k: StepModel(F=m.F, H=m.H, Rv=m.Rv, Rw=m.Rw), ic, ys)
+        assert calls == [1] * (K + 1)
+        for a, b in ((one.mean, fresh.mean), (one.cov, fresh.cov),
+                     (one.second_moment, fresh.second_moment)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestStackModels:
@@ -700,4 +795,6 @@ def test_summed_trace_over_the_bound_falls_back_member_by_member(
     for i, m in enumerate((tight, loose)):
         own = covariance_recursion(constant_provider(m), SIM1_IC, K)
         assert gains == []
-        np.testing.assert_array_equal(rec.moments[:, i], own.moments)
+        np.testing.assert_array_equal(rec.cov[:, i], own.cov)
+        np.testing.assert_array_equal(rec.second_moment[:, i],
+                                      own.second_moment)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,43 @@ class TestQuadForm:
         for i, spec in enumerate(specs):
             np.testing.assert_array_equal(shared[i], quad_form(spec, X))
             np.testing.assert_array_equal(own[i], quad_form(spec, Xs[i]))
+
+    @pytest.mark.parametrize("L", [1, 3, 8, 100])
+    def test_batch_of_steps_equals_per_step_calls_and_the_terms_sum(
+            self, rng, L):
+        # a stacked spec against X of (steps, members, q, q): each step is
+        # its own call bit for bit, and the sum factor by factor equals
+        # the (..., L, p, p) terms tensor reduced along its factor axis
+        members, steps = 3, 5
+        factors = rng.standard_normal((members, L, 4, 3))
+        spec = RandomMatrixSpec(mean=rng.standard_normal((members, 4, 3)),
+                                factors=factors)
+        X = np.reshape([rand_psd(rng, 3) for _ in range(steps * members)],
+                       (steps, members, 3, 3))
+        out = quad_form(spec, X)
+        assert out.shape == (steps, members, 4, 4)
+        terms = factors @ X[..., None, :, :] @ factors.mT
+        np.testing.assert_array_equal(out, np.add.reduce(terms, axis=-3))
+        for k in range(steps):
+            np.testing.assert_array_equal(out[k], quad_form(spec, X[k]))
+
+    def test_memory_of_a_batch_stays_near_its_output(self, rng):
+        # B = 100 one-row dropout blocks (N = 100) against 301 steps' X: a
+        # (301, 100, 100, 100) terms tensor would take 2.4 GB; the sum
+        # factor by factor peaks under three outputs (69 MB)
+        B, r, steps = 100, 2, 301
+        spec = moments_from_dist(BlockDropout(
+            blocks=tuple(rng.standard_normal((B, 1, r))),
+            probs=np.full(B, 0.9)))
+        X = np.tile(rand_psd(rng, r), (steps, 1, 1))
+        tracemalloc.start()
+        try:
+            out = quad_form(spec, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (steps, B, B)
+        assert peak < 3 * out.nbytes
 
 
 class TestQuadFormDiscrete:

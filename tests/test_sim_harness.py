@@ -200,7 +200,9 @@ class TestSimulateTruth:
     @pytest.mark.parametrize("kind", ["nahi", "partitioned", "multimodel"])
     def test_fresh_equal_model_each_step_draws_as_one_model(self, kind):
         # draws depend on the step only, not on which steps share a model
-        # object: a new, equal model every step samples the same bits
+        # object: a new, equal model every step, and two equal models
+        # alternating (noises scattered, not written in place), sample
+        # the same bits
         build, m = {
             "nahi": (build_nahi, NahiModel(
                 h=H_SIM1, p=0.7, F=rotation_matrix(300), Rv=2 * np.eye(2),
@@ -217,9 +219,13 @@ class TestSimulateTruth:
         shared = simulate_truth(constant_provider(build(m, 0)), SIM1_IC, 30,
                                 seeds)
         fresh = simulate_truth(lambda k: build(m, k), SIM1_IC, 30, seeds)
-        np.testing.assert_array_equal(fresh.states, shared.states)
-        np.testing.assert_array_equal(fresh.measurements,
-                                      shared.measurements)
+        two = (build(m, 0), build(m, 0))
+        alternating = simulate_truth(lambda k: two[k % 2], SIM1_IC, 30,
+                                     seeds)
+        for traj in (fresh, alternating):
+            np.testing.assert_array_equal(traj.states, shared.states)
+            np.testing.assert_array_equal(traj.measurements,
+                                          shared.measurements)
 
     def test_each_step_takes_its_own_noise_factors(self, rng):
         # two models with different Rv and Rw alternate (as many groups

@@ -5,10 +5,10 @@ filtered as the system of mean matrices Fbar, Hbar and noises Rv +
 E(F~ X F~^T), Rw + E(H~ X H~^T); X_k = E(x_k x_k^T) follows a linear map
 that reads neither P, nor H, nor the data (De Koning).  ``second_moments``
 runs that map first, so the Riccati loop of ``filter_sequence``, the one
-entry point, carries P alone; its steps ``predict`` and ``update`` only
-write its ``FilterRecord``.  With deterministic matrices this is a
-Kalman filter.  P, X, S and K accept a leading model axis
-(``stack_models``); each member is bit-identical to its own run."""
+entry point, carries P alone; its steps ``predict`` and ``update`` write
+its ``FilterRecord``'s step-major arrays in place.  With deterministic
+matrices this is a Kalman filter.  P, X, S and K accept a leading model
+axis (``stack_models``); each member is bit-identical to its own run."""
 
 from __future__ import annotations
 
@@ -149,9 +149,9 @@ def constant_provider(model: StepModel) -> ModelProvider:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Step ``step``'s mean ((r,), or (runs, r)), P (``cov``) and X
-    (``second_moment``, both (r, r) and shared by all runs), after its
-    update or (from ``predict``) before it; model axes lead all three."""
+    """A record's step ``rec[k]``: its mean ((r,), or (runs, r)), P
+    (``cov``) and X (``second_moment``), views of the record's arrays
+    after step ``step``'s update; model axes lead all three."""
 
     step: int
     mean: np.ndarray
@@ -178,44 +178,31 @@ class FilterRecord:
                            self.second_moment[k])
 
 
-def init(ic: InitialCondition) -> FilterState:
-    """Initial filter state; X_0 = mu_0 mu_0^T + P_0."""
-    x0 = np.outer(ic.mean, ic.mean) + ic.cov
-    return FilterState(0, ic.mean.copy(), ic.cov.copy(), x0)
-
-
-def _step_groups(models: Sequence[StepModel]) -> list:
-    """(model, its steps) per distinct model object, by first step."""
-    steps_of: dict[int, list[int]] = {}
-    for k, m in enumerate(models):
-        steps_of.setdefault(id(m), []).append(k)
-    return [(models[s[0]], np.array(s)) for s in steps_of.values()]
-
-
-def _index(steps: np.ndarray) -> slice | np.ndarray:
-    """Sorted steps as a slice (a view) if they are contiguous."""
-    n = len(steps)
-    contiguous = n and steps[-1] - steps[0] == n - 1
-    return slice(steps[0], steps[0] + n) if contiguous else steps
+def _spans(models: Sequence[StepModel]) -> list[tuple[StepModel, slice]]:
+    """(model, its steps) for each longest run of consecutive steps that
+    one model object serves, in step order."""
+    cuts = [k for k in range(1, len(models)) if models[k] is not models[k - 1]]
+    return [(models[a], slice(a, b))
+            for a, b in zip([0] + cuts, cuts + [len(models)])]
 
 
 def second_moments(models: Sequence[StepModel], ic: InitialCondition
                    ) -> tuple[np.ndarray, list, list]:
     """X (K+1, [models,] r, r) of ``models``' steps, and the noises
     ``Rv_eff[k]`` of the predict from step k and ``Rw_eff[k]`` of step
-    k's update.  X_{k+1} = sym(Fbar X_k Fbar^T + Rv_eff[k]), Rv_eff[k] =
-    Rv + E(F~ X_k F~^T) of models[k] (a random F's [Fbar; G_l] take X
-    through one product); Rw_eff[k] = Rw + E(H~ X H~^T) reads step k's X
-    before sym, by one ``quad_form`` per model object over its steps."""
-    lead, groups = models[0].Rv.shape[:-2], _step_groups(models)
+    k's update.  X_0 = mu_0 mu_0^T + P_0 and X_{k+1} = sym(Fbar X_k
+    Fbar^T + Rv_eff[k]), Rv_eff[k] = Rv + E(F~ X_k F~^T) of models[k] (a
+    random F's [Fbar; G_l] take X through one product); Rw_eff[k] = Rw +
+    E(H~ X_k H~^T), by one ``quad_form`` per span of steps over X."""
+    lead, spans = models[0].Rv.shape[:-2], _spans(models)
     X = np.empty((len(models),) + lead + ic.cov.shape)
-    summed = np.empty_like(X)  # each X before sym
-    summed[0] = X[0] = init(ic).second_moment
+    X[0] = np.outer(ic.mean, ic.mean) + ic.cov
     stack = {id(m): np.concatenate([m.F.mean[..., None, :, :],
                                     m.F.factors], -3)
-             for m, _ in groups if m.F.factors.shape[-3]}
+             for m, _ in spans if m.F.factors.shape[-3]}
     Xe, Rv_eff = X[..., None, :, :], [m.Rv for m in models[:-1]]
     for k, m in enumerate(models[:-1]):
+        Xn = X[k + 1]
         if (A := stack.get(id(m))) is not None:
             T = A @ Xe[k] @ A.mT
             Rv_eff[k] = np.add.reduce(T[..., 1:, :, :], axis=-3)
@@ -223,29 +210,28 @@ def second_moments(models: Sequence[StepModel], ic: InitialCondition
             FXF = T[..., 0, :, :]
         else:
             Fbar = m.F.mean
-            FXF = np.matmul(Fbar @ X[k], Fbar.mT, out=summed[k + 1])
-        np.add(FXF, Rv_eff[k], out=summed[k + 1])
-        symmetrize(summed[k + 1], out=X[k + 1])
+            FXF = np.matmul(Fbar @ X[k], Fbar.mT, out=Xn)
+        np.add(FXF, Rv_eff[k], out=Xn)
+        symmetrize(Xn, out=Xn)
     Rw_eff = [m.Rw for m in models]
-    for m, steps in groups:
+    for m, at in spans:
         if m.H.factors.shape[-3]:
-            noise = quad_form(m.H, summed[_index(steps)])
+            noise = quad_form(m.H, X[at])
             noise += m.Rw
-            for k, R in zip(steps.tolist(), noise):
-                Rw_eff[k] = R
+            Rw_eff[at] = noise
     return X, Rv_eff, Rw_eff
 
 
-def predict(s: FilterState, m: StepModel, *, Rv_eff: np.ndarray,
-            out: FilterState) -> FilterState:
-    """Time update into ``out`` (a record's step): P takes Fbar P Fbar^T +
-    Rv_eff, unsymmetrized, and the means (if any runs) go through Fbar."""
+def predict(mean: np.ndarray, P: np.ndarray, k: int, m: StepModel,
+            Rv_eff: np.ndarray) -> None:
+    """Time update of the step-major ``mean`` and ``P`` from step k-1
+    into step k: P[k] = Fbar P[k-1] Fbar^T + Rv_eff, unsymmetrized, and
+    the means (if any runs) go through Fbar."""
     Fbar = m.F.mean
-    P = np.matmul(Fbar @ s.cov, Fbar.mT, out=out.cov)
-    P += Rv_eff
-    if s.mean.size:
-        np.matmul(s.mean, Fbar.mT, out=out.mean)
-    return out
+    Pk = np.matmul(Fbar @ P[k - 1], Fbar.mT, out=P[k])
+    Pk += Rv_eff
+    if mean.size:
+        np.matmul(mean[k - 1], Fbar.mT, out=mean[k])
 
 
 def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
@@ -265,26 +251,27 @@ def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
     return K
 
 
-def update(p: FilterState, y: np.ndarray, m: StepModel, *,
-           Rw_eff: np.ndarray) -> FilterState:
-    """Measurement update of ``p`` (a record's step) in place: S = Hbar P
-    Hbar^T + Rw_eff >= Rw, so a step whose summed tr(S) StepModel certifies
-    is solved by LAPACK's gufunc without ``np.linalg.solve``'s checks, any
-    other with a finite S by ``_gain``; P takes P - K Hbar P, symmetrized."""
-    Hbar, P = m.H.mean, p.cov
-    HP = Hbar @ P
+def update(mean: np.ndarray, P: np.ndarray, k: int, y: np.ndarray,
+           m: StepModel, Rw_eff: np.ndarray) -> None:
+    """Measurement update of step k of the step-major ``mean`` and ``P``
+    in place: S = Hbar P Hbar^T + Rw_eff >= Rw, so a step whose summed
+    tr(S) StepModel certifies is solved by LAPACK's gufunc without
+    ``np.linalg.solve``'s checks, any other with a finite S by ``_gain``;
+    P[k] takes P - K Hbar P, symmetrized."""
+    Hbar, Pk = m.H.mean, P[k]
+    HP = Hbar @ Pk
     S = HP @ Hbar.mT + Rw_eff
     if np.add.reduce(S.diagonal(0, -2, -1), axis=None) < m.S_trace_sum_max:
         K = _lapack_solve(S, HP).mT
     elif np.isfinite(S).all():
         K = _gain(HP, S, S.trace(axis1=-2, axis2=-1) < m.S_trace_max)
     else:
-        raise ValueError(f"S is not finite at step {p.step}")
-    if p.mean.size:
-        np.add(p.mean, (y - p.mean @ Hbar.mT) @ K.mT, out=p.mean)
-    P -= K @ HP
-    symmetrize(P, out=P)
-    return p
+        raise ValueError(f"S is not finite at step {k}")
+    if mean.size:
+        x = mean[k]
+        np.add(x, (y - x @ Hbar.mT) @ K.mT, out=x)
+    Pk -= K @ HP
+    symmetrize(Pk, out=Pk)
 
 
 def _check_shapes(m: StepModel, k: int, shapes: tuple) -> None:
@@ -333,14 +320,12 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     mean = np.empty((len(ys),) + lead + ys.shape[1:-1] + (r,))
     P = np.empty_like(X)
     mean[0], P[0] = ic.mean, ic.cov
-    s = update(FilterState(0, mean[0], P[0], X[0]), ys[0], models[0],
-               Rw_eff=Rw_eff[0])
+    update(mean, P, 0, ys[0], models[0], Rw_eff[0])
     k = 0  # the last step written, for the scan
     try:
         for k in range(1, len(ys)):
-            p = predict(s, models[k - 1], Rv_eff=Rv_eff[k - 1],
-                        out=FilterState(k, mean[k], P[k], X[k]))
-            s = update(p, ys[k], models[k], Rw_eff=Rw_eff[k])
+            predict(mean, P, k, models[k - 1], Rv_eff[k - 1])
+            update(mean, P, k, ys[k], models[k], Rw_eff[k])
     finally:  # the first step whose P, or else X, is not finite
         ok = [np.isfinite(a[1:k + 1]).all(axis=tuple(range(1, a.ndim)))
               for a in (P, X)]

@@ -19,8 +19,7 @@ from .filter_core import (
     ModelProvider,
     StepModel,
     _check_shapes,
-    _index,
-    _step_groups,
+    _spans,
     constant_provider,
     filter_sequence,
     stack_models,
@@ -82,25 +81,27 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     in step order, H_0..H_K then F_0..F_{K-1} (each step takes its source
     distribution's ``width``), then the normals of x_0 and every noise, so
     a run depends on its own seed only.  F is realized one step at a time
-    inside the state recursion; H and the noise factors once per distinct
-    step model.  A deterministic matrix takes its mean; a random one
-    without a source distribution, and a model whose F and H do not fit
-    the prior's state dimension and step 0's measurement rows (a stacked
-    model never does), raise a ValueError naming its first step.  Each
-    step model's noises are written into the states and measurements, to
-    which F x and H x are then added; every run-axis array is stored
-    step-major, so each step reads and writes one contiguous block of runs.
+    inside the state recursion; H and the noise factors once per span of
+    consecutive steps that one model object serves.  A deterministic
+    matrix takes its mean; a random one without a source distribution,
+    and a model whose F and H do not fit the prior's state dimension and
+    step 0's measurement rows (a stacked model never does), raise a
+    ValueError naming its first step.  Each span's noises are written
+    into its slice of the states and measurements, to which F x and H x
+    are then added; every run-axis array is stored step-major, so each
+    step reads and writes one contiguous block of runs.
     """
     if K < 1:
         raise ValueError("need K >= 1")
     models = [provider(k) for k in range(K + 1)]
     seeds = list(seed) if np.ndim(seed) else [seed]
     runs, r, N = len(seeds), ic.mean.size, models[0].H.shape[0]
-    groups = _step_groups(models)
-    for m, steps in groups:  # in order of first step
-        _check_shapes(m, steps[0], ((r, r), (N, r)))
-    nH = {id(m): _draw_width(m.H, "H", s[0]) for m, s in groups}
-    nF = {id(m): _draw_width(m.F, "F", s[0]) for m, s in groups if s[0] < K}
+    spans = _spans(models)
+    for m, at in spans:  # in step order
+        _check_shapes(m, at.start, ((r, r), (N, r)))
+    nH = {id(m): _draw_width(m.H, "H", at.start) for m, at in spans}
+    nF = {id(m): _draw_width(m.F, "F", at.start) for m, at in spans
+          if at.start < K}
     # where each step's uniforms start: H_0..H_K, then F_0..F_{K-1}
     start = np.cumsum([0] + [nH[id(m)] for m in models]
                       + [nF[id(m)] for m in models[:K]])
@@ -110,8 +111,7 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
         rng = np.random.Generator(np.random.PCG64(s))  # default_rng(s)
         u[i] = rng.random(u.shape[1])
         z[i] = rng.standard_normal(z.shape[1])
-    # step-major: the uniforms as a copy, the normals as views that
-    # indexing by steps gathers into contiguous blocks
+    # step-major: the uniforms as a copy, the normals as views
     u = u.T.copy()
     z0, zw, zv = np.split(z, [r, r + (K + 1) * N], axis=1)
     zw = np.moveaxis(zw.reshape(runs, K + 1, N), 0, 1)
@@ -119,25 +119,23 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
 
     states = np.empty((K + 1, runs, r))
     ys = np.empty((K + 1, runs, N))
-    for m, steps in groups:  # in place where the steps are contiguous
-        f = steps[steps < K]
-        for a, at, R, z in ((states, f + 1, m.Rv, zv[f]),
-                            (ys, steps, m.Rw, zw[steps])):
-            if isinstance(at := _index(at), slice):
-                _mv(_gauss_factor(R), z, out=a[at])
-            else:
-                a[at] = _mv(_gauss_factor(R), z)
+    for m, at in spans:  # each span's noise, from contiguous normals
+        f = slice(at.start, min(at.stop, K))
+        for a, to, R, z in ((states, slice(f.start + 1, f.stop + 1), m.Rv,
+                             zv[f]), (ys, at, m.Rw, zw[at])):
+            _mv(_gauss_factor(R), z.copy(), out=a[to])
     states[0] = ic.mean + _mv(_gauss_factor(ic.cov), z0)
     f_at = start[K + 1:]
     for k, m in enumerate(models[:K]):
         a, b = f_at[k], f_at[k + 1]
         F = sample_matrix(m.F.source, u[a:b].T) if b > a else m.F.mean
         states[k + 1] += _mv(F, states[k])
-    for m, steps in groups:
-        H, n, at = m.H.mean, nH[id(m)], _index(steps)
-        if n:
+    for m, at in spans:
+        H, n = m.H.mean, nH[id(m)]
+        if n:  # the span's uniforms are one block of u
+            a, steps = start[at.start], at.stop - at.start
             H = sample_matrix(m.H.source, np.moveaxis(
-                u[start[steps, None] + np.arange(n)], -1, -2))
+                u[a:a + steps * n].reshape(steps, n, runs), -1, -2))
         ys[at] += _mv(H, states[at])
     if np.ndim(seed):
         return TruthTrajectory(np.moveaxis(states, 1, 0),

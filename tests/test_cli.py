@@ -520,8 +520,8 @@ class TestRunModes:
         calls = []
         real = randkf.filter_core.predict
         monkeypatch.setattr(randkf.filter_core, "predict",
-                            lambda s, m, **kw: calls.append(m)
-                            or real(s, m, **kw))
+                            lambda *args: calls.append(args[3])
+                            or real(*args))
         assert main(["sweep", "--config", str(SIM1),
                      "--out", str(tmp_path)]) == 0
         assert len(calls) == cfg.horizon

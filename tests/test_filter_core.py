@@ -26,13 +26,11 @@ from conftest import (
 from randkf.config import parse_config, rotation_matrix
 from randkf.filter_core import (
     COND_LIMIT,
-    FilterState,
     InitialCondition,
     StepModel,
     _gain,
     constant_provider,
     filter_sequence,
-    init,
     predict,
     second_moments,
     stack_models,
@@ -60,44 +58,42 @@ def scalar_spec(mean, var):
                             factors=np.full((1, 1, 1), np.sqrt(var)))
 
 
-def slot(s: FilterState, step: int) -> FilterState:
-    """A state of new NaN arrays of s's shapes, for one step to write."""
-    return FilterState(step, np.full_like(s.mean, np.nan),
-                       np.full_like(s.cov, np.nan),
-                       np.full_like(s.second_moment, np.nan))
+def two_steps(mean, P, at: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step-major arrays of two steps whose step ``at`` holds ``mean``
+    and ``P``, the other step NaN, for predict or update to work on."""
+    means = np.full((2,) + np.shape(mean), np.nan)
+    Ps = np.full((2,) + np.shape(P), np.nan)
+    means[at], Ps[at] = mean, P
+    return means, Ps
 
 
-def copy(s: FilterState) -> FilterState:
-    """A state of new arrays equal to s's, for an update in place."""
-    return FilterState(s.step, s.mean.copy(), s.cov.copy(),
-                       s.second_moment.copy())
+def updated(mean, P, X, y, m: StepModel) -> tuple[np.ndarray, np.ndarray]:
+    """Step 1's mean and P after update at the effective measurement
+    noise of X; the inputs are left as they are."""
+    means, Ps = two_steps(mean, P, at=1)
+    update(means, Ps, 1, y, m, m.Rw + quad_form(m.H, X))
+    return means[1], Ps[1]
 
 
-def state(step, mean, P, X) -> FilterState:
-    return FilterState(step, np.asarray(mean, dtype=float),
-                       np.asarray(P, dtype=float), np.asarray(X, dtype=float))
-
-
-def update_at(p: FilterState, y, m: StepModel) -> FilterState:
-    """update with the effective measurement noise at p's X."""
-    return update(p, y, m, Rw_eff=m.Rw + quad_form(m.H, p.second_moment))
+def x0(ic: InitialCondition) -> np.ndarray:
+    """X_0 as second_moments records it for the prior ``ic``."""
+    eye = np.eye(ic.mean.size)
+    return second_moments([deterministic_model(eye, eye, eye, eye)], ic)[0][0]
 
 
 class TestInit:
     def test_second_moment_from_tracking_prior(self):
-        s = init(SIM1_IC)
         np.testing.assert_allclose(
-            s.second_moment, [[2500.5, 0.0], [0.0, 0.5]], rtol=0, atol=0)
-        assert s.step == 0
+            x0(SIM1_IC), [[2500.5, 0.0], [0.0, 0.5]], rtol=0, atol=0)
 
     def test_zero_mean_identity_cov(self):
-        s = init(InitialCondition(mean=np.zeros(3), cov=np.eye(3)))
-        np.testing.assert_array_equal(s.second_moment, np.eye(3))
+        X = x0(InitialCondition(mean=np.zeros(3), cov=np.eye(3)))
+        np.testing.assert_array_equal(X, np.eye(3))
 
     def test_zero_cov_gives_outer_product(self):
         mu = np.array([1.0, 2.0])
-        s = init(InitialCondition(mean=mu, cov=np.zeros((2, 2))))
-        np.testing.assert_array_equal(s.second_moment, np.outer(mu, mu))
+        X = x0(InitialCondition(mean=mu, cov=np.zeros((2, 2))))
+        np.testing.assert_array_equal(X, np.outer(mu, mu))
 
     def test_rejects_indefinite_cov(self):
         with pytest.raises(ValueError, match="semidefinite"):
@@ -170,12 +166,12 @@ class TestPredict:
                                 np.eye(2))
         ic = InitialCondition(mean=rng.standard_normal(2),
                               cov=rand_psd(rng, 2))
-        s = init(ic)
         X, Rv_eff, _ = second_moments([m, m], ic)
-        p = predict(s, m, Rv_eff=Rv_eff[0], out=slot(s, 1))
-        np.testing.assert_allclose(p.mean, s.mean, atol=1e-15)
-        np.testing.assert_allclose(p.cov, s.cov, atol=1e-14)
-        np.testing.assert_allclose(X[1], s.second_moment, atol=1e-12)
+        mean, P = two_steps(ic.mean, ic.cov, at=0)
+        predict(mean, P, 1, m, Rv_eff[0])
+        np.testing.assert_allclose(mean[1], ic.mean, atol=1e-15)
+        np.testing.assert_allclose(P[1], ic.cov, atol=1e-14)
+        np.testing.assert_allclose(X[1], X[0], atol=1e-12)
 
     def test_scalar_hand_evaluated(self):
         # mean 1, cov 1, X 2; F mean 1 with deviation variance 1, Rv 0:
@@ -183,38 +179,37 @@ class TestPredict:
         m = StepModel(F=scalar_spec(1.0, 1.0), H=deterministic([[1.0]]),
                       Rv=np.zeros((1, 1)), Rw=np.eye(1))
         ic = InitialCondition(mean=[1.0], cov=[[1.0]])
-        s = init(ic)
         X, Rv_eff, _ = second_moments([m, m], ic)
         np.testing.assert_allclose(X[0], [[2.0]])
         np.testing.assert_allclose(Rv_eff[0], [[2.0]])
-        p = predict(s, m, Rv_eff=Rv_eff[0], out=slot(s, 1))
-        np.testing.assert_allclose(p.mean, [1.0])
-        np.testing.assert_allclose(p.cov, [[3.0]])
+        mean, P = two_steps(ic.mean, ic.cov, at=0)
+        predict(mean, P, 1, m, Rv_eff[0])
+        np.testing.assert_allclose(mean[1], [1.0])
+        np.testing.assert_allclose(P[1], [[3.0]])
         np.testing.assert_allclose(X[1], [[4.0]])
 
     def test_rotation_preserves_scaled_identity(self):
         m = deterministic_model(rotation_matrix(300), np.eye(2),
                                 2.0 * np.eye(2), np.eye(2))
-        s = state(0, np.zeros(2), 0.5 * np.eye(2), 0.5 * np.eye(2))
+        mean, P = two_steps(np.zeros(2), 0.5 * np.eye(2), at=0)
         # a deterministic F adds no noise: Rv_eff is Rv
-        p = predict(s, m, Rv_eff=m.Rv, out=slot(s, 1))
-        np.testing.assert_allclose(p.cov, 2.5 * np.eye(2), atol=1e-14)
+        predict(mean, P, 1, m, m.Rv)
+        np.testing.assert_allclose(P[1], 2.5 * np.eye(2), atol=1e-14)
 
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self, rng):
         m = rand_random_model(rng, 2, 2)
-        p = state(1, rng.standard_normal(2), rand_psd(rng, 2, floor=0.1),
-                  rand_psd(rng, 2, floor=0.5))
-        s = update_at(copy(p), m.H.mean @ p.mean, m)
-        np.testing.assert_allclose(s.mean, p.mean, atol=1e-12)
+        mean = rng.standard_normal(2)
+        got, _ = updated(mean, rand_psd(rng, 2, floor=0.1),
+                         rand_psd(rng, 2, floor=0.5), m.H.mean @ mean, m)
+        np.testing.assert_allclose(got, mean, atol=1e-12)
 
     def test_scalar_hand_evaluated(self):
         m = deterministic_model([[1.0]], [[1.0]], [[1.0]], [[1.0]])
-        p = state(1, [0.0], [[1.0]], [[1.0]])
-        s = update_at(copy(p), np.array([1.0]), m)
-        np.testing.assert_allclose(s.mean, [0.5])
-        np.testing.assert_allclose(s.cov, [[0.5]])
+        mean, P = updated([0.0], [[1.0]], [[1.0]], np.array([1.0]), m)
+        np.testing.assert_allclose(mean, [0.5])
+        np.testing.assert_allclose(P, [[0.5]])
 
     def test_deterministic_matches_textbook_update(self, rng):
         F, H = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
@@ -229,21 +224,15 @@ class TestUpdate:
         np.testing.assert_allclose(got[0].cov, ref[0][1], rtol=1e-13,
                                    atol=1e-13)
 
-    def test_second_moment_not_conditioned_on_data(self, rng):
-        m = rand_random_model(rng, 2, 2)
-        p = state(1, np.zeros(2), np.eye(2), rand_psd(rng, 2, 1.0))
-        s = update_at(copy(p), rng.standard_normal(2), m)
-        np.testing.assert_array_equal(s.second_moment, p.second_moment)
-
     def test_singular_innovation_uses_pseudo_inverse(self):
         # informationless measurement with zero noise: gain collapses to 0
         m = StepModel(F=deterministic(np.eye(2)),
                       H=deterministic(np.zeros((1, 2))),
                       Rv=np.zeros((2, 2)), Rw=np.zeros((1, 1)))
-        p = state(1, [1.0, 2.0], np.eye(2), 2 * np.eye(2))
-        s = update_at(copy(p), np.array([0.3]), m)
-        np.testing.assert_array_equal(s.mean, p.mean)
-        np.testing.assert_allclose(s.cov, p.cov)
+        mean, P = updated([1.0, 2.0], np.eye(2), 2 * np.eye(2),
+                          np.array([0.3]), m)
+        np.testing.assert_array_equal(mean, [1.0, 2.0])
+        np.testing.assert_allclose(P, np.eye(2))
 
 
 class TestStep:
@@ -289,12 +278,13 @@ def test_batched_filter_matches_per_run_calls(rng):
 
 @pytest.mark.parametrize("stacked", [False, True])
 def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
-    # filter_sequence's arrays against init/predict/update written into
-    # new arrays of the record's shapes (the prior broadcast over the run
-    # and model axes), with X and the effective noises by the textbook
-    # step: X' = sym(Fbar X Fbar^T + Rv) and Rw_eff = Rw + E(H~ X H~^T) at
-    # the X before sym (every member's F is deterministic); the stacked
-    # models take both gain paths at every step
+    # filter_sequence's arrays against predict/update run by hand on new
+    # step-major arrays of the record's shapes (the prior broadcast over
+    # the run and model axes), with X and the effective noises by the
+    # textbook step, one step at a time: X_0 = mu mu^T + P_0, X' =
+    # sym(Fbar X Fbar^T + Rv) and Rw_eff = Rw + E(H~ X H~^T) at the
+    # recorded X (every member's F is deterministic); the stacked models
+    # take both gain paths at every step
     runs, K = 3, 25
     members = mixed_nahi_models()
     m = stack_models(members) if stacked else members[4]
@@ -302,31 +292,29 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     ys = 3 * rng.standard_normal((runs, K + 1, 2))
     lead = (len(members),) if stacked else ()
     rec = filter_sequence(lambda k: m, ic, ys)
-    s0 = init(ic)
     Fbar = m.F.mean
-    X = [np.tile(s0.second_moment, lead + (1, 1))]
-    prior = FilterState(step=0, mean=np.tile(s0.mean, lead + (runs, 1)),
-                        cov=np.tile(s0.cov, lead + (1, 1)),
-                        second_moment=X[0])
-    hand = [update_at(prior, ys[:, 0], m)]
+    X = [np.tile(np.outer(ic.mean, ic.mean) + ic.cov, lead + (1, 1))]
+    mean = np.empty((K + 1,) + lead + (runs, 2))
+    P = np.empty((K + 1,) + lead + (2, 2))
+    mean[0], P[0] = ic.mean, ic.cov
+    update(mean, P, 0, ys[:, 0], m, m.Rw + quad_form(m.H, X[0]))
     for k in range(1, K + 1):
-        summed = Fbar @ X[-1] @ Fbar.mT + m.Rv
-        X.append(symmetrize(summed))
-        p = predict(hand[-1], m, Rv_eff=m.Rv, out=slot(rec[k], k))
-        hand.append(update(p, ys[:, k], m,
-                           Rw_eff=m.Rw + quad_form(m.H, summed)))
+        X.append(symmetrize(Fbar @ X[-1] @ Fbar.mT + m.Rv))
+        predict(mean, P, k, m, m.Rv)
+        update(mean, P, k, ys[:, k], m, m.Rw + quad_form(m.H, X[k]))
     assert rec.mean.shape == lead + (runs, K + 1, 2)
     assert rec.cov.shape == rec.second_moment.shape == (K + 1,) + lead + (2, 2)
     assert len(rec) == K + 1 and rec[-1].step == K
     with pytest.raises(TypeError):
         rec[1:]
-    for k, (s, h) in enumerate(zip(rec, hand, strict=True)):
-        assert s.step == h.step == k
-        np.testing.assert_array_equal(rec.mean[..., k, :], h.mean)
-        np.testing.assert_array_equal(rec.cov[k], h.cov)
-        np.testing.assert_array_equal(rec.second_moment[k], X[k])
-        np.testing.assert_array_equal(s.cov, h.cov)
-        np.testing.assert_array_equal(s.second_moment, X[k])
+    np.testing.assert_array_equal(rec.mean, np.moveaxis(mean, 0, -2))
+    np.testing.assert_array_equal(rec.cov, P)
+    np.testing.assert_array_equal(rec.second_moment, np.stack(X))
+    assert [s.step for s in rec] == list(range(K + 1))
+    for s in rec:
+        np.testing.assert_array_equal(s.mean, mean[s.step])
+        np.testing.assert_array_equal(s.cov, P[s.step])
+        np.testing.assert_array_equal(s.second_moment, X[s.step])
 
 
 SYMMETRY_CASES = {
@@ -456,8 +444,8 @@ def test_model_that_does_not_fit_the_run_names_its_step(rng, case):
 def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     # a matrix without deviation factors adds exactly no noise, so only
     # the random H's quad form runs, once, in second_moments, for every
-    # step its model serves; predict and update run none, and predict
-    # leaves its sum to update to symmetrize
+    # step its model serves, at the recorded X; predict and update run
+    # none, and predict leaves its sum to update to symmetrize
     calls = []
     real = randkf.filter_core.quad_form
     monkeypatch.setattr(randkf.filter_core, "quad_form",
@@ -470,22 +458,22 @@ def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     X, Rv_eff, Rw_eff = second_moments([m] * 3, ic)
     assert calls == [H]
     assert all(R is m.Rv for R in Rv_eff)
-    s0 = init(ic)
-    p = predict(s0, m, Rv_eff=Rv_eff[0], out=slot(s0, 1))
+    mean, P = two_steps(ic.mean, ic.cov, at=0)
+    predict(mean, P, 1, m, Rv_eff[0])
     F = m.F.mean
-    summed = F @ s0.second_moment @ F.T + m.Rv
-    for got, ref in ((p.cov, F @ s0.cov @ F.T + m.Rv),
-                     (X[1], symmetrize(summed)),
-                     (Rw_eff[1], m.Rw + real(H, summed))):
+    X1 = symmetrize(F @ X[0] @ F.T + m.Rv)
+    for got, ref in ((P[1], F @ ic.cov @ F.T + m.Rv), (X[1], X1),
+                     (Rw_eff[1], m.Rw + real(H, X1))):
         np.testing.assert_array_equal(got, ref)
-    update(p, np.ones(2), m, Rw_eff=Rw_eff[1])
+    update(mean, P, 1, np.ones(2), m, Rw_eff[1])
     assert calls == [H]
 
 
 class TestSecondMoments:
     def test_x_reads_neither_h_nor_the_data(self, rng):
         # X follows F, Rv and the prior alone: two models that share them
-        # but not H, Rw, the measurements or even N record equal X
+        # but not H, Rw, the measurements or even N record equal X, and
+        # so does one model on new measurements
         r, K = 3, 30
         F = moments_from_dist(rand_dist(rng, r, r, 3, scale=0.3))
         Rv, ic = rand_psd(rng, r, floor=0.1), rand_ic(rng, r)
@@ -497,9 +485,13 @@ class TestSecondMoments:
                                 rng.standard_normal((4, K + 1, 2)))
         rec_b = filter_sequence(constant_provider(b), ic,
                                 5 * rng.standard_normal((2, K + 1, 1)))
-        np.testing.assert_array_equal(rec_a.second_moment,
-                                      rec_b.second_moment)
+        rec_c = filter_sequence(constant_provider(a), ic,
+                                rng.standard_normal((4, K + 1, 2)))
+        for rec in (rec_b, rec_c):
+            np.testing.assert_array_equal(rec.second_moment,
+                                          rec_a.second_moment)
         assert not np.allclose(rec_a.cov, rec_b.cov)
+        assert not np.allclose(rec_a.mean, rec_c.mean)
 
     def test_random_f_follows_the_kronecker_map(self, rng):
         # vec X_{k+1} = (Fbar (x) Fbar + sum_l G_l (x) G_l) vec X_k + vec Rv
@@ -526,9 +518,11 @@ class TestSecondMoments:
 
     def test_new_equal_model_each_step_records_as_a_constant_one(
             self, monkeypatch, rng):
-        # quad_form runs once per model object, over all its steps: a
-        # provider that builds a new, equal model every step (one step a
-        # call) records the constant provider's (one call) bit for bit
+        # quad_form runs once per span of steps one model object serves:
+        # a provider that builds a new, equal model every step (one step
+        # a call), and one that serves two equal objects A A B B A A ...
+        # (two steps a call), record the constant provider's (one call)
+        # bit for bit
         m = rand_random_model(rng, 3, 2)
         ic, K = rand_ic(rng, 3), 20
         ys = rng.standard_normal((3, K + 1, 2))
@@ -543,9 +537,14 @@ class TestSecondMoments:
         fresh = filter_sequence(
             lambda k: StepModel(F=m.F, H=m.H, Rv=m.Rv, Rw=m.Rw), ic, ys)
         assert calls == [1] * (K + 1)
-        for a, b in ((one.mean, fresh.mean), (one.cov, fresh.cov),
-                     (one.second_moment, fresh.second_moment)):
-            np.testing.assert_array_equal(a, b)
+        calls.clear()
+        two = [StepModel(F=m.F, H=m.H, Rv=m.Rv, Rw=m.Rw) for _ in range(2)]
+        pairs = filter_sequence(lambda k: two[k // 2 % 2], ic, ys)
+        assert calls == [2] * (K // 2) + [1]
+        for rec in (fresh, pairs):
+            for a, b in ((one.mean, rec.mean), (one.cov, rec.cov),
+                         (one.second_moment, rec.second_moment)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestStackModels:

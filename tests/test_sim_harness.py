@@ -200,8 +200,9 @@ class TestSimulateTruth:
     @pytest.mark.parametrize("kind", ["nahi", "partitioned", "multimodel"])
     def test_fresh_equal_model_each_step_draws_as_one_model(self, kind):
         # draws depend on the step only, not on which steps share a model
-        # object: a new, equal model every step, and two equal models
-        # alternating (noises scattered, not written in place), sample
+        # object: a new, equal model every step, two equal models
+        # alternating (a span per step), and two served A A B B ... (spans
+        # of two steps, each reading its uniforms from inside u), sample
         # the same bits
         build, m = {
             "nahi": (build_nahi, NahiModel(
@@ -222,7 +223,8 @@ class TestSimulateTruth:
         two = (build(m, 0), build(m, 0))
         alternating = simulate_truth(lambda k: two[k % 2], SIM1_IC, 30,
                                      seeds)
-        for traj in (fresh, alternating):
+        pairs = simulate_truth(lambda k: two[k // 2 % 2], SIM1_IC, 30, seeds)
+        for traj in (fresh, alternating, pairs):
             np.testing.assert_array_equal(traj.states, shared.states)
             np.testing.assert_array_equal(traj.measurements,
                                           shared.measurements)

@@ -197,9 +197,9 @@ def second_moments(models: Sequence[StepModel], ic: InitialCondition
     lead, spans = models[0].Rv.shape[:-2], _spans(models)
     X = np.empty((len(models),) + lead + ic.cov.shape)
     X[0] = np.outer(ic.mean, ic.mean) + ic.cov
-    stack = {id(m): np.concatenate([m.F.mean[..., None, :, :],
-                                    m.F.factors], -3)
-             for m, _ in spans if m.F.factors.shape[-3]}
+    stack = {i: np.concatenate([m.F.mean[..., None, :, :], m.F.factors], -3)
+             for i, m in {id(m): m for m, _ in spans}.items()
+             if m.F.factors.shape[-3]}
     Xe, Rv_eff = X[..., None, :, :], [m.Rv for m in models[:-1]]
     for k, m in enumerate(models[:-1]):
         Xn = X[k + 1]

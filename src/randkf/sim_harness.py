@@ -119,11 +119,13 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
 
     states = np.empty((K + 1, runs, r))
     ys = np.empty((K + 1, runs, N))
+    L = {i: (_gauss_factor(m.Rv), _gauss_factor(m.Rw))  # once per object
+         for i, m in {id(m): m for m, _ in spans}.items()}
     for m, at in spans:  # each span's noise, from contiguous normals
         f = slice(at.start, min(at.stop, K))
-        for a, to, R, z in ((states, slice(f.start + 1, f.stop + 1), m.Rv,
-                             zv[f]), (ys, at, m.Rw, zw[at])):
-            _mv(_gauss_factor(R), z.copy(), out=a[to])
+        Lv, Lw = L[id(m)]
+        _mv(Lv, zv[f].copy(), out=states[f.start + 1:f.stop + 1])
+        _mv(Lw, zw[at].copy(), out=ys[at])
     states[0] = ic.mean + _mv(_gauss_factor(ic.cov), z0)
     f_at = start[K + 1:]
     for k, m in enumerate(models[:K]):

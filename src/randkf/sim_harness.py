@@ -81,15 +81,15 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
     in step order, H_0..H_K then F_0..F_{K-1} (each step takes its source
     distribution's ``width``), then the normals of x_0 and every noise, so
     a run depends on its own seed only.  F is realized one step at a time
-    inside the state recursion; H and the noise factors once per span of
-    consecutive steps that one model object serves.  A deterministic
-    matrix takes its mean; a random one without a source distribution,
-    and a model whose F and H do not fit the prior's state dimension and
-    step 0's measurement rows (a stacked model never does), raise a
-    ValueError naming its first step.  Each span's noises are written
-    into its slice of the states and measurements, to which F x and H x
-    are then added; every run-axis array is stored step-major, so each
-    step reads and writes one contiguous block of runs.
+    inside the state recursion; H once per span of consecutive steps that
+    one model object serves, the noise factors once per object.  A
+    deterministic matrix takes its mean; a random one without a source
+    distribution, and a model whose F and H do not fit the prior's state
+    dimension and step 0's measurement rows (a stacked model never does),
+    raise a ValueError naming its first step.  Each span's noises are
+    written into its slice of the states and measurements, to which F x
+    and H x are then added; every run-axis array is stored step-major, so
+    each step reads and writes one contiguous block of runs.
     """
     if K < 1:
         raise ValueError("need K >= 1")

@@ -224,6 +224,22 @@ class TestUpdate:
         np.testing.assert_allclose(got[0].cov, ref[0][1], rtol=1e-13,
                                    atol=1e-13)
 
+    def test_second_moment_not_conditioned_on_data(self, rng):
+        # update sees X only through the effective measurement noise; the
+        # X it was built from, and the X a run records, do not move with
+        # the measurements while the means do
+        m = rand_random_model(rng, 2, 2)
+        X = rand_psd(rng, 2, 1.0)
+        X_before = X.copy()
+        updated(np.zeros(2), np.eye(2), X, rng.standard_normal(2), m)
+        np.testing.assert_array_equal(X, X_before)
+        ic = rand_ic(rng, 2)
+        a, b = (filter_sequence(constant_provider(m), ic,
+                                rng.standard_normal((3, 6, 2)))
+                for _ in range(2))
+        np.testing.assert_array_equal(a.second_moment, b.second_moment)
+        assert not np.allclose(a.mean, b.mean)
+
     def test_singular_innovation_uses_pseudo_inverse(self):
         # informationless measurement with zero noise: gain collapses to 0
         m = StepModel(F=deterministic(np.eye(2)),

@@ -272,7 +272,9 @@ def _check_run_size(cfg: ExperimentConfig, runs_path: str) -> None:
     the noise normals (N + r), state noise (kept in the states), state,
     measurement, a drawn H (N r), filter mean and error; per step and
     member P, X and Rv_eff (r^2 each), and Rw_eff with quad_form's
-    temporaries (2 N^2 + N r)."""
+    temporaries (2 N^2 + N r).  A deterministic F allocates no Rv_eff;
+    its r^2 covers the X pass's doubling temporary instead, which holds
+    at most half of X's steps."""
     m = cfg.step_model
     N, r = m.H.shape
     per_run = (sum(s.source.width for s in (m.F, m.H) if s.source)

@@ -4,11 +4,13 @@ x_{k+1} = F_k x_k + v_k, y_k = H_k x_k + w_k with random F_k, H_k is
 filtered as the system of mean matrices Fbar, Hbar and noises Rv +
 E(F~ X F~^T), Rw + E(H~ X H~^T); X_k = E(x_k x_k^T) follows a linear map
 that reads neither P, nor H, nor the data (De Koning).  ``second_moments``
-runs that map first, so the Riccati loop of ``filter_sequence``, the one
-entry point, carries P alone; its steps ``predict`` and ``update`` write
-its ``FilterRecord``'s step-major arrays in place.  With deterministic
+runs that map first, over each run of one deterministic Fbar by doubling,
+so the Riccati loop of ``filter_sequence``, the one entry point, carries
+P alone; its steps ``predict`` and ``update`` write its
+``FilterRecord``'s step-major arrays in place.  With deterministic
 matrices this is a Kalman filter.  P, X, S and K accept a leading model
-axis (``stack_models``); each member is bit-identical to its own run."""
+axis (``stack_models``); each member is bit-identical to its own run
+where the members' Fbar and Rv change at the same steps."""
 
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ def _check_psd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} is not finite")
     atol = PSD_TOL * np.maximum(1.0, np.abs(np.trace(m, axis1=-2, axis2=-1)))
-    if not np.allclose(m, m.mT, rtol=0, atol=atol[..., None, None]):
+    if not (np.abs(m - m.mT) <= atol[..., None, None]).all():
         raise ValueError(f"{name} is not symmetric")
     m = symmetrize(m)
     w_min = np.linalg.eigvalsh(m).min(axis=-1, initial=np.inf)
@@ -186,33 +188,70 @@ def _spans(models: Sequence[StepModel]) -> list[tuple[StepModel, slice]]:
             for a, b in zip([0] + cuts, cuts + [len(models)])]
 
 
+def _same_map(m: StepModel, prev: StepModel) -> bool:
+    """Whether m's Fbar and Rv, all a deterministic F's X step reads,
+    equal prev's bytes for bytes."""
+    return all(a is b or a.tobytes() == b.tobytes()
+               for a, b in ((m.F.mean, prev.F.mean), (m.Rv, prev.Rv)))
+
+
+def _double(X: np.ndarray, a: int, n_steps: int, Fbar: np.ndarray,
+            Rv: np.ndarray) -> None:
+    """X[a+1 : a+n_steps+1] from X[a] by n_steps steps of X' = sym(Fbar
+    X Fbar^T + Rv), by doubling (Smith 1968): X[a+n : a+2n] = sym(Phi_n
+    X[a : a+n] Phi_n^T + Q_n) for n = 1, 2, 4, ..., with Phi_1 = Fbar,
+    Q_1 = Rv, Phi_2n = Phi_n Phi_n and Q_2n = sym(Phi_n Q_n Phi_n^T +
+    Q_n).  A step's block depends on its offset from a alone."""
+    Phi, Q, n = Fbar, Rv, 1
+    while True:
+        block = X[a + n:a + min(2 * n, n_steps + 1)]
+        np.matmul(Phi @ X[a:a + len(block)], Phi.mT, out=block)
+        block += Q
+        symmetrize(block, out=block)
+        n *= 2
+        if n > n_steps:
+            return
+        Q = symmetrize(Phi @ Q @ Phi.mT + Q)
+        Phi = Phi @ Phi
+
+
 def second_moments(models: Sequence[StepModel], ic: InitialCondition
                    ) -> tuple[np.ndarray, list, list]:
     """X (K+1, [models,] r, r) of ``models``' steps, and the noises
     ``Rv_eff[k]`` of the predict from step k and ``Rw_eff[k]`` of step
     k's update.  X_0 = mu_0 mu_0^T + P_0 and X_{k+1} = sym(Fbar X_k
-    Fbar^T + Rv_eff[k]), Rv_eff[k] = Rv + E(F~ X_k F~^T) of models[k] (a
-    random F's [Fbar; G_l] take X through one product); Rw_eff[k] = Rw +
-    E(H~ X_k H~^T), by one ``quad_form`` per span of steps over X."""
-    lead, spans = models[0].Rv.shape[:-2], _spans(models)
+    Fbar^T + Rv_eff[k]), Rv_eff[k] = Rv + E(F~ X_k F~^T) of models[k].
+    A random F's steps run one at a time, its [Fbar; G_l] taking X
+    through one product.  Each longest run of deterministic-F steps
+    whose Fbar and Rv are equal (by content, whatever the model objects)
+    is filled by ``_double`` in O(log steps) batched products, so a run
+    of one step is the stepwise map's.  Rw_eff[k] = Rw + E(H~ X_k
+    H~^T), by one ``quad_form`` per span of steps over X."""
+    lead, spans, K = models[0].Rv.shape[:-2], _spans(models), len(models) - 1
     X = np.empty((len(models),) + lead + ic.cov.shape)
     X[0] = np.outer(ic.mean, ic.mean) + ic.cov
     stack = {i: np.concatenate([m.F.mean[..., None, :, :], m.F.factors], -3)
              for i, m in {id(m): m for m, _ in spans}.items()
              if m.F.factors.shape[-3]}
+    runs = []  # [model, first step, last step + 1] that X_{k+1} reads
+    for m, at in spans:
+        b = min(at.stop, K)
+        if (runs and id(m) not in stack and id(runs[-1][0]) not in stack
+                and _same_map(m, runs[-1][0])):
+            runs[-1][2] = b
+        elif at.start < b:
+            runs.append([m, at.start, b])
     Xe, Rv_eff = X[..., None, :, :], [m.Rv for m in models[:-1]]
-    for k, m in enumerate(models[:-1]):
-        Xn = X[k + 1]
-        if (A := stack.get(id(m))) is not None:
+    for m, a, b in runs:
+        if (A := stack.get(id(m))) is None:
+            _double(X, a, b - a, m.F.mean, m.Rv)
+            continue
+        for k in range(a, b):
             T = A @ Xe[k] @ A.mT
             Rv_eff[k] = np.add.reduce(T[..., 1:, :, :], axis=-3)
             Rv_eff[k] += m.Rv
-            FXF = T[..., 0, :, :]
-        else:
-            Fbar = m.F.mean
-            FXF = np.matmul(Fbar @ X[k], Fbar.mT, out=Xn)
-        np.add(FXF, Rv_eff[k], out=Xn)
-        symmetrize(Xn, out=Xn)
+            Xn = np.add(T[..., 0, :, :], Rv_eff[k], out=X[k + 1])
+            symmetrize(Xn, out=Xn)
     Rw_eff = [m.Rw for m in models]
     for m, at in spans:
         if m.H.factors.shape[-3]:

@@ -292,15 +292,30 @@ def test_batched_filter_matches_per_run_calls(rng):
                                        atol=1e-13 * np.abs(s.mean).max())
 
 
+def doubled(Fbar, Rv, X0, K) -> np.ndarray:
+    """X_0..X_K of X' = sym(Fbar X Fbar^T + Rv) by doubling, one step at
+    a time: X_k = sym(Phi_n X_{k-n} Phi_n^T + Q_n) for the largest power
+    of two n <= k, with Phi_1 = Fbar, Q_1 = Rv, Phi_2n = Phi_n Phi_n and
+    Q_2n = sym(Phi_n Q_n Phi_n^T + Q_n)."""
+    Phi, Q, X = {1: Fbar}, {1: Rv}, [X0]
+    for k in range(1, K + 1):
+        n = 1 << (k.bit_length() - 1)
+        if n not in Phi:
+            h = n // 2
+            Q[n] = symmetrize(Phi[h] @ Q[h] @ Phi[h].mT + Q[h])
+            Phi[n] = Phi[h] @ Phi[h]
+        X.append(symmetrize(Phi[n] @ X[k - n] @ Phi[n].mT + Q[n]))
+    return np.stack(X)
+
+
 @pytest.mark.parametrize("stacked", [False, True])
 def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     # filter_sequence's arrays against predict/update run by hand on new
     # step-major arrays of the record's shapes (the prior broadcast over
-    # the run and model axes), with X and the effective noises by the
-    # textbook step, one step at a time: X_0 = mu mu^T + P_0, X' =
-    # sym(Fbar X Fbar^T + Rv) and Rw_eff = Rw + E(H~ X H~^T) at the
-    # recorded X (every member's F is deterministic); the stacked models
-    # take both gain paths at every step
+    # the run and model axes), with X by ``doubled`` from X_0 = mu mu^T
+    # + P_0 (every member's F is deterministic) and Rw_eff = Rw + E(H~ X
+    # H~^T) at that X; the stacked models take both gain paths at every
+    # step
     runs, K = 3, 25
     members = mixed_nahi_models()
     m = stack_models(members) if stacked else members[4]
@@ -308,14 +323,13 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     ys = 3 * rng.standard_normal((runs, K + 1, 2))
     lead = (len(members),) if stacked else ()
     rec = filter_sequence(lambda k: m, ic, ys)
-    Fbar = m.F.mean
-    X = [np.tile(np.outer(ic.mean, ic.mean) + ic.cov, lead + (1, 1))]
+    X = doubled(m.F.mean, m.Rv,
+                np.tile(np.outer(ic.mean, ic.mean) + ic.cov, lead + (1, 1)), K)
     mean = np.empty((K + 1,) + lead + (runs, 2))
     P = np.empty((K + 1,) + lead + (2, 2))
     mean[0], P[0] = ic.mean, ic.cov
     update(mean, P, 0, ys[:, 0], m, m.Rw + quad_form(m.H, X[0]))
     for k in range(1, K + 1):
-        X.append(symmetrize(Fbar @ X[-1] @ Fbar.mT + m.Rv))
         predict(mean, P, k, m, m.Rv)
         update(mean, P, k, ys[:, k], m, m.Rw + quad_form(m.H, X[k]))
     assert rec.mean.shape == lead + (runs, K + 1, 2)
@@ -325,12 +339,46 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
         rec[1:]
     np.testing.assert_array_equal(rec.mean, np.moveaxis(mean, 0, -2))
     np.testing.assert_array_equal(rec.cov, P)
-    np.testing.assert_array_equal(rec.second_moment, np.stack(X))
+    np.testing.assert_array_equal(rec.second_moment, X)
     assert [s.step for s in rec] == list(range(K + 1))
     for s in rec:
         np.testing.assert_array_equal(s.mean, mean[s.step])
         np.testing.assert_array_equal(s.cov, P[s.step])
         np.testing.assert_array_equal(s.second_moment, X[s.step])
+
+
+def orthogonal(rng, r) -> np.ndarray:
+    return np.linalg.qr(rng.standard_normal((r, r)))[0]
+
+
+# Fbar with spectral radius below, at and above 1 (sim1's rotation)
+DOUBLING_FBARS = {
+    "rho < 1": lambda rng: 0.7 * orthogonal(rng, 3),
+    "rho = 1": lambda rng: sim1_model().F.mean,
+    "rho > 1": lambda rng: 1.02 * orthogonal(rng, 3),
+}
+
+
+@pytest.mark.parametrize("case", DOUBLING_FBARS)
+def test_doubling_tracks_the_stepwise_map_and_is_prefix_stable(rng, case):
+    # X of a deterministic F by doubling against the textbook map X' =
+    # sym(Fbar X Fbar^T + Rv), one step at a time, relative to each
+    # step's X; a shorter horizon records the longer one's first steps
+    # bit for bit
+    Fbar = DOUBLING_FBARS[case](rng)
+    r, K = len(Fbar), 3000
+    m = deterministic_model(Fbar, np.eye(r), rand_psd(rng, r, floor=0.1),
+                            np.eye(r))
+    ic = rand_ic(rng, r)
+    X = second_moments([m] * (K + 1), ic)[0]
+    ref = [X[0]]
+    for _ in range(K):
+        ref.append(symmetrize(Fbar @ ref[-1] @ Fbar.T + m.Rv))
+    ref = np.stack(ref)
+    err = np.abs(X - ref).max(axis=(1, 2))
+    assert (err <= 1e-12 * np.abs(ref).max(axis=(1, 2))).all()
+    np.testing.assert_array_equal(second_moments([m] * 101, ic)[0],
+                                  second_moments([m] * 301, ic)[0][:101])
 
 
 SYMMETRY_CASES = {
@@ -512,25 +560,31 @@ class TestSecondMoments:
     def test_random_f_follows_the_kronecker_map(self, rng):
         # vec X_{k+1} = (Fbar (x) Fbar + sum_l G_l (x) G_l) vec X_k + vec Rv
         # (row-major vec), the conversion's r^2 x r^2 map as a reference,
-        # at r = 3 with two random-F banks alternating over the steps
+        # at r = 3 with two random-F banks alternating over the steps, and
+        # with runs of a deterministic F (no G_l) between them
         r, K = 3, 40
         models = [StepModel(F=moments_from_dist(rand_dist(rng, r, r, 3,
                                                           scale=0.3)),
                             H=deterministic(np.eye(r)),
                             Rv=rand_psd(rng, r, floor=0.1), Rw=np.eye(r))
                   for _ in range(2)]
+        models.append(deterministic_model(0.9 * models[0].F.mean, np.eye(r),
+                                          rand_psd(rng, r), np.eye(r)))
         ic = rand_ic(rng, r)
-        X, Rv_eff, _ = second_moments([models[k % 2] for k in range(K + 1)],
-                                      ic)
-        x = (np.outer(ic.mean, ic.mean) + ic.cov).ravel()
-        for k in range(K + 1):
-            assert_allclose_rel(X[k], x.reshape(r, r), 1e-12)
-            if k < K:
-                m = models[k % 2]
-                dev = sum(np.kron(g, g) for g in m.F.factors) @ x
-                assert_allclose_rel(Rv_eff[k], m.Rv + dev.reshape(r, r),
-                                    1e-12)
-                x = np.kron(m.F.mean, m.F.mean) @ x + dev + m.Rv.ravel()
+        for schedule in ([k % 2 for k in range(K + 1)],
+                         [(0, 2, 2, 1, 2, 2, 2, 2, 2)[k % 9]
+                          for k in range(K + 1)]):
+            X, Rv_eff, _ = second_moments([models[i] for i in schedule], ic)
+            x = (np.outer(ic.mean, ic.mean) + ic.cov).ravel()
+            for k, i in enumerate(schedule):
+                assert_allclose_rel(X[k], x.reshape(r, r), 1e-12)
+                if k < K:
+                    m = models[i]
+                    dev = sum((np.kron(g, g) for g in m.F.factors),
+                              np.zeros((r * r, r * r))) @ x
+                    assert_allclose_rel(Rv_eff[k], m.Rv + dev.reshape(r, r),
+                                        1e-12)
+                    x = np.kron(m.F.mean, m.F.mean) @ x + dev + m.Rv.ravel()
 
     def test_new_equal_model_each_step_records_as_a_constant_one(
             self, monkeypatch, rng):
@@ -538,8 +592,11 @@ class TestSecondMoments:
         # a provider that builds a new, equal model every step (one step
         # a call), and one that serves two equal objects A A B B A A ...
         # (two steps a call), record the constant provider's (one call)
-        # bit for bit
-        m = rand_random_model(rng, 3, 2)
+        # bit for bit, with a random F and with a deterministic one (whose
+        # X runs over equal Fbar and Rv, whatever the objects)
+        random_f = rand_random_model(rng, 3, 2)
+        det_f = StepModel(F=deterministic(random_f.F.mean), H=random_f.H,
+                          Rv=random_f.Rv, Rw=random_f.Rw)
         ic, K = rand_ic(rng, 3), 20
         ys = rng.standard_normal((3, K + 1, 2))
         calls = []
@@ -547,20 +604,23 @@ class TestSecondMoments:
         monkeypatch.setattr(randkf.filter_core, "quad_form",
                             lambda spec, X: calls.append(len(X))
                             or real(spec, X))
-        one = filter_sequence(constant_provider(m), ic, ys)
-        assert calls == [K + 1]
-        calls.clear()
-        fresh = filter_sequence(
-            lambda k: StepModel(F=m.F, H=m.H, Rv=m.Rv, Rw=m.Rw), ic, ys)
-        assert calls == [1] * (K + 1)
-        calls.clear()
-        two = [StepModel(F=m.F, H=m.H, Rv=m.Rv, Rw=m.Rw) for _ in range(2)]
-        pairs = filter_sequence(lambda k: two[k // 2 % 2], ic, ys)
-        assert calls == [2] * (K // 2) + [1]
-        for rec in (fresh, pairs):
-            for a, b in ((one.mean, rec.mean), (one.cov, rec.cov),
-                         (one.second_moment, rec.second_moment)):
-                np.testing.assert_array_equal(a, b)
+        for m in (random_f, det_f):
+            calls.clear()
+            one = filter_sequence(constant_provider(m), ic, ys)
+            assert calls == [K + 1]
+            calls.clear()
+            fresh = filter_sequence(
+                lambda k: StepModel(F=m.F, H=m.H, Rv=m.Rv, Rw=m.Rw), ic, ys)
+            assert calls == [1] * (K + 1)
+            calls.clear()
+            two = [StepModel(F=m.F, H=m.H, Rv=m.Rv, Rw=m.Rw)
+                   for _ in range(2)]
+            pairs = filter_sequence(lambda k: two[k // 2 % 2], ic, ys)
+            assert calls == [2] * (K // 2) + [1]
+            for rec in (fresh, pairs):
+                for a, b in ((one.mean, rec.mean), (one.cov, rec.cov),
+                             (one.second_moment, rec.second_moment)):
+                    np.testing.assert_array_equal(a, b)
 
 
 class TestStackModels:

@@ -271,15 +271,16 @@ def _check_run_size(cfg: ExperimentConfig, runs_path: str) -> None:
     horizon fits in MAX_RUN_BYTES: per run and step the draws' uniforms,
     the noise normals (N + r), state noise (kept in the states), state,
     measurement, a drawn H (N r), filter mean and error; per step and
-    member P, X and Rv_eff (r^2 each), and Rw_eff with quad_form's
-    temporaries (2 N^2 + N r).  A deterministic F allocates no Rv_eff;
-    its r^2 covers the X pass's doubling temporary instead, which holds
-    at most half of X's steps."""
+    member P, X, Rv_eff and the means pass's A_k (r^2 each), the gain
+    (N r), and Rw_eff with quad_form's temporaries (2 N^2 + N r).  A
+    deterministic F allocates no Rv_eff; its r^2 covers the X pass's
+    doubling temporary instead, which holds at most half of X's
+    steps."""
     m = cfg.step_model
     N, r = m.H.shape
     per_run = (sum(s.source.width for s in (m.F, m.H) if s.source)
                + 2 * N + 5 * r + N * r)
-    per_member = 3 * r * r + 2 * N * N + N * r
+    per_member = 4 * r * r + 2 * N * N + 2 * N * r
     runs, members = {"montecarlo": (cfg.runs, 1), "simulate": (1, 0),
                      "sweep": (0, len(cfg.gammas))}.get(cfg.mode, (0, 0))
     one, size = (8 * (cfg.horizon + 1) * (n * per_run + members * per_member)

@@ -6,11 +6,13 @@ E(F~ X F~^T), Rw + E(H~ X H~^T); X_k = E(x_k x_k^T) follows a linear map
 that reads neither P, nor H, nor the data (De Koning).  ``second_moments``
 runs that map first, over each run of one deterministic Fbar by doubling,
 so the Riccati loop of ``filter_sequence``, the one entry point, carries
-P alone; its steps ``predict`` and ``update`` write its
-``FilterRecord``'s step-major arrays in place.  With deterministic
-matrices this is a Kalman filter.  P, X, S and K accept a leading model
-axis (``stack_models``); each member is bit-identical to its own run
-where the members' Fbar and Rv change at the same steps."""
+P alone: its steps ``predict`` and ``update`` write P and each step's
+gain into its ``FilterRecord``'s step-major arrays in place.  The means
+follow after the loop, as one affine recursion driven by the recorded
+gains.  With deterministic matrices this is a Kalman filter.  P, X, S
+and K accept a leading model axis (``stack_models``); each member is
+bit-identical to its own run where the members' Fbar and Rv change at
+the same steps."""
 
 from __future__ import annotations
 
@@ -29,6 +31,10 @@ from .random_matrix import RandomMatrixSpec, quad_form
 COND_LIMIT = 1e12
 # trace-scaled tolerance of the symmetry and PSD checks on covariances
 PSD_TOL = 1e-10
+# relative margin by which a step's summed tr E(y y^T) must clear the
+# certificate to certify its S before the loop: it covers the rounding
+# by which the computed P and X may break P <= X
+BOUND_RTOL = 1e-9
 
 
 def symmetrize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -164,12 +170,14 @@ class FilterState:
 @dataclass(frozen=True)
 class FilterRecord:
     """Every step's ``mean`` ([models,] [runs,] K+1, r), an np.moveaxis
-    view of step-major storage, and ``cov`` and ``second_moment`` (K+1,
-    [models,] r, r); ``rec[k]`` is step k's FilterState of views."""
+    view of step-major storage, ``cov`` and ``second_moment`` (K+1,
+    [models,] r, r), and ``gain`` (K+1, [models,] N, r), each step's
+    K^T = S^-1 Hbar P^-; ``rec[k]`` is step k's FilterState of views."""
 
     mean: np.ndarray
     cov: np.ndarray
     second_moment: np.ndarray
+    gain: np.ndarray
 
     def __len__(self) -> int:
         return len(self.cov)
@@ -216,17 +224,19 @@ def _double(X: np.ndarray, a: int, n_steps: int, Fbar: np.ndarray,
 
 
 def second_moments(models: Sequence[StepModel], ic: InitialCondition
-                   ) -> tuple[np.ndarray, list, list]:
-    """X (K+1, [models,] r, r) of ``models``' steps, and the noises
+                   ) -> tuple[np.ndarray, list, list, np.ndarray]:
+    """X (K+1, [models,] r, r) of ``models``' steps, the noises
     ``Rv_eff[k]`` of the predict from step k and ``Rw_eff[k]`` of step
-    k's update.  X_0 = mu_0 mu_0^T + P_0 and X_{k+1} = sym(Fbar X_k
-    Fbar^T + Rv_eff[k]), Rv_eff[k] = Rv + E(F~ X_k F~^T) of models[k].
-    A random F's steps run one at a time, its [Fbar; G_l] taking X
-    through one product.  Each longest run of deterministic-F steps
-    whose Fbar and Rv are equal (by content, whatever the model objects)
-    is filled by ``_double`` in O(log steps) batched products, so a run
-    of one step is the stepwise map's.  Rw_eff[k] = Rw + E(H~ X_k
-    H~^T), by one ``quad_form`` per span of steps over X."""
+    k's update, and each step's tr E(y_k y_k^T) = tr(Hbar X_k Hbar^T) +
+    tr(Rw_eff[k]), summed over the members (K+1,).  X_0 = mu_0 mu_0^T +
+    P_0 and X_{k+1} = sym(Fbar X_k Fbar^T + Rv_eff[k]), Rv_eff[k] = Rv +
+    E(F~ X_k F~^T) of models[k].  A random F's steps run one at a time,
+    its [Fbar; G_l] taking X through one product.  Each longest run of
+    deterministic-F steps whose Fbar and Rv are equal (by content,
+    whatever the model objects) is filled by ``_double`` in O(log
+    steps) batched products, so a run of one step is the stepwise
+    map's.  Rw_eff[k] = Rw + E(H~ X_k H~^T), by one ``quad_form`` per
+    span of steps over X, and the traces by one product per span."""
     lead, spans, K = models[0].Rv.shape[:-2], _spans(models), len(models) - 1
     X = np.empty((len(models),) + lead + ic.cov.shape)
     X[0] = np.outer(ic.mean, ic.mean) + ic.cov
@@ -252,25 +262,30 @@ def second_moments(models: Sequence[StepModel], ic: InitialCondition
             Rv_eff[k] += m.Rv
             Xn = np.add(T[..., 0, :, :], Rv_eff[k], out=X[k + 1])
             symmetrize(Xn, out=Xn)
-    Rw_eff = [m.Rw for m in models]
+    Rw_eff, Eyy = [m.Rw for m in models], np.empty(len(models))
     for m, at in spans:
+        # tr(Hbar X Hbar^T) = <Hbar^T Hbar, X>, summed over the members
+        HtH = m.H.mean.mT @ m.H.mean
+        np.matmul(X[at].reshape(at.stop - at.start, -1), HtH.reshape(-1),
+                  out=Eyy[at])
         if m.H.factors.shape[-3]:
             noise = quad_form(m.H, X[at])
             noise += m.Rw
             Rw_eff[at] = noise
-    return X, Rv_eff, Rw_eff
+            Eyy[at] += noise.trace(axis1=-2, axis2=-1).reshape(
+                len(noise), -1).sum(axis=1)
+        else:
+            Eyy[at] += m.Rw.trace(axis1=-2, axis2=-1).sum()
+    return X, Rv_eff, Rw_eff, Eyy
 
 
-def predict(mean: np.ndarray, P: np.ndarray, k: int, m: StepModel,
-            Rv_eff: np.ndarray) -> None:
-    """Time update of the step-major ``mean`` and ``P`` from step k-1
-    into step k: P[k] = Fbar P[k-1] Fbar^T + Rv_eff, unsymmetrized, and
-    the means (if any runs) go through Fbar."""
+def predict(P: np.ndarray, k: int, m: StepModel, Rv_eff: np.ndarray
+            ) -> None:
+    """Time update of the step-major ``P`` from step k-1 into step k:
+    P[k] = Fbar P[k-1] Fbar^T + Rv_eff, unsymmetrized."""
     Fbar = m.F.mean
     Pk = np.matmul(Fbar @ P[k - 1], Fbar.mT, out=P[k])
     Pk += Rv_eff
-    if mean.size:
-        np.matmul(mean[k - 1], Fbar.mT, out=mean[k])
 
 
 def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
@@ -290,27 +305,51 @@ def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
     return K
 
 
-def update(mean: np.ndarray, P: np.ndarray, k: int, y: np.ndarray,
-           m: StepModel, Rw_eff: np.ndarray) -> None:
-    """Measurement update of step k of the step-major ``mean`` and ``P``
-    in place: S = Hbar P Hbar^T + Rw_eff >= Rw, so a step whose summed
-    tr(S) StepModel certifies is solved by LAPACK's gufunc without
-    ``np.linalg.solve``'s checks, any other with a finite S by ``_gain``;
-    P[k] takes P - K Hbar P, symmetrized."""
+def update(gain: np.ndarray, P: np.ndarray, k: int, m: StepModel,
+           Rw_eff: np.ndarray, certified: bool = False) -> None:
+    """Measurement update of step k of the step-major ``P`` in place,
+    writing K^T = S^-1 Hbar P into ``gain[k]``: S = Hbar P Hbar^T +
+    Rw_eff >= Rw, so a step certified before the loop (``certified``)
+    or whose summed tr(S) StepModel certifies is solved by LAPACK's
+    gufunc without ``np.linalg.solve``'s checks, any other with a finite
+    S by ``_gain``; P[k] takes P - K Hbar P, symmetrized."""
     Hbar, Pk = m.H.mean, P[k]
     HP = Hbar @ Pk
     S = HP @ Hbar.mT + Rw_eff
-    if np.add.reduce(S.diagonal(0, -2, -1), axis=None) < m.S_trace_sum_max:
-        K = _lapack_solve(S, HP).mT
+    if certified or (np.add.reduce(S.diagonal(0, -2, -1), axis=None)
+                     < m.S_trace_sum_max):
+        K = _lapack_solve(S, HP, out=gain[k]).mT
     elif np.isfinite(S).all():
         K = _gain(HP, S, S.trace(axis1=-2, axis2=-1) < m.S_trace_max)
+        gain[k] = K.mT
     else:
         raise ValueError(f"S is not finite at step {k}")
-    if mean.size:
-        x = mean[k]
-        np.add(x, (y - x @ Hbar.mT) @ K.mT, out=x)
     Pk -= K @ HP
     symmetrize(Pk, out=Pk)
+
+
+def _filter_means(mean: np.ndarray, ys: np.ndarray, gain: np.ndarray,
+                  models: Sequence[StepModel], mu0: np.ndarray) -> None:
+    """Every step's filtered means, into the step-major ``mean`` (K+1,
+    [models,] runs, r) from ``ys`` (K+1, runs, N): x_k = x_{k-1} A_k +
+    y_k K_k^T, A_k = Fbar_{k-1}^T - (Hbar_k Fbar_{k-1})^T K_k^T, with
+    x_{-1} = mu_0 and Fbar_{-1} = I.  Every y_k K_k^T is one batched
+    product, each span's A_k another, and then a step is one product
+    and one add over its contiguous block of runs."""
+    lead, r = gain.shape[1:-2], mean.shape[-1]
+    np.matmul(np.expand_dims(ys, tuple(range(1, 1 + len(lead)))), gain,
+              out=mean)
+    A = np.empty(gain.shape[:-2] + (r, r))
+    for m, at in _spans(models):
+        a = at.start
+        for F, steps in ((models[a - 1].F.mean if a else np.eye(r),
+                          slice(a, a + 1)),
+                         (m.F.mean, slice(a + 1, at.stop))):
+            Ak = np.matmul((m.H.mean @ F).mT, gain[steps], out=A[steps])
+            np.subtract(F.mT, Ak, out=Ak)
+    mean[0] += (mu0 @ A[0])[..., None, :]
+    for k in range(1, len(mean)):
+        mean[k] += mean[k - 1] @ A[k]
 
 
 def _check_shapes(m: StepModel, k: int, shapes: tuple) -> None:
@@ -330,11 +369,16 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     sequence (read through a step-major view), and the means take its run
     axis.  provider(k) is called once per step, in order; a model that
     does not fit the run (provider(0)'s model axes) raises a ValueError
-    naming its step.  After ``second_moments``, y_0 updates the prior and
-    each later y_k follows a predict through provider(k-1).  A non-finite
-    measurement, P, X or S raises a ValueError naming its (first) step;
-    P, then X, are scanned once, after the last step or at the first
-    other failure.  With no runs only P, X, S and K are left."""
+    naming its step.  After ``second_moments``, the Riccati loop
+    updates P_0 at step 0 and follows each later update with a predict
+    through provider(k-1), recording every gain; a step whose summed
+    tr E(y y^T) clears StepModel's certificate by BOUND_RTOL is certified
+    before the loop (P^- <= X, so tr(S) is below it too).  The means
+    then take one affine pass over the gains (``_filter_means``).  A
+    non-finite measurement, P, X or S raises a ValueError naming its
+    (first) step; P, then X, are scanned once, after the last step or at
+    the first other failure.  With no runs only P, X and the gains are
+    left."""
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
         raise ValueError("need (K+1, N) or (runs, K+1, N) measurements")
@@ -355,16 +399,18 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
         models.append(provider(k))
         if models[k] is not models[k - 1]:
             _check_shapes(models[k], k, shapes)
-    X, Rv_eff, Rw_eff = second_moments(models, ic)
-    mean = np.empty((len(ys),) + lead + ys.shape[1:-1] + (r,))
+    X, Rv_eff, Rw_eff, Eyy = second_moments(models, ic)
+    certified = (Eyy * (1 + BOUND_RTOL)
+                 < [m.S_trace_sum_max for m in models]).tolist()
     P = np.empty_like(X)
-    mean[0], P[0] = ic.mean, ic.cov
-    update(mean, P, 0, ys[0], models[0], Rw_eff[0])
+    gain = np.empty((len(ys),) + lead + (N, r))
+    P[0] = ic.cov
+    update(gain, P, 0, models[0], Rw_eff[0], certified[0])
     k = 0  # the last step written, for the scan
     try:
         for k in range(1, len(ys)):
-            predict(mean, P, k, models[k - 1], Rv_eff[k - 1])
-            update(mean, P, k, ys[k], models[k], Rw_eff[k])
+            predict(P, k, models[k - 1], Rv_eff[k - 1])
+            update(gain, P, k, models[k], Rw_eff[k], certified[k])
     finally:  # the first step whose P, or else X, is not finite
         ok = [np.isfinite(a[1:k + 1]).all(axis=tuple(range(1, a.ndim)))
               for a in (P, X)]
@@ -372,4 +418,9 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
             i = int(np.argmin(ok[0] & ok[1]))
             raise ValueError(f"{'X' if ok[0][i] else 'P'} is not finite "
                              f"at step {i + 1}")
-    return FilterRecord(np.moveaxis(mean, 0, -2), P, X)
+    mean = np.empty((len(ys),) + lead + ys.shape[1:-1] + (r,))
+    if mean.size:  # the run-axis views of a run without one
+        runs = ys.ndim == 3
+        _filter_means(mean if runs else mean[..., None, :],
+                      ys if runs else ys[:, None, :], gain, models, ic.mean)
+    return FilterRecord(np.moveaxis(mean, 0, -2), P, X, gain)

@@ -147,8 +147,10 @@ def simulate_truth(provider: ModelProvider, ic: InitialCondition,
 
 def nees(err: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """e^T P^+ e, broadcast: errors (runs, K+1, r) against the shared
-    covariances (K+1, r, r) take one pseudo-inverse per step."""
-    return np.einsum("...i,...ij,...j->...", err, np.linalg.pinv(cov), err)
+    covariances (K+1, r, r) take one pseudo-inverse per step, by the
+    symmetric route (eigh), since every recorded P is exactly symmetric."""
+    return np.einsum("...i,...ij,...j->...", err,
+                     np.linalg.pinv(cov, hermitian=True), err)
 
 
 def run_filter_on(traj: TruthTrajectory, provider: ModelProvider,

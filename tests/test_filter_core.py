@@ -21,13 +21,17 @@ from conftest import (
     rand_psd,
     rand_random_model,
     sim1_model,
+    sim1_provider,
+    sim2_provider,
     textbook_kf,
 )
 from randkf.config import parse_config, rotation_matrix
 from randkf.filter_core import (
+    BOUND_RTOL,
     COND_LIMIT,
     InitialCondition,
     StepModel,
+    _filter_means,
     _gain,
     constant_provider,
     filter_sequence,
@@ -58,21 +62,40 @@ def scalar_spec(mean, var):
                             factors=np.full((1, 1, 1), np.sqrt(var)))
 
 
-def two_steps(mean, P, at: int) -> tuple[np.ndarray, np.ndarray]:
-    """Step-major arrays of two steps whose step ``at`` holds ``mean``
-    and ``P``, the other step NaN, for predict or update to work on."""
-    means = np.full((2,) + np.shape(mean), np.nan)
+def two_steps(P, at: int) -> np.ndarray:
+    """A step-major array of two steps whose step ``at`` holds ``P``, the
+    other step NaN, for predict or update to work on."""
     Ps = np.full((2,) + np.shape(P), np.nan)
-    means[at], Ps[at] = mean, P
-    return means, Ps
+    Ps[at] = P
+    return Ps
+
+
+def filtered_means(mean, ys, gains, models) -> np.ndarray:
+    """The means pass over one run from the prior ``mean``: step k's
+    mean for each of ys (len(ys), N), whose gains and models are
+    ``gains[k]`` and ``models[k]``."""
+    ys = np.asarray(ys, dtype=float)
+    out = np.empty((len(ys), 1, np.size(mean)))
+    _filter_means(out, ys[:, None, :], gains, models,
+                  np.asarray(mean, dtype=float))
+    return out[:, 0]
+
+
+def predicted_mean(mean, m: StepModel) -> np.ndarray:
+    """The mean predicted through m from ``mean``: the means pass over two
+    steps that no measurement informs (zero gains)."""
+    N, r = m.H.shape
+    return filtered_means(mean, np.zeros((2, N)), np.zeros((2, N, r)),
+                          [m, m])[1]
 
 
 def updated(mean, P, X, y, m: StepModel) -> tuple[np.ndarray, np.ndarray]:
-    """Step 1's mean and P after update at the effective measurement
-    noise of X; the inputs are left as they are."""
-    means, Ps = two_steps(mean, P, at=1)
-    update(means, Ps, 1, y, m, m.Rw + quad_form(m.H, X))
-    return means[1], Ps[1]
+    """The mean and P after update at the effective measurement noise of
+    X, the mean by the means pass over the gain update records; the
+    inputs are left as they are."""
+    Ps, gain = two_steps(P, at=1), np.full((2,) + m.H.shape, np.nan)
+    update(gain, Ps, 1, m, m.Rw + quad_form(m.H, X))
+    return filtered_means(mean, [y], gain[1:], [m])[0], Ps[1]
 
 
 def x0(ic: InitialCondition) -> np.ndarray:
@@ -166,10 +189,11 @@ class TestPredict:
                                 np.eye(2))
         ic = InitialCondition(mean=rng.standard_normal(2),
                               cov=rand_psd(rng, 2))
-        X, Rv_eff, _ = second_moments([m, m], ic)
-        mean, P = two_steps(ic.mean, ic.cov, at=0)
-        predict(mean, P, 1, m, Rv_eff[0])
-        np.testing.assert_allclose(mean[1], ic.mean, atol=1e-15)
+        X, Rv_eff, _, _ = second_moments([m, m], ic)
+        P = two_steps(ic.cov, at=0)
+        predict(P, 1, m, Rv_eff[0])
+        np.testing.assert_allclose(predicted_mean(ic.mean, m), ic.mean,
+                                   atol=1e-15)
         np.testing.assert_allclose(P[1], ic.cov, atol=1e-14)
         np.testing.assert_allclose(X[1], X[0], atol=1e-12)
 
@@ -179,21 +203,21 @@ class TestPredict:
         m = StepModel(F=scalar_spec(1.0, 1.0), H=deterministic([[1.0]]),
                       Rv=np.zeros((1, 1)), Rw=np.eye(1))
         ic = InitialCondition(mean=[1.0], cov=[[1.0]])
-        X, Rv_eff, _ = second_moments([m, m], ic)
+        X, Rv_eff, _, _ = second_moments([m, m], ic)
         np.testing.assert_allclose(X[0], [[2.0]])
         np.testing.assert_allclose(Rv_eff[0], [[2.0]])
-        mean, P = two_steps(ic.mean, ic.cov, at=0)
-        predict(mean, P, 1, m, Rv_eff[0])
-        np.testing.assert_allclose(mean[1], [1.0])
+        P = two_steps(ic.cov, at=0)
+        predict(P, 1, m, Rv_eff[0])
+        np.testing.assert_allclose(predicted_mean(ic.mean, m), [1.0])
         np.testing.assert_allclose(P[1], [[3.0]])
         np.testing.assert_allclose(X[1], [[4.0]])
 
     def test_rotation_preserves_scaled_identity(self):
         m = deterministic_model(rotation_matrix(300), np.eye(2),
                                 2.0 * np.eye(2), np.eye(2))
-        mean, P = two_steps(np.zeros(2), 0.5 * np.eye(2), at=0)
+        P = two_steps(0.5 * np.eye(2), at=0)
         # a deterministic F adds no noise: Rv_eff is Rv
-        predict(mean, P, 1, m, m.Rv)
+        predict(P, 1, m, m.Rv)
         np.testing.assert_allclose(P[1], 2.5 * np.eye(2), atol=1e-14)
 
 
@@ -311,11 +335,11 @@ def doubled(Fbar, Rv, X0, K) -> np.ndarray:
 @pytest.mark.parametrize("stacked", [False, True])
 def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     # filter_sequence's arrays against predict/update run by hand on new
-    # step-major arrays of the record's shapes (the prior broadcast over
-    # the run and model axes), with X by ``doubled`` from X_0 = mu mu^T
-    # + P_0 (every member's F is deterministic) and Rw_eff = Rw + E(H~ X
-    # H~^T) at that X; the stacked models take both gain paths at every
-    # step
+    # step-major arrays of the record's shapes (P_0 broadcast over the
+    # model axis), then the means pass over the hand loop's gains, with
+    # X by ``doubled`` from X_0 = mu mu^T + P_0 (every member's F is
+    # deterministic) and Rw_eff = Rw + E(H~ X H~^T) at that X; the
+    # stacked models take both gain paths at every step
     runs, K = 3, 25
     members = mixed_nahi_models()
     m = stack_models(members) if stacked else members[4]
@@ -325,26 +349,96 @@ def test_record_equals_hand_loop_bit_for_bit(rng, stacked):
     rec = filter_sequence(lambda k: m, ic, ys)
     X = doubled(m.F.mean, m.Rv,
                 np.tile(np.outer(ic.mean, ic.mean) + ic.cov, lead + (1, 1)), K)
-    mean = np.empty((K + 1,) + lead + (runs, 2))
-    P = np.empty((K + 1,) + lead + (2, 2))
-    mean[0], P[0] = ic.mean, ic.cov
-    update(mean, P, 0, ys[:, 0], m, m.Rw + quad_form(m.H, X[0]))
+    P, gain = (np.empty((K + 1,) + lead + (2, 2)) for _ in range(2))
+    P[0] = ic.cov
+    update(gain, P, 0, m, m.Rw + quad_form(m.H, X[0]))
     for k in range(1, K + 1):
-        predict(mean, P, k, m, m.Rv)
-        update(mean, P, k, ys[:, k], m, m.Rw + quad_form(m.H, X[k]))
+        predict(P, k, m, m.Rv)
+        update(gain, P, k, m, m.Rw + quad_form(m.H, X[k]))
+    mean = np.empty((K + 1,) + lead + (runs, 2))
+    _filter_means(mean, np.moveaxis(ys, 1, 0), gain, [m] * (K + 1), ic.mean)
     assert rec.mean.shape == lead + (runs, K + 1, 2)
-    assert rec.cov.shape == rec.second_moment.shape == (K + 1,) + lead + (2, 2)
+    assert (rec.cov.shape == rec.second_moment.shape == rec.gain.shape
+            == (K + 1,) + lead + (2, 2))
     assert len(rec) == K + 1 and rec[-1].step == K
     with pytest.raises(TypeError):
         rec[1:]
     np.testing.assert_array_equal(rec.mean, np.moveaxis(mean, 0, -2))
     np.testing.assert_array_equal(rec.cov, P)
     np.testing.assert_array_equal(rec.second_moment, X)
+    np.testing.assert_array_equal(rec.gain, gain)
     assert [s.step for s in rec] == list(range(K + 1))
     for s in rec:
         np.testing.assert_array_equal(s.mean, mean[s.step])
         np.testing.assert_array_equal(s.cov, P[s.step])
         np.testing.assert_array_equal(s.second_moment, X[s.step])
+
+
+def textbook_means(provider, ic, ys, gain) -> np.ndarray:
+    """Step-major means of the textbook in-loop form over ``gain``, K^T
+    per step: x^- = Fbar x, x^+ = x^- + (y - Hbar x^-) K^T."""
+    ys = np.moveaxis(np.asarray(ys, dtype=float), -2, 0)
+    out = []
+    x = np.broadcast_to(ic.mean, gain.shape[1:-2] + ys.shape[1:-1]
+                        + ic.mean.shape)
+    for k, y in enumerate(ys):
+        if k:
+            x = x @ provider(k - 1).F.mean.mT
+        x = x + (y - x @ provider(k).H.mean.mT) @ gain[k]
+        out.append(x)
+    return np.stack(out)
+
+
+def sim1_runs(provider, runs, K=60, seed=29):
+    """``runs`` sampled measurement sequences (runs, K+1, N) of
+    ``provider``, from SIM1_IC."""
+    return simulate_truth(provider, SIM1_IC, K,
+                          derive_run_seeds(seed, runs)).measurements
+
+
+SWEEP = stack_models([sim1_model(g) for g in (0.5, 0.7, 0.9, 1.0)])
+TWO_EQUAL = [sim1_model(0.8), sim1_model(0.8)]
+# sim1's sensor under two rotation speeds, Fbar changing between spans
+SWITCHING = [StepModel(F=deterministic(rotation_matrix(period)),
+                       H=sim1_model().H, Rv=2 * np.eye(2), Rw=np.eye(2))
+             for period in (300, 100)]
+# {id: (provider, measurements)}, each filtered from SIM1_IC
+MEANS_CASES = {
+    "sim1": (sim1_provider(), lambda: sim1_runs(sim1_provider(), 15)),
+    "sim2 (random F)": (sim2_provider(),
+                        lambda: sim1_runs(sim2_provider(), 15)),
+    "stack, 1 run": (constant_provider(SWEEP),
+                     lambda: sim1_runs(sim1_provider(), 1)),
+    "stack, 15 runs": (constant_provider(SWEEP),
+                       lambda: sim1_runs(sim1_provider(), 15)),
+    "1-D measurements": (constant_provider(deterministic_model(
+        rotation_matrix(300), [[1.0, 0.5]], 2 * np.eye(2), [[1.0]])),
+        lambda: 5 * np.random.default_rng(3).standard_normal((61, 1))),
+    "two equal objects alternating": (lambda k: TWO_EQUAL[k // 2 % 2],
+                                      lambda: sim1_runs(sim1_provider(), 5)),
+    "p(k) schedule": (lambda k: sim1_model(0.5 + 0.4 * (k % 7) / 7),
+                      lambda: sim1_runs(sim1_provider(), 5)),
+    "Fbar switching every 3 steps": (lambda k: SWITCHING[k // 3 % 2],
+                                     lambda: sim1_runs(sim1_provider(), 5)),
+    "pseudo-inverse members": (
+        constant_provider(stack_models(mixed_nahi_models())),
+        lambda: sim1_runs(sim1_provider(), 3)),
+}
+
+
+@pytest.mark.parametrize("case", MEANS_CASES)
+def test_means_pass_matches_the_textbook_loop(case):
+    # the affine pass over the recorded gains against the per-step
+    # predict and update of the means, relative to each step's largest
+    # mean
+    provider, make_ys = MEANS_CASES[case]
+    ys = make_ys()
+    rec = filter_sequence(provider, SIM1_IC, ys)
+    ref = textbook_means(provider, SIM1_IC, ys, rec.gain)
+    got = np.moveaxis(rec.mean, -2, 0)
+    assert got.shape == ref.shape
+    for a, b in zip(got, ref, strict=True):
+        assert_allclose_rel(a, b, 1e-12)
 
 
 def orthogonal(rng, r) -> np.ndarray:
@@ -519,17 +613,17 @@ def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     m = StepModel(F=deterministic(rotation_matrix(50)), H=H, Rv=np.eye(2),
                   Rw=np.eye(2))
     ic = InitialCondition(mean=np.ones(2), cov=np.eye(2))
-    X, Rv_eff, Rw_eff = second_moments([m] * 3, ic)
+    X, Rv_eff, Rw_eff, _ = second_moments([m] * 3, ic)
     assert calls == [H]
     assert all(R is m.Rv for R in Rv_eff)
-    mean, P = two_steps(ic.mean, ic.cov, at=0)
-    predict(mean, P, 1, m, Rv_eff[0])
+    P = two_steps(ic.cov, at=0)
+    predict(P, 1, m, Rv_eff[0])
     F = m.F.mean
     X1 = symmetrize(F @ X[0] @ F.T + m.Rv)
     for got, ref in ((P[1], F @ ic.cov @ F.T + m.Rv), (X[1], X1),
                      (Rw_eff[1], m.Rw + real(H, X1))):
         np.testing.assert_array_equal(got, ref)
-    update(mean, P, 1, np.ones(2), m, Rw_eff[1])
+    update(np.empty((2, 2, 2)), P, 1, m, Rw_eff[1])
     assert calls == [H]
 
 
@@ -574,7 +668,8 @@ class TestSecondMoments:
         for schedule in ([k % 2 for k in range(K + 1)],
                          [(0, 2, 2, 1, 2, 2, 2, 2, 2)[k % 9]
                           for k in range(K + 1)]):
-            X, Rv_eff, _ = second_moments([models[i] for i in schedule], ic)
+            X, Rv_eff, _, _ = second_moments([models[i] for i in schedule],
+                                             ic)
             x = (np.outer(ic.mean, ic.mean) + ic.cov).ravel()
             for k, i in enumerate(schedule):
                 assert_allclose_rel(X[k], x.reshape(r, r), 1e-12)
@@ -833,8 +928,8 @@ def test_certified_step_solves_bit_equal_to_numpy(monkeypatch, case):
     solves = []
     real = randkf.filter_core._lapack_solve
     monkeypatch.setattr(randkf.filter_core, "_lapack_solve",
-                        lambda S, HP: solves.append((S, HP, real(S, HP)))
-                        or solves[-1][2])
+                        lambda S, HP, out=None: solves.append(
+                            (S, HP, real(S, HP, out=out))) or solves[-1][2])
 
     def no_gain(*args):
         raise AssertionError("a step missed the certificate")
@@ -873,3 +968,138 @@ def test_summed_trace_over_the_bound_falls_back_member_by_member(
         np.testing.assert_array_equal(rec.cov[:, i], own.cov)
         np.testing.assert_array_equal(rec.second_moment[:, i],
                                       own.second_moment)
+
+
+@pytest.mark.parametrize("case", CERTIFIED_RUNS)
+def test_recorded_gain_is_the_solve_of_each_step(monkeypatch, case):
+    # rec.gain[k] is K^T = S_k^-1 Hbar P^-_k bit for bit, with P^-_k
+    # predicted from the record's P_{k-1} (P_0 at step 0)
+    m, ic, K = CERTIFIED_RUNS[case](monkeypatch)
+    rec = covariance_recursion(constant_provider(m), ic, K)
+    _, Rv_eff, Rw_eff, _ = second_moments([m] * (K + 1), ic)
+    Fbar, Hbar = m.F.mean, m.H.mean
+    assert rec.gain.shape == (K + 1,) + Hbar.shape
+    for k in range(K + 1):
+        prior = (Fbar @ rec.cov[k - 1] @ Fbar.mT + Rv_eff[k - 1] if k
+                 else np.broadcast_to(ic.cov, rec.cov[0].shape))
+        HP = Hbar @ prior
+        np.testing.assert_array_equal(
+            rec.gain[k], np.linalg.solve(HP @ Hbar.mT + Rw_eff[k], HP))
+
+
+def test_bound_is_the_summed_trace_of_e_yy(rng):
+    # second_moments' bound of step k is tr E(y_k y_k^T) = tr(Hbar X_k
+    # Hbar^T + Rw_eff[k]), summed over the members, for a stack of random
+    # H and a deterministic H; against the sample mean of |y_k|^2 over
+    # 4,000 sampled runs of sim1, within five standard errors
+    K = 20
+    random = [StepModel(F=moments_from_dist(rand_dist(rng, 3, 3, 3, 0.3)),
+                        H=moments_from_dist(rand_dist(rng, 2, 3, 2)),
+                        Rv=rand_psd(rng, 3), Rw=rand_psd(rng, 2))
+              for _ in range(3)]
+    for m in (stack_models(random),
+              deterministic_model(0.9 * orthogonal(rng, 3),
+                                  rng.standard_normal((2, 3)),
+                                  rand_psd(rng, 3), rand_psd(rng, 2))):
+        X, _, Rw_eff, bound = second_moments([m] * (K + 1), rand_ic(rng, 3))
+        Hbar = m.H.mean
+        ref = [np.trace(Hbar @ X[k] @ Hbar.mT + Rw_eff[k], axis1=-2,
+                        axis2=-1).sum() for k in range(K + 1)]
+        np.testing.assert_allclose(bound, ref, rtol=1e-12)
+    ys = sim1_runs(sim1_provider(), 4000, K=K, seed=5)
+    bound = second_moments([sim1_model()] * (K + 1), SIM1_IC)[3]
+    sq = np.sum(ys ** 2, axis=-1)
+    se = sq.std(axis=0, ddof=1) / np.sqrt(len(sq))
+    assert (np.abs(sq.mean(axis=0) - bound) < 5 * se).all()
+
+
+def spy_updates(mp) -> list:
+    """Patch filter_core.update to record each call's step, ``certified``
+    flag, whether the exact summed tr(S) passes StepModel's certificate
+    (as update reads it), the K^T it records, and its S and Hbar P."""
+    calls = []
+    real = randkf.filter_core.update
+
+    def spy(gain, P, k, m, Rw_eff, certified=False):
+        HP = m.H.mean @ P[k]
+        S = HP @ m.H.mean.mT + Rw_eff
+        passes = (np.add.reduce(S.diagonal(0, -2, -1), axis=None)
+                  < m.S_trace_sum_max)
+        real(gain, P, k, m, Rw_eff, certified)
+        calls.append((k, certified, passes, gain[k], S, HP))
+
+    mp.setattr(randkf.filter_core, "update", spy)
+    return calls
+
+
+def assert_certificate_sound(calls) -> None:
+    """Every step certified before the loop passes the exact summed
+    trace, and every step that passes it records np.linalg.solve's K^T
+    bit for bit, the gain of the exact check alone."""
+    for k, certified, passes, KT, S, HP in calls:
+        assert passes or not certified, f"step {k}"
+        if passes:
+            np.testing.assert_array_equal(KT, np.linalg.solve(S, HP))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), members=st.integers(0, 3),
+       random_f=st.booleans(), random_h=st.booleans(),
+       zero_mean=st.booleans(), mean_decades=st.floats(0.0, 8.0),
+       edge=st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8)),
+       growth=st.floats(0.5, 1.5))
+def test_bound_certifies_only_steps_the_summed_trace_passes(
+        seed, members, random_f, random_h, zero_mean, mean_decades, edge,
+        growth):
+    # P_0 is scaled so that step 0's summed tr(S) sits at the certificate
+    # times (1 + edge); with mu_0 = 0, X_0 = P_0 and the E(y y^T) bound
+    # is tr(S) itself, up to rounding, so steps within BOUND_RTOL of the
+    # edge are left to the exact check.  A mean of 10^mean_decades and
+    # an F of gain ``growth`` inflate X far above P, so the bound fails
+    # where the trace of an H without deviation factors passes.
+    rng = np.random.default_rng(seed)
+    r, N = (int(n) for n in rng.integers(1, 5, size=2))
+
+    def member():
+        F = MatrixDist.of([(growth * orthogonal(rng, r), 0.5)
+                           for _ in range(2)])
+        H = rand_dist(rng, N, r, 2)
+        return StepModel(
+            F=moments_from_dist(F) if random_f else deterministic(F.samples[0]),
+            H=moments_from_dist(H) if random_h else deterministic(H.samples[0]),
+            Rv=rand_psd(rng, r, floor=0.1), Rw=rand_psd(rng, N, floor=0.5))
+
+    models = [member() for _ in range(max(members, 1))]
+    m = stack_models(models) if members else models[0]
+    cov = rand_psd(rng, r, floor=0.1)
+    mean = (0.0 if zero_mean else 10.0 ** mean_decades) * rng.standard_normal(r)
+    unit = second_moments([m], InitialCondition(mean=np.zeros(r), cov=cov))[3]
+    noise = np.trace(m.Rw, axis1=-2, axis2=-1).sum()
+    scale = ((1 + edge) * m.S_trace_sum_max - noise) / (unit[0] - noise)
+    ic = InitialCondition(mean=mean, cov=scale * cov)
+    K = 30
+    with pytest.MonkeyPatch.context() as mp:
+        calls = spy_updates(mp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                filter_sequence(constant_provider(m), ic,
+                                np.zeros((1, K + 1, N)))
+            except ValueError as exc:  # a growing X may overflow
+                assert "not finite" in str(exc)
+    assert_certificate_sound(calls)
+
+
+def test_fast_growing_x_fails_the_bound_but_still_solves(monkeypatch):
+    # F = 1.5 I and a prior mean of 1e5 grow X by 2.25 per step past the
+    # bound (COND_LIMIT/2 = 5e11 at Rw = I) from step 5 on, while the
+    # observed P, and so tr(S), stay small: those steps go to update's
+    # exact check, which certifies them, and they are solved as before
+    m = deterministic_model(1.5 * I2, I2, I2, I2)
+    ic = InitialCondition(mean=[1e5, 0.0], cov=I2)
+    K = 40
+    calls = spy_updates(monkeypatch)
+    rec = filter_sequence(constant_provider(m), ic, np.zeros((2, K + 1, 2)))
+    assert [c[1] for c in calls] == [k < 5 for k in range(K + 1)]
+    assert all(c[2] for c in calls)
+    assert_certificate_sound(calls)
+    assert np.trace(rec.second_moment[-1]) > 1e18

@@ -419,7 +419,8 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
             raise ValueError(f"{'X' if ok[0][i] else 'P'} is not finite "
                              f"at step {i + 1}")
     mean = np.empty((len(ys),) + lead + ys.shape[1:-1] + (r,))
-    if mean.size:  # the run-axis views of a run without one
+    if mean.size:
+        # a single run without a run axis goes through run-axis views
         runs = ys.ndim == 3
         _filter_means(mean if runs else mean[..., None, :],
                       ys if runs else ys[:, None, :], gain, models, ic.mean)

@@ -17,7 +17,8 @@ per-layer counts and self times: a traced self time moves by about 20%
 from run to run, so one traced run per side cannot resolve a smaller
 change.
 
-The output file holds every run's metrics, each side's median and
+The output file holds each tree's `wc -l src/randkf/*.py` (lines per
+file and their total), every run's metrics, each side's median and
 quartiles per end-to-end metric, the pairs the head wins (ties count for
 neither), whether a gain meets the rule (wins in at least 9/10 of the
 pairs, medians apart by more than the base's interquartile range),
@@ -55,6 +56,14 @@ def export(rev: str, dest: Path) -> str:
     if archive.wait():
         raise RuntimeError(f"git archive {rev} failed")
     return sha
+
+
+def src_lines(tree: Path) -> dict:
+    """`wc -l src/randkf/*.py` of a tree: each file's newline count and
+    their total."""
+    files = {p.name: p.read_bytes().count(b"\n")
+             for p in sorted((tree / "src" / "randkf").glob("*.py"))}
+    return {"files": files, "total": sum(files.values())}
 
 
 def run_bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -141,7 +150,10 @@ def main(argv=None) -> int:
     shas = {side: export(rev, trees[side])
             for side, rev in (("base", args.base), ("head", args.head))}
     report = {"base": shas["base"], "head": shas["head"], "seed": args.seed,
-              "seconds": seconds, "pairs": args.pairs, "workloads": {}}
+              "seconds": seconds, "pairs": args.pairs,
+              "src_lines": {side: src_lines(tree)
+                            for side, tree in trees.items()},
+              "workloads": {}}
     try:
         for wl in workloads:
             for side in ("base", "head"):   # the discarded first runs
@@ -172,6 +184,8 @@ def main(argv=None) -> int:
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     finally:
         shutil.rmtree(args.work, ignore_errors=True)
+    print("src/randkf/*.py lines: " + ", ".join(
+        f"{side} {c['total']}" for side, c in report["src_lines"].items()))
     for wl, res in report["workloads"].items():
         for name, s in res["end_to_end"].items():
             print(f"{wl} {name}: base {s['base']['median']:.6g} "

@@ -10,9 +10,9 @@ P alone: its steps ``predict`` and ``update`` write P and each step's
 gain into its ``FilterRecord``'s step-major arrays in place.  The means
 follow after the loop, as one affine recursion driven by the recorded
 gains.  With deterministic matrices this is a Kalman filter.  P, X, S
-and K accept a leading model axis (``stack_models``); each member is
-bit-identical to its own run where the members' Fbar and Rv change at
-the same steps."""
+and K accept a leading model axis (``stack_models``); each member,
+its gain routed by its own ``S_trace_max``, is bit-identical to its own
+run where the members' Fbar and Rv change at the same steps."""
 
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ from .random_matrix import RandomMatrixSpec, quad_form
 COND_LIMIT = 1e12
 # trace-scaled tolerance of the symmetry and PSD checks on covariances
 PSD_TOL = 1e-10
-# relative margin by which a step's summed tr E(y y^T) must clear the
-# certificate to certify its S before the loop: it covers the rounding
-# by which the computed P and X may break P <= X
+# relative margin by which each member's tr E(y y^T) must clear its
+# certificate to certify the step's S before the loop: it covers the
+# rounding by which the computed P and X may break P <= X
 BOUND_RTOL = 1e-9
 
 
@@ -89,9 +89,7 @@ class StepModel:
     serve every step and both the sampler and the filter.  A stacked
     model (``stack_models``) has the same leading model axes on all four.
     ``S_trace_max`` is (each member's) COND_LIMIT / 2 * lambda_min(Rw),
-    the trace of S below which ``update`` certifies a member's solve, and
-    the float ``S_trace_sum_max`` is its smallest member's: a trace of S
-    summed over the members below it certifies every member.
+    the trace of S below which a member's gain is a plain solve.
     """
 
     F: RandomMatrixSpec
@@ -99,7 +97,6 @@ class StepModel:
     Rv: np.ndarray
     Rw: np.ndarray
     S_trace_max: np.ndarray = field(init=False, repr=False)
-    S_trace_sum_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
         Rv, _ = _check_psd(self.Rv, "Rv")
@@ -121,8 +118,6 @@ class StepModel:
         for name, a in (("Rv", Rv), ("Rw", Rw), ("S_trace_max", S_trace_max)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "S_trace_sum_max",
-                           float(np.min(S_trace_max, initial=np.inf)))
 
 
 ModelProvider = Callable[[int], StepModel]
@@ -228,7 +223,7 @@ def second_moments(models: Sequence[StepModel], ic: InitialCondition
     """X (K+1, [models,] r, r) of ``models``' steps, the noises
     ``Rv_eff[k]`` of the predict from step k and ``Rw_eff[k]`` of step
     k's update, and each step's tr E(y_k y_k^T) = tr(Hbar X_k Hbar^T) +
-    tr(Rw_eff[k]), summed over the members (K+1,).  X_0 = mu_0 mu_0^T +
+    tr(Rw_eff[k]), per member (K+1, [models]).  X_0 = mu_0 mu_0^T +
     P_0 and X_{k+1} = sym(Fbar X_k Fbar^T + Rv_eff[k]), Rv_eff[k] = Rv +
     E(F~ X_k F~^T) of models[k].  A random F's steps run one at a time,
     its [Fbar; G_l] taking X through one product.  Each longest run of
@@ -236,7 +231,7 @@ def second_moments(models: Sequence[StepModel], ic: InitialCondition
     whatever the model objects) is filled by ``_double`` in O(log
     steps) batched products, so a run of one step is the stepwise
     map's.  Rw_eff[k] = Rw + E(H~ X_k H~^T), by one ``quad_form`` per
-    span of steps over X, and the traces by one product per span."""
+    span of steps over X, and the traces by one ``einsum`` per span."""
     lead, spans, K = models[0].Rv.shape[:-2], _spans(models), len(models) - 1
     X = np.empty((len(models),) + lead + ic.cov.shape)
     X[0] = np.outer(ic.mean, ic.mean) + ic.cov
@@ -262,20 +257,17 @@ def second_moments(models: Sequence[StepModel], ic: InitialCondition
             Rv_eff[k] += m.Rv
             Xn = np.add(T[..., 0, :, :], Rv_eff[k], out=X[k + 1])
             symmetrize(Xn, out=Xn)
-    Rw_eff, Eyy = [m.Rw for m in models], np.empty(len(models))
+    Rw_eff, Eyy = [m.Rw for m in models], np.empty((len(models),) + lead)
     for m, at in spans:
-        # tr(Hbar X Hbar^T) = <Hbar^T Hbar, X>, summed over the members
-        HtH = m.H.mean.mT @ m.H.mean
-        np.matmul(X[at].reshape(at.stop - at.start, -1), HtH.reshape(-1),
+        # tr(Hbar X Hbar^T) = <Hbar^T Hbar, X>
+        np.einsum("...ij,...ij->...", X[at], m.H.mean.mT @ m.H.mean,
                   out=Eyy[at])
+        noise = m.Rw
         if m.H.factors.shape[-3]:
             noise = quad_form(m.H, X[at])
             noise += m.Rw
             Rw_eff[at] = noise
-            Eyy[at] += noise.trace(axis1=-2, axis2=-1).reshape(
-                len(noise), -1).sum(axis=1)
-        else:
-            Eyy[at] += m.Rw.trace(axis1=-2, axis2=-1).sum()
+        Eyy[at] += noise.trace(axis1=-2, axis2=-1)
     return X, Rv_eff, Rw_eff, Eyy
 
 
@@ -309,18 +301,19 @@ def update(gain: np.ndarray, P: np.ndarray, k: int, m: StepModel,
            Rw_eff: np.ndarray, certified: bool = False) -> None:
     """Measurement update of step k of the step-major ``P`` in place,
     writing K^T = S^-1 Hbar P into ``gain[k]``: S = Hbar P Hbar^T +
-    Rw_eff >= Rw, so a step certified before the loop (``certified``)
-    or whose summed tr(S) StepModel certifies is solved by LAPACK's
-    gufunc without ``np.linalg.solve``'s checks, any other with a finite
-    S by ``_gain``; P[k] takes P - K Hbar P, symmetrized."""
+    Rw_eff >= Rw, so a step certified before the loop (``certified``),
+    or whose every member has tr(S) below its ``S_trace_max``, is solved
+    by LAPACK's gufunc without ``np.linalg.solve``'s checks; any other
+    with a finite S goes to ``_gain`` with that per-member mask; P[k]
+    takes P - K Hbar P, symmetrized."""
     Hbar, Pk = m.H.mean, P[k]
     HP = Hbar @ Pk
     S = HP @ Hbar.mT + Rw_eff
-    if certified or (np.add.reduce(S.diagonal(0, -2, -1), axis=None)
-                     < m.S_trace_sum_max):
+    if certified or (good := np.add.reduce(S.diagonal(0, -2, -1), axis=-1)
+                     < m.S_trace_max).all():
         K = _lapack_solve(S, HP, out=gain[k]).mT
     elif np.isfinite(S).all():
-        K = _gain(HP, S, S.trace(axis1=-2, axis2=-1) < m.S_trace_max)
+        K = _gain(HP, S, good)
         gain[k] = K.mT
     else:
         raise ValueError(f"S is not finite at step {k}")
@@ -371,14 +364,14 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     does not fit the run (provider(0)'s model axes) raises a ValueError
     naming its step.  After ``second_moments``, the Riccati loop
     updates P_0 at step 0 and follows each later update with a predict
-    through provider(k-1), recording every gain; a step whose summed
-    tr E(y y^T) clears StepModel's certificate by BOUND_RTOL is certified
-    before the loop (P^- <= X, so tr(S) is below it too).  The means
-    then take one affine pass over the gains (``_filter_means``).  A
-    non-finite measurement, P, X or S raises a ValueError naming its
-    (first) step; P, then X, are scanned once, after the last step or at
-    the first other failure.  With no runs only P, X and the gains are
-    left."""
+    through provider(k-1), recording every gain; a step where every
+    member's tr E(y y^T) clears its ``S_trace_max`` by BOUND_RTOL is
+    certified before the loop (P^- <= X, so tr(S) is below it too).
+    The means then take one affine pass over the gains
+    (``_filter_means``).  A non-finite measurement, P, X or S raises a
+    ValueError naming its (first) step; P, then X, are scanned once,
+    after the last step or at the first other failure.  With no runs
+    only P, X and the gains are left."""
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
         raise ValueError("need (K+1, N) or (runs, K+1, N) measurements")
@@ -400,8 +393,10 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
         if models[k] is not models[k - 1]:
             _check_shapes(models[k], k, shapes)
     X, Rv_eff, Rw_eff, Eyy = second_moments(models, ic)
-    certified = (Eyy * (1 + BOUND_RTOL)
-                 < [m.S_trace_sum_max for m in models]).tolist()
+    certified = np.empty(Eyy.shape, dtype=bool)
+    for m, at in _spans(models):
+        np.less(Eyy[at] * (1 + BOUND_RTOL), m.S_trace_max, out=certified[at])
+    certified = certified.reshape(len(ys), -1).all(axis=1).tolist()
     P = np.empty_like(X)
     gain = np.empty((len(ys),) + lead + (N, r))
     P[0] = ic.cov

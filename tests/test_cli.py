@@ -694,6 +694,19 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(tmp_path, capsys):
     assert not work.exists()
 
 
+def test_bench_pairs_counts_source_lines_as_wc_does(tmp_path):
+    # newlines per src/randkf/*.py file, so a last line without one is
+    # not counted; other files and directories are left out
+    pkg = tmp_path / "src" / "randkf"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\n\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\nw = 4")
+    (pkg / "notes.txt").write_text("not counted\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert load_bench_pairs().src_lines(tmp_path) == {
+        "files": {"a.py": 3, "b.py": 1}, "total": 4}
+
+
 @pytest.mark.parametrize("correct, failed", [(False, 0), (True, 1),
                                              (False, 2)])
 def test_bench_pairs_rejects_a_run_with_failed_operations(

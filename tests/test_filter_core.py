@@ -3,7 +3,7 @@ import importlib
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import randkf.filter_core
@@ -22,6 +22,7 @@ from conftest import (
     rand_random_model,
     sim1_model,
     sim1_provider,
+    sim2_model,
     sim2_provider,
     textbook_kf,
 )
@@ -539,7 +540,7 @@ NON_FINITE = {
     # Hbar = 1e200 I puts 1e400 into S at the first update
     "S overflow": (lambda k: deterministic_model(I2, 1e200 * I2, I2, I2),
                    SIM1_IC, 2, "S is not finite at step 0"),
-    # the summed trace of the stack is infinite: the fallback finds S
+    # the second member's trace is infinite: the fallback finds S
     "S overflow, one stacked member": (
         lambda k: stack_models([deterministic_model(I2, I2, I2, I2),
                                 deterministic_model(I2, 1e200 * I2, I2, I2)]),
@@ -912,6 +913,7 @@ def partitioned_b8(monkeypatch):
 # {id: monkeypatch -> (model, prior, horizon)}, each certified at every step
 CERTIFIED_RUNS = {
     "sim1": lambda mp: (sim1_model(), SIM1_IC, 300),
+    "sim2": lambda mp: (sim2_model(), SIM1_IC, 300),
     "sim1 over six gammas": lambda mp: (
         stack_models([sim1_model(g) for g in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)]),
         SIM1_IC, 300),
@@ -941,33 +943,78 @@ def test_certified_step_solves_bit_equal_to_numpy(monkeypatch, case):
         np.testing.assert_array_equal(KT, np.linalg.solve(S, HP))
 
 
-def test_summed_trace_over_the_bound_falls_back_member_by_member(
-        monkeypatch):
-    # each member alone is certified at every step, the first within its
-    # small bound (S_trace_max 5; tr S about 1 at step 0, then 0.2); the
-    # stack's summed trace (12 at step 0, then about 180) is over that
-    # bound, so every step goes to _gain, whose mask certifies both
+def test_members_are_certified_by_their_own_bounds(monkeypatch):
+    # each member is certified at every step, the first within its small
+    # bound (S_trace_max 5; tr S about 1 at step 0, then 0.2); the
+    # stack's trace summed over both members (12 at step 0, then about
+    # 180) is over that bound, yet no step reaches _gain: each member is
+    # judged by its own S_trace_max, and is its own run bit for bit
     tight = deterministic_model(0.5 * I2, I2, 0.1 * I2, 1e-11 * I2)
     loose = deterministic_model(0.5 * I2, 3 * I2, 10 * I2, I2)
     stacked = stack_models([tight, loose])
-    assert stacked.S_trace_sum_max == tight.S_trace_max == 5.0
-    K, gains = 40, []
-    real = randkf.filter_core._gain
-    monkeypatch.setattr(randkf.filter_core, "_gain",
-                        lambda HP, S, good: gains.append((S, good))
-                        or real(HP, S, good))
+    assert tight.S_trace_max == 5.0
+    K, solves = 40, []
+    real = randkf.filter_core._lapack_solve
+    monkeypatch.setattr(randkf.filter_core, "_lapack_solve",
+                        lambda S, HP, out=None: solves.append(S)
+                        or real(S, HP, out=out))
+
+    def no_gain(*args):
+        raise AssertionError("a certified member reached _gain")
+
+    monkeypatch.setattr(randkf.filter_core, "_gain", no_gain)
     rec = covariance_recursion(constant_provider(stacked), SIM1_IC, K)
-    assert len(gains) == K + 1
-    for S, good in gains:
-        assert good.tolist() == [True, True]
-        assert np.trace(S, axis1=-2, axis2=-1).sum() > 5.0
-    gains.clear()
+    assert len(solves) == K + 1
+    for S in solves:
+        trace = np.trace(S, axis1=-2, axis2=-1)
+        assert (trace < stacked.S_trace_max).all() and trace.sum() > 5.0
     for i, m in enumerate((tight, loose)):
         own = covariance_recursion(constant_provider(m), SIM1_IC, K)
-        assert gains == []
-        np.testing.assert_array_equal(rec.cov[:, i], own.cov)
-        np.testing.assert_array_equal(rec.second_moment[:, i],
-                                      own.second_moment)
+        for name in ("cov", "second_moment", "gain"):
+            np.testing.assert_array_equal(getattr(rec, name)[:, i],
+                                          getattr(own, name))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), members=st.integers(1, 3),
+       random_f=st.booleans(), random_h=st.booleans(),
+       mean_decades=st.floats(0.0, 7.0))
+def test_stacked_filter_equals_each_member_bit_for_bit(
+        seed, members, random_f, random_h, mean_decades):
+    # each member's Rw is scaled by 10^-8 to 10^8 and about a third are
+    # singular, so the members of one stack take different gain routes;
+    # a prior mean of up to 10^7 inflates X far above P.  Every member's
+    # P, X, gains and means are its own run's bit for bit.
+    rng = np.random.default_rng(seed)
+    r, N = (int(n) for n in rng.integers(1, 5, size=2))
+
+    def member():
+        F = rand_dist(rng, r, r, 2, scale=0.7 / np.sqrt(r))
+        H = rand_dist(rng, N, r, 2)
+        if rng.random() < 0.3:
+            root = rng.standard_normal((N, N - 1))
+            Rw = root @ root.T
+        else:
+            Rw = rand_psd(rng, N, floor=0.1)
+        return StepModel(
+            F=moments_from_dist(F) if random_f else deterministic(F.samples[0]),
+            H=moments_from_dist(H) if random_h else deterministic(H.samples[0]),
+            Rv=rand_psd(rng, r, floor=0.1),
+            Rw=10.0 ** rng.uniform(-8.0, 8.0) * Rw)
+
+    models = [member() for _ in range(members)]
+    scale = 10.0 ** mean_decades
+    ic = InitialCondition(mean=scale * rng.uniform(-1.0, 1.0, r),
+                          cov=rand_psd(rng, r, floor=0.1))
+    K = 20
+    ys = scale * rng.standard_normal((2, K + 1, N))
+    rec = filter_sequence(constant_provider(stack_models(models)), ic, ys)
+    for i, m in enumerate(models):
+        own = filter_sequence(constant_provider(m), ic, ys)
+        for name in ("cov", "second_moment", "gain"):
+            np.testing.assert_array_equal(getattr(rec, name)[:, i],
+                                          getattr(own, name))
+        np.testing.assert_array_equal(rec.mean[i], own.mean)
 
 
 @pytest.mark.parametrize("case", CERTIFIED_RUNS)
@@ -987,11 +1034,11 @@ def test_recorded_gain_is_the_solve_of_each_step(monkeypatch, case):
             rec.gain[k], np.linalg.solve(HP @ Hbar.mT + Rw_eff[k], HP))
 
 
-def test_bound_is_the_summed_trace_of_e_yy(rng):
-    # second_moments' bound of step k is tr E(y_k y_k^T) = tr(Hbar X_k
-    # Hbar^T + Rw_eff[k]), summed over the members, for a stack of random
-    # H and a deterministic H; against the sample mean of |y_k|^2 over
-    # 4,000 sampled runs of sim1, within five standard errors
+def test_bound_is_each_members_trace_of_e_yy(rng):
+    # second_moments' bound of step k is each member's tr E(y_k y_k^T) =
+    # tr(Hbar X_k Hbar^T + Rw_eff[k]), for a stack of random H and a
+    # deterministic H; against the sample mean of |y_k|^2 over 4,000
+    # sampled runs of sim1, within five standard errors
     K = 20
     random = [StepModel(F=moments_from_dist(rand_dist(rng, 3, 3, 3, 0.3)),
                         H=moments_from_dist(rand_dist(rng, 2, 3, 2)),
@@ -1004,7 +1051,8 @@ def test_bound_is_the_summed_trace_of_e_yy(rng):
         X, _, Rw_eff, bound = second_moments([m] * (K + 1), rand_ic(rng, 3))
         Hbar = m.H.mean
         ref = [np.trace(Hbar @ X[k] @ Hbar.mT + Rw_eff[k], axis1=-2,
-                        axis2=-1).sum() for k in range(K + 1)]
+                        axis2=-1) for k in range(K + 1)]
+        assert bound.shape == np.shape(ref) == (K + 1,) + m.Rw.shape[:-2]
         np.testing.assert_allclose(bound, ref, rtol=1e-12)
     ys = sim1_runs(sim1_provider(), 4000, K=K, seed=5)
     bound = second_moments([sim1_model()] * (K + 1), SIM1_IC)[3]
@@ -1015,16 +1063,16 @@ def test_bound_is_the_summed_trace_of_e_yy(rng):
 
 def spy_updates(mp) -> list:
     """Patch filter_core.update to record each call's step, ``certified``
-    flag, whether the exact summed tr(S) passes StepModel's certificate
-    (as update reads it), the K^T it records, and its S and Hbar P."""
+    flag, whether every member's exact tr(S) is below its own
+    ``S_trace_max`` (as update reads it), the K^T it records, and its S
+    and Hbar P."""
     calls = []
     real = randkf.filter_core.update
 
     def spy(gain, P, k, m, Rw_eff, certified=False):
         HP = m.H.mean @ P[k]
         S = HP @ m.H.mean.mT + Rw_eff
-        passes = (np.add.reduce(S.diagonal(0, -2, -1), axis=None)
-                  < m.S_trace_sum_max)
+        passes = (np.trace(S, axis1=-2, axis2=-1) < m.S_trace_max).all()
         real(gain, P, k, m, Rw_eff, certified)
         calls.append((k, certified, passes, gain[k], S, HP))
 
@@ -1033,9 +1081,10 @@ def spy_updates(mp) -> list:
 
 
 def assert_certificate_sound(calls) -> None:
-    """Every step certified before the loop passes the exact summed
-    trace, and every step that passes it records np.linalg.solve's K^T
-    bit for bit, the gain of the exact check alone."""
+    """Every step certified before the loop has every member's exact
+    tr(S) below its own S_trace_max, and every step where they all are
+    records np.linalg.solve's K^T bit for bit, the gain of the exact
+    check alone."""
     for k, certified, passes, KT, S, HP in calls:
         assert passes or not certified, f"step {k}"
         if passes:
@@ -1048,15 +1097,20 @@ def assert_certificate_sound(calls) -> None:
        zero_mean=st.booleans(), mean_decades=st.floats(0.0, 8.0),
        edge=st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8)),
        growth=st.floats(0.5, 1.5))
-def test_bound_certifies_only_steps_the_summed_trace_passes(
+# an example whose bound, without the BOUND_RTOL margin, would certify a
+# step that its exact trace does not
+@example(seed=113, members=3, random_f=False, random_h=False,
+         zero_mean=True, mean_decades=0.0, edge=0.0, growth=1.0)
+def test_bound_certifies_only_steps_every_member_passes(
         seed, members, random_f, random_h, zero_mean, mean_decades, edge,
         growth):
-    # P_0 is scaled so that step 0's summed tr(S) sits at the certificate
-    # times (1 + edge); with mu_0 = 0, X_0 = P_0 and the E(y y^T) bound
-    # is tr(S) itself, up to rounding, so steps within BOUND_RTOL of the
-    # edge are left to the exact check.  A mean of 10^mean_decades and
-    # an F of gain ``growth`` inflate X far above P, so the bound fails
-    # where the trace of an H without deviation factors passes.
+    # P_0 is scaled so that the tightest member's tr(S) at step 0 sits at
+    # its own S_trace_max times (1 + edge); with mu_0 = 0, X_0 = P_0 and
+    # the E(y y^T) bound is tr(S) itself, up to rounding, so steps within
+    # BOUND_RTOL of the edge are left to the exact check.  A mean of
+    # 10^mean_decades and an F of gain ``growth`` inflate X far above P,
+    # so the bound fails where the trace of an H without deviation
+    # factors passes.
     rng = np.random.default_rng(seed)
     r, N = (int(n) for n in rng.integers(1, 5, size=2))
 
@@ -1074,8 +1128,8 @@ def test_bound_certifies_only_steps_the_summed_trace_passes(
     cov = rand_psd(rng, r, floor=0.1)
     mean = (0.0 if zero_mean else 10.0 ** mean_decades) * rng.standard_normal(r)
     unit = second_moments([m], InitialCondition(mean=np.zeros(r), cov=cov))[3]
-    noise = np.trace(m.Rw, axis1=-2, axis2=-1).sum()
-    scale = ((1 + edge) * m.S_trace_sum_max - noise) / (unit[0] - noise)
+    noise = np.trace(m.Rw, axis1=-2, axis2=-1)
+    scale = np.min(((1 + edge) * m.S_trace_max - noise) / (unit[0] - noise))
     ic = InitialCondition(mean=mean, cov=scale * cov)
     K = 30
     with pytest.MonkeyPatch.context() as mp:

@@ -18,6 +18,19 @@ case REPEATS times after one warm-up call (garbage collection off, as
 - sim2: configs/simulation2.yaml's model (a random F) over its horizon,
   which no workload runs.
 
+The two routes of P are timed side by side, each forced by setting
+`filter_core.SCAN_MAX_R` (a tree without it always loops):
+
+- `lone r=N=n loop|scan`: a seeded lone model with random F and H at
+  r = N = n for n in LONE_DIMS, over LONE_STEPS steps;
+- `mc-dropout loop|scan` and `filter-partitioned loop|scan`: sim1's
+  model and the B = 8 partitioned model;
+- `sweep-dropout xM loop|scan`: the sweep's M gamma models run one at a
+  time, lone, against which the `sweep-dropout` row's one stacked
+  recursion (the loop) is the route the sweep takes.
+
+SCAN_MAX_R is the largest n whose scan row is faster.
+
 The run-axis half is timed on the Monte-Carlo workload's model, at its
 own `--runs` and at BIG_RUNS, with the per-run seeds `monte_carlo`
 derives from SEED:
@@ -47,6 +60,8 @@ SEED = 4242
 ROUNDS = 6
 REPEATS = 20
 BIG_RUNS = 500
+LONE_DIMS = (2, 4, 6, 8, 10)
+LONE_STEPS = 300
 
 # run in the tree's directory, with the tree's src/ on the path; prints
 # {case: [K + 1, seconds of each timed call]}
@@ -55,18 +70,45 @@ import json, sys, tempfile, timeit
 from pathlib import Path
 sys.path.insert(0, "perfbench")
 from workloads import WORKLOADS
+import numpy as np
+import randkf.filter_core as fc
 from randkf.config import parse_config
-from randkf.filter_core import (constant_provider, filter_sequence,
+from randkf.filter_core import (InitialCondition, StepModel,
+                                constant_provider, filter_sequence,
                                 stack_models)
+from randkf.random_matrix import MatrixDist, moments_from_dist
 from randkf.sim_harness import (covariance_recursion, derive_run_seeds,
                                 simulate_truth)
 
-seed, repeats, big_runs = json.loads(sys.argv[1])
+seed, repeats, big_runs, dims, lone_steps = json.loads(sys.argv[1])
 out = {}
 
 def record(case, run, K):
     run()
     out[case] = [K + 1, timeit.repeat(run, number=1, repeat=repeats)]
+
+def routes(case, models, ic, K):
+    # each model's own recursion, on the loop and on the scan
+    provs, saved = [constant_provider(m) for m in models], fc.__dict__.get(
+        "SCAN_MAX_R", 0)
+    for route, limit in (("loop", 0), ("scan", 10**9)):
+        fc.SCAN_MAX_R = limit
+        record(f"{case} {route}",
+               lambda: [covariance_recursion(p, ic, K) for p in provs], K)
+    fc.SCAN_MAX_R = saved
+
+def lone_model(rng, n):
+    # random F (samples of 2-norm 0.9, so X stays bounded) and H, each
+    # of three equally likely samples; Rv, Rw >= 0.5 I
+    def dist(scale):
+        mats = rng.standard_normal((3, n, n))
+        if scale:
+            mats *= 0.9 / np.linalg.norm(mats, 2, axis=(1, 2))[:, None, None]
+        return moments_from_dist(MatrixDist.of([(a, 1 / 3) for a in mats]))
+    def psd():
+        a = rng.standard_normal((n, n))
+        return a @ a.T / n + 0.5 * np.eye(n)
+    return StepModel(F=dist(True), H=dist(False), Rv=psd(), Rw=psd())
 
 with tempfile.TemporaryDirectory() as work:
     for name, make in WORKLOADS.items():
@@ -76,6 +118,11 @@ with tempfile.TemporaryDirectory() as work:
              if cfg.mode == "sweep" else cfg.step_model)
         prov, ic, K = constant_provider(m), cfg.initial, cfg.horizon
         record(name, lambda: covariance_recursion(prov, ic, K), K)
+        if cfg.mode == "sweep":
+            routes(f"{name} x{len(cfg.gammas)}",
+                   [cfg.model_for_gamma(g) for g in cfg.gammas], ic, K)
+        else:
+            routes(name, [m], ic, K)
         if "--runs" not in w.argv:
             continue
         for runs in (int(w.argv[w.argv.index("--runs") + 1]), big_runs):
@@ -88,6 +135,10 @@ with tempfile.TemporaryDirectory() as work:
 cfg = parse_config(Path("configs/simulation2.yaml").read_text())
 prov, ic, K = constant_provider(cfg.step_model), cfg.initial, cfg.horizon
 record("sim2", lambda: covariance_recursion(prov, ic, K), K)
+rng = np.random.default_rng(seed)
+for n in dims:
+    ic = InitialCondition(mean=rng.standard_normal(n), cov=np.eye(n))
+    routes(f"lone r=N={n}", [lone_model(rng, n)], ic, lone_steps)
 print(json.dumps(out))
 """
 
@@ -96,7 +147,8 @@ def measure(tree: Path) -> dict[str, list]:
     """One child process of `tree`: each case's K + 1 and call times."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps([SEED, REPEATS, BIG_RUNS])],
+        [sys.executable, "-c", CHILD,
+         json.dumps([SEED, REPEATS, BIG_RUNS, LONE_DIMS, LONE_STEPS])],
         cwd=tree, env=env, capture_output=True, text=True, timeout=600)
     if proc.returncode:
         raise RuntimeError(f"{tree}: exit {proc.returncode}\n"

@@ -5,14 +5,19 @@ filtered as the system of mean matrices Fbar, Hbar and noises Rv +
 E(F~ X F~^T), Rw + E(H~ X H~^T); X_k = E(x_k x_k^T) follows a linear map
 that reads neither P, nor H, nor the data (De Koning).  ``second_moments``
 runs that map first, over each run of one deterministic Fbar by doubling,
-so the Riccati loop of ``filter_sequence``, the one entry point, carries
-P alone: its steps ``predict`` and ``update`` write P and each step's
-gain into its ``FilterRecord``'s step-major arrays in place.  The means
-follow after the loop, as one affine recursion driven by the recorded
-gains.  With deterministic matrices this is a Kalman filter.  P, X, S
-and K accept a leading model axis (``stack_models``); each member,
-its gain routed by its own ``S_trace_max``, is bit-identical to its own
-run where the members' Fbar and Rv change at the same steps."""
+so every coefficient of the P recursion of ``filter_sequence``, the one
+entry point, is known before it runs.  P takes one of two routes.  A
+lone model (no model axis) with r <= SCAN_MAX_R whose every step is
+certified runs it as one associative scan in O(log K) batched calls;
+any other runs the Riccati loop, whose steps ``predict`` and ``update``
+write P and each step's gain into its ``FilterRecord``'s step-major
+arrays in place (after the scan they give the gains, over slices of
+steps).  The means follow, as one affine recursion driven by the
+recorded gains.  With deterministic matrices this is a Kalman filter.
+P, X, S and K accept a leading model axis (``stack_models``); each
+member, its gain routed by its own ``S_trace_max``, is bit-identical to
+its own run as a one-member stack where the members' Fbar and Rv change
+at the same steps."""
 
 from __future__ import annotations
 
@@ -35,6 +40,8 @@ PSD_TOL = 1e-10
 # certificate to certify the step's S before the loop: it covers the
 # rounding by which the computed P and X may break P <= X
 BOUND_RTOL = 1e-9
+# largest state dimension whose lone, certified runs take the scan
+SCAN_MAX_R = 6
 
 
 def symmetrize(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -188,7 +195,7 @@ def _spans(models: Sequence[StepModel]) -> list[tuple[StepModel, slice]]:
     one model object serves, in step order."""
     cuts = [k for k in range(1, len(models)) if models[k] is not models[k - 1]]
     return [(models[a], slice(a, b))
-            for a, b in zip([0] + cuts, cuts + [len(models)])]
+            for a, b in zip([0] + cuts, cuts + [len(models)]) if a < b]
 
 
 def _same_map(m: StepModel, prev: StepModel) -> bool:
@@ -219,19 +226,22 @@ def _double(X: np.ndarray, a: int, n_steps: int, Fbar: np.ndarray,
 
 
 def second_moments(models: Sequence[StepModel], ic: InitialCondition
-                   ) -> tuple[np.ndarray, list, list, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """X (K+1, [models,] r, r) of ``models``' steps, the noises
-    ``Rv_eff[k]`` of the predict from step k and ``Rw_eff[k]`` of step
-    k's update, and each step's tr E(y_k y_k^T) = tr(Hbar X_k Hbar^T) +
-    tr(Rw_eff[k]), per member (K+1, [models]).  X_0 = mu_0 mu_0^T +
-    P_0 and X_{k+1} = sym(Fbar X_k Fbar^T + Rv_eff[k]), Rv_eff[k] = Rv +
-    E(F~ X_k F~^T) of models[k].  A random F's steps run one at a time,
-    its [Fbar; G_l] taking X through one product.  Each longest run of
+    ``Rv_eff[k]`` (K, [models,] r, r) of the predict from step k and
+    ``Rw_eff[k]`` (K+1, [models,] N, N) of step k's update, and each
+    step's tr E(y_k y_k^T) = tr(Hbar X_k Hbar^T) + tr(Rw_eff[k]), per
+    member (K+1, [models]).  X_0 = mu_0 mu_0^T + P_0 and X_{k+1} =
+    sym(Fbar X_k Fbar^T + Rv_eff[k]), Rv_eff[k] = Rv + E(F~ X_k F~^T) of
+    models[k].  A random F's steps run one at a time, its [Fbar; G_l]
+    taking X through one product.  Each longest run of
     deterministic-F steps whose Fbar and Rv are equal (by content,
     whatever the model objects) is filled by ``_double`` in O(log
     steps) batched products, so a run of one step is the stepwise
-    map's.  Rw_eff[k] = Rw + E(H~ X_k H~^T), by one ``quad_form`` per
-    span of steps over X, and the traces by one ``einsum`` per span."""
+    map's, and its Rv_eff is Rv by broadcast.  Rw_eff[k] = Rw + E(H~ X_k
+    H~^T), by one ``quad_form`` per span of steps over X (Rw by
+    broadcast where H has no factors), and the traces by one ``einsum``
+    per span."""
     lead, spans, K = models[0].Rv.shape[:-2], _spans(models), len(models) - 1
     X = np.empty((len(models),) + lead + ic.cov.shape)
     X[0] = np.outer(ic.mean, ic.mean) + ic.cov
@@ -246,37 +256,45 @@ def second_moments(models: Sequence[StepModel], ic: InitialCondition
             runs[-1][2] = b
         elif at.start < b:
             runs.append([m, at.start, b])
-    Xe, Rv_eff = X[..., None, :, :], [m.Rv for m in models[:-1]]
+    Xe, Rv_eff = X[..., None, :, :], np.empty((K,) + X.shape[1:])
     for m, a, b in runs:
         if (A := stack.get(id(m))) is None:
             _double(X, a, b - a, m.F.mean, m.Rv)
+            Rv_eff[a:b] = m.Rv
             continue
         for k in range(a, b):
             T = A @ Xe[k] @ A.mT
-            Rv_eff[k] = np.add.reduce(T[..., 1:, :, :], axis=-3)
-            Rv_eff[k] += m.Rv
-            Xn = np.add(T[..., 0, :, :], Rv_eff[k], out=X[k + 1])
+            noise = np.add.reduce(T[..., 1:, :, :], axis=-3, out=Rv_eff[k])
+            noise += m.Rv
+            Xn = np.add(T[..., 0, :, :], noise, out=X[k + 1])
             symmetrize(Xn, out=Xn)
-    Rw_eff, Eyy = [m.Rw for m in models], np.empty((len(models),) + lead)
+    N = models[0].Rw.shape[-1]
+    Rw_eff = np.empty((len(models),) + lead + (N, N))
+    Eyy = np.empty((len(models),) + lead)
     for m, at in spans:
         # tr(Hbar X Hbar^T) = <Hbar^T Hbar, X>
         np.einsum("...ij,...ij->...", X[at], m.H.mean.mT @ m.H.mean,
                   out=Eyy[at])
-        noise = m.Rw
+        noise = Rw_eff[at]
         if m.H.factors.shape[-3]:
-            noise = quad_form(m.H, X[at])
+            quad_form(m.H, X[at], out=noise)
             noise += m.Rw
-            Rw_eff[at] = noise
+        else:
+            noise[...] = m.Rw
         Eyy[at] += noise.trace(axis1=-2, axis2=-1)
     return X, Rv_eff, Rw_eff, Eyy
 
 
-def predict(P: np.ndarray, k: int, m: StepModel, Rv_eff: np.ndarray
-            ) -> None:
-    """Time update of the step-major ``P`` from step k-1 into step k:
-    P[k] = Fbar P[k-1] Fbar^T + Rv_eff, unsymmetrized."""
+def predict(P: np.ndarray, k: int | slice, m: StepModel,
+            Rv_eff: np.ndarray, prior: np.ndarray | None = None) -> None:
+    """Time update of the step-major ``P`` into step k, or into each
+    step of a slice k of steps after step 0, from the step before it:
+    prior[k] = Fbar P[k-1] Fbar^T + Rv_eff, unsymmetrized, where
+    ``prior`` is P itself unless given."""
     Fbar = m.F.mean
-    Pk = np.matmul(Fbar @ P[k - 1], Fbar.mT, out=P[k])
+    before = P[k - 1] if isinstance(k, int) else P[k.start - 1:k.stop - 1]
+    Pk = np.matmul(Fbar @ before, Fbar.mT,
+                   out=(P if prior is None else prior)[k])
     Pk += Rv_eff
 
 
@@ -297,9 +315,10 @@ def _gain(HP: np.ndarray, S: np.ndarray, good: np.ndarray) -> np.ndarray:
     return K
 
 
-def update(gain: np.ndarray, P: np.ndarray, k: int, m: StepModel,
+def update(gain: np.ndarray, P: np.ndarray, k: int | slice, m: StepModel,
            Rw_eff: np.ndarray, certified: bool = False) -> None:
-    """Measurement update of step k of the step-major ``P`` in place,
+    """Measurement update of step k, or of each step of a slice k of
+    steps certified before the loop, of the step-major ``P`` in place,
     writing K^T = S^-1 Hbar P into ``gain[k]``: S = Hbar P Hbar^T +
     Rw_eff >= Rw, so a step certified before the loop (``certified``),
     or whose every member has tr(S) below its ``S_trace_max``, is solved
@@ -319,6 +338,94 @@ def update(gain: np.ndarray, P: np.ndarray, k: int, m: StepModel,
         raise ValueError(f"S is not finite at step {k}")
     Pk -= K @ HP
     symmetrize(Pk, out=Pk)
+
+
+def _combine(Ci: np.ndarray, Aj: np.ndarray, Cj: np.ndarray, Jj: np.ndarray,
+             Ai: np.ndarray | None = None, Ji: np.ndarray | None = None):
+    """Elements i (Ai, Ci, Ji) then j combined, batched: with Z = (I +
+    Ci Jj)^-1 [Ai | Ci] by one solve, A = Aj Z_A, C = sym(Aj Z_C Aj^T +
+    Cj) and J = sym(Ai^T Jj Z_A + Ji); only C where Ai is None, as for
+    every prefix of the elements, whose A and J are 0."""
+    r = Ci.shape[-1]
+    T = Ci @ Jj
+    T.reshape(-1, r * r)[:, ::r + 1] += 1.0  # the diagonals
+    Z = _lapack_solve(T, Ci if Ai is None else np.concatenate([Ai, Ci], -1))
+    C = symmetrize(Aj @ Z[..., -r:] @ Aj.mT + Cj)
+    if Ai is None:
+        return C
+    ZA = Z[..., :r]
+    return Aj @ ZA, C, symmetrize(Ai.mT @ Jj @ ZA + Ji)
+
+
+def _scan(A: np.ndarray, C: np.ndarray, J: np.ndarray) -> None:
+    """C[k] becomes the C of elements 0..k combined, in place, for
+    elements whose first has A = J = 0: each pair (2i, 2i+1) is
+    combined in one batch, the pairs' elements are scanned the same
+    way, which gives every odd k, and each even k > 0 combines the
+    prefix k-1 with element k.  The pairing is fixed by index, so a
+    prefix of the elements scans to a prefix of the result."""
+    n = len(C)
+    if n < 2:
+        return
+    Ap, Cp, Jp = _combine(C[0:n - 1:2], A[1::2], C[1::2], J[1::2],
+                          A[0:n - 1:2], J[0:n - 1:2])
+    _scan(Ap, Cp, Jp)
+    C[1::2] = Cp
+    C[2::2] = _combine(C[1:n - 1:2], A[2::2], C[2::2], J[2::2])
+
+
+def _elements(P0: np.ndarray, Fbar: np.ndarray, Hbar: np.ndarray,
+              Q: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The scan's elements (A, C, J), each (K+1, r, r): element 0 is
+    (0, P0, 0), and step k's, with F = Fbar[k-1], H = Hbar[k], Q[k-1]
+    and S = H Q H^T + R[k-1], is A = F - K H F, C = sym(Q - K H Q) and
+    J = sym((H F)^T S^-1 H F), K^T and S^-1 H F by one batched solve."""
+    r = P0.shape[-1]
+    H = Hbar[1:]
+    HQ = H @ Q
+    HQF = np.concatenate([HQ, H @ Fbar[:-1]], -1)
+    Z = _lapack_solve(HQ @ H.mT + R, HQF)
+    A, C, J = (np.empty((len(Fbar), r, r)) for _ in range(3))
+    A[0], C[0], J[0] = 0.0, P0, 0.0
+    KT = Z[..., :r].mT
+    np.subtract(Fbar[:-1], KT @ HQF[..., r:], out=A[1:])
+    symmetrize(Q - KT @ HQ, out=C[1:])
+    symmetrize(HQF[..., r:].mT @ Z[..., r:], out=J[1:])
+    return A, C, J
+
+
+def _scan_steps(P: np.ndarray, gain: np.ndarray, models: Sequence[StepModel],
+                Rv_eff: np.ndarray, Rw_eff: np.ndarray) -> bool:
+    """P[1:] and gain[1:] of a lone model whose steps are all certified,
+    from P[0] after step 0's update, by one associative scan over
+    ``_elements`` (Sarkka and Garcia-Fernandez, IEEE TAC 66(1), 2021);
+    False, and the loop's to redo, where the scan's P is not finite
+    (the pairs' A and J hold products of up to half the steps' F, which
+    overflow where F grows fast and the prior is near zero).
+    Each element's S is <= the loop's, so its step's certificate holds
+    for it too.  The scan's C are the filtered P; then ``predict`` and
+    ``update``, once per span over its steps, give P^- from them and
+    the gains as the loop forms them (the P^+ this recomputes is
+    dropped)."""
+    K, (N, r), spans = len(P) - 1, models[0].H.shape, _spans(models)
+    Fbar, Hbar = np.empty((K + 1, r, r)), np.empty((K + 1, N, r))
+    for m, at in spans:
+        Fbar[at], Hbar[at] = m.F.mean, m.H.mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        A, C, J = _elements(P[0], Fbar, Hbar, Rv_eff, Rw_eff[1:])
+        _scan(A, C, J)
+    if not np.isfinite(C).all():
+        return False
+    P[1:] = C[1:]
+    prior = C  # P^- of each step, over the scan's C
+    for m, at in spans:  # step k's predict reads models[k - 1]
+        if at.start < K:
+            predict(P, slice(at.start + 1, min(at.stop, K) + 1), m,
+                    Rv_eff[at], prior)
+        steps = slice(max(at.start, 1), at.stop)
+        if steps.start < steps.stop:
+            update(gain, prior, steps, m, Rw_eff[steps], True)
+    return True
 
 
 def _filter_means(mean: np.ndarray, ys: np.ndarray, gain: np.ndarray,
@@ -362,16 +469,22 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     sequence (read through a step-major view), and the means take its run
     axis.  provider(k) is called once per step, in order; a model that
     does not fit the run (provider(0)'s model axes) raises a ValueError
-    naming its step.  After ``second_moments``, the Riccati loop
-    updates P_0 at step 0 and follows each later update with a predict
-    through provider(k-1), recording every gain; a step where every
-    member's tr E(y y^T) clears its ``S_trace_max`` by BOUND_RTOL is
-    certified before the loop (P^- <= X, so tr(S) is below it too).
-    The means then take one affine pass over the gains
-    (``_filter_means``).  A non-finite measurement, P, X or S raises a
-    ValueError naming its (first) step; P, then X, are scanned once,
-    after the last step or at the first other failure.  With no runs
-    only P, X and the gains are left."""
+    naming its step.  After ``second_moments``, step 0's update
+    conditions P_0; a step where every member's tr E(y y^T) clears its
+    ``S_trace_max`` by BOUND_RTOL is certified before P runs (P^- <= X,
+    so tr(S) is below it too).  A lone model with r <= SCAN_MAX_R whose
+    every step is certified, the one rule that picks the route, takes
+    ``_scan_steps``; every other run, and a scan whose P overflows,
+    takes the Riccati loop: each later update follows a predict through
+    provider(k-1), recording every gain.  The scan's P and gains agree
+    with the loop's to rounding (about 1e-15 of each step's largest
+    entry on the shipped models), not bit for bit.  The means then take
+    one affine pass over the gains (``_filter_means``).  A non-finite
+    measurement, P, X or S raises a ValueError naming its (first) step;
+    P, then X, are scanned once, after the last step or at the first
+    other failure (a step with a non-finite X or S is never certified,
+    so it always takes the loop).  With no runs only P, X and the gains
+    are left."""
     ys = np.asarray(measurements, dtype=float)
     if ys.ndim not in (2, 3) or ys.shape[-2] == 0:
         raise ValueError("need (K+1, N) or (runs, K+1, N) measurements")
@@ -401,18 +514,20 @@ def filter_sequence(provider: ModelProvider, ic: InitialCondition,
     gain = np.empty((len(ys),) + lead + (N, r))
     P[0] = ic.cov
     update(gain, P, 0, models[0], Rw_eff[0], certified[0])
-    k = 0  # the last step written, for the scan
-    try:
-        for k in range(1, len(ys)):
-            predict(P, k, models[k - 1], Rv_eff[k - 1])
-            update(gain, P, k, models[k], Rw_eff[k], certified[k])
-    finally:  # the first step whose P, or else X, is not finite
-        ok = [np.isfinite(a[1:k + 1]).all(axis=tuple(range(1, a.ndim)))
-              for a in (P, X)]
-        if not (ok[0] & ok[1]).all():
-            i = int(np.argmin(ok[0] & ok[1]))
-            raise ValueError(f"{'X' if ok[0][i] else 'P'} is not finite "
-                             f"at step {i + 1}")
+    scan = not lead and r <= SCAN_MAX_R and all(certified)
+    if not (scan and _scan_steps(P, gain, models, Rv_eff, Rw_eff)):
+        k = 0  # the last step written, for the check
+        try:
+            for k in range(1, len(ys)):
+                predict(P, k, models[k - 1], Rv_eff[k - 1])
+                update(gain, P, k, models[k], Rw_eff[k], certified[k])
+        finally:  # the first step whose P, or else X, is not finite
+            ok = [np.isfinite(a[1:k + 1]).all(axis=tuple(range(1, a.ndim)))
+                  for a in (P, X)]
+            if not (ok[0] & ok[1]).all():
+                i = int(np.argmin(ok[0] & ok[1]))
+                raise ValueError(f"{'X' if ok[0][i] else 'P'} is not finite "
+                                 f"at step {i + 1}")
     mean = np.empty((len(ys),) + lead + ys.shape[1:-1] + (r,))
     if mean.size:
         # a single run without a run axis goes through run-axis views

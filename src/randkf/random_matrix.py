@@ -173,19 +173,26 @@ def moments_from_dist(dist: MatrixDist | BlockDropout) -> RandomMatrixSpec:
     return spec
 
 
-def quad_form(spec: RandomMatrixSpec, X) -> np.ndarray:
+def quad_form(spec: RandomMatrixSpec, X, out: np.ndarray | None = None
+              ) -> np.ndarray:
     """E(M~ X M~^T) = sum_l G_l X G_l^T, added into one output factor by
     factor, in order, with no (..., L, p, p) tensor of the terms.  It is
     symmetric only to rounding (the filter symmetrizes what it records).
     Leading axes of a stacked spec and of X (a batch of steps, say)
     broadcast; each member is bit-identical to its own unstacked call.
+    ``out``, if given, is zeroed and takes the sum in place of a new
+    array.
     """
     X = np.asarray(X, dtype=float)
     G = np.moveaxis(spec.factors, -3, 0)
     p, q = G.shape[-2:]
     if X.shape[-2:] != (q, q):
         raise ValueError(f"X has shape {X.shape}, expected ({q}, {q})")
-    out = np.zeros(np.broadcast_shapes(G.shape[1:-2], X.shape[:-2]) + (p, p))
+    shape = np.broadcast_shapes(G.shape[1:-2], X.shape[:-2]) + (p, p)
+    if out is None:
+        out = np.zeros(shape)
+    else:
+        out[...] = 0.0
     for g in G:
         out += g @ X @ g.mT
     return out

@@ -603,12 +603,14 @@ def test_model_that_does_not_fit_the_run_names_its_step(rng, case):
 def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     # a matrix without deviation factors adds exactly no noise, so only
     # the random H's quad form runs, once, in second_moments, for every
-    # step its model serves, at the recorded X; predict and update run
-    # none, and predict leaves its sum to update to symmetrize
+    # step its model serves, at the recorded X, and every Rv_eff is Rv;
+    # predict and update run none, and predict leaves its sum to update
+    # to symmetrize
     calls = []
     real = randkf.filter_core.quad_form
     monkeypatch.setattr(randkf.filter_core, "quad_form",
-                        lambda spec, X: calls.append(spec) or real(spec, X))
+                        lambda spec, X, out=None: calls.append(spec)
+                        or real(spec, X, out))
     H = moments_from_dist(MatrixDist.of([(np.eye(2), 0.9),
                                          (np.zeros((2, 2)), 0.1)]))
     m = StepModel(F=deterministic(rotation_matrix(50)), H=H, Rv=np.eye(2),
@@ -616,7 +618,7 @@ def test_quad_form_skipped_for_deterministic_matrices(monkeypatch):
     ic = InitialCondition(mean=np.ones(2), cov=np.eye(2))
     X, Rv_eff, Rw_eff, _ = second_moments([m] * 3, ic)
     assert calls == [H]
-    assert all(R is m.Rv for R in Rv_eff)
+    assert Rv_eff.shape == (2, 2, 2) and (Rv_eff == m.Rv).all()
     P = two_steps(ic.cov, at=0)
     predict(P, 1, m, Rv_eff[0])
     F = m.F.mean
@@ -698,8 +700,8 @@ class TestSecondMoments:
         calls = []
         real = randkf.filter_core.quad_form
         monkeypatch.setattr(randkf.filter_core, "quad_form",
-                            lambda spec, X: calls.append(len(X))
-                            or real(spec, X))
+                            lambda spec, X, out=None: calls.append(len(X))
+                            or real(spec, X, out))
         for m in (random_f, det_f):
             calls.clear()
             one = filter_sequence(constant_provider(m), ic, ys)
@@ -923,10 +925,13 @@ CERTIFIED_RUNS = {
 
 @pytest.mark.parametrize("case", CERTIFIED_RUNS)
 def test_certified_step_solves_bit_equal_to_numpy(monkeypatch, case):
-    # every step of the benchmarked models is certified whole, so update
-    # solves it by LAPACK's gufunc directly; the K it gives is
-    # np.linalg.solve's bit for bit
+    # every step of the benchmarked models is certified whole, so the
+    # loop's update solves it by LAPACK's gufunc directly; the K it gives
+    # is np.linalg.solve's bit for bit.  A lone model runs as a
+    # one-member stack, which takes the loop.
     m, ic, K = CERTIFIED_RUNS[case](monkeypatch)
+    if m.Rv.ndim == 2:
+        m = stack_models([m])
     solves = []
     real = randkf.filter_core._lapack_solve
     monkeypatch.setattr(randkf.filter_core, "_lapack_solve",
@@ -948,7 +953,8 @@ def test_members_are_certified_by_their_own_bounds(monkeypatch):
     # bound (S_trace_max 5; tr S about 1 at step 0, then 0.2); the
     # stack's trace summed over both members (12 at step 0, then about
     # 180) is over that bound, yet no step reaches _gain: each member is
-    # judged by its own S_trace_max, and is its own run bit for bit
+    # judged by its own S_trace_max, and is its own run as a one-member
+    # stack (the loop's route) bit for bit
     tight = deterministic_model(0.5 * I2, I2, 0.1 * I2, 1e-11 * I2)
     loose = deterministic_model(0.5 * I2, 3 * I2, 10 * I2, I2)
     stacked = stack_models([tight, loose])
@@ -969,10 +975,11 @@ def test_members_are_certified_by_their_own_bounds(monkeypatch):
         trace = np.trace(S, axis1=-2, axis2=-1)
         assert (trace < stacked.S_trace_max).all() and trace.sum() > 5.0
     for i, m in enumerate((tight, loose)):
-        own = covariance_recursion(constant_provider(m), SIM1_IC, K)
+        own = covariance_recursion(constant_provider(stack_models([m])),
+                                   SIM1_IC, K)
         for name in ("cov", "second_moment", "gain"):
             np.testing.assert_array_equal(getattr(rec, name)[:, i],
-                                          getattr(own, name))
+                                          getattr(own, name)[:, 0])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -984,7 +991,8 @@ def test_stacked_filter_equals_each_member_bit_for_bit(
     # each member's Rw is scaled by 10^-8 to 10^8 and about a third are
     # singular, so the members of one stack take different gain routes;
     # a prior mean of up to 10^7 inflates X far above P.  Every member's
-    # P, X, gains and means are its own run's bit for bit.
+    # P, X, gains and means are those of its own run as a one-member
+    # stack (the loop's route) bit for bit.
     rng = np.random.default_rng(seed)
     r, N = (int(n) for n in rng.integers(1, 5, size=2))
 
@@ -1010,11 +1018,11 @@ def test_stacked_filter_equals_each_member_bit_for_bit(
     ys = scale * rng.standard_normal((2, K + 1, N))
     rec = filter_sequence(constant_provider(stack_models(models)), ic, ys)
     for i, m in enumerate(models):
-        own = filter_sequence(constant_provider(m), ic, ys)
+        own = filter_sequence(constant_provider(stack_models([m])), ic, ys)
         for name in ("cov", "second_moment", "gain"):
             np.testing.assert_array_equal(getattr(rec, name)[:, i],
-                                          getattr(own, name))
-        np.testing.assert_array_equal(rec.mean[i], own.mean)
+                                          getattr(own, name)[:, 0])
+        np.testing.assert_array_equal(rec.mean[i], own.mean[0])
 
 
 @pytest.mark.parametrize("case", CERTIFIED_RUNS)

@@ -7,7 +7,8 @@ of random measurements y_0..y_K, K <= 4.  Its filter must agree with
 
 - the exact batch LMV estimate, run by run;
 - one call per run, for the batched runs;
-- each member of a per-step stack of it and its twin with 2 Rw;
+- each member of a per-step stack of it and its twin with 2 Rw, against
+  that member's own run as a one-member stack (the loop's route);
 - for a dropout kind, the general model of its 2^B on/off patterns.
 
 Each kind draws its own 25 derandomized examples: hypothesis clusters
@@ -126,11 +127,17 @@ def test_every_model_kind_filters_like_its_references(kind, data):
     members = (provider(Rw), provider(2 * Rw))
     stacked = filter_sequence(
         lambda k: stack_models([m(k) for m in members]), ic, ys)
-    for i, alone in enumerate((rec, filter_sequence(members[1], ic, ys))):
-        np.testing.assert_array_equal(stacked.cov[:, i], alone.cov)
+    alone = [filter_sequence(lambda k, m=m: stack_models([m(k)]), ic, ys)
+             for m in members]
+    for i, own in enumerate(alone):
+        np.testing.assert_array_equal(stacked.cov[:, i], own.cov[:, 0])
         np.testing.assert_array_equal(stacked.second_moment[:, i],
-                                      alone.second_moment)
-        assert_allclose_rel(stacked.mean[i], alone.mean, 1e-12)
+                                      own.second_moment[:, 0])
+        assert_allclose_rel(stacked.mean[i], own.mean[0], 1e-12)
+    # the lone run, on the route its model takes, against the loop's
+    for name in ("cov", "gain"):
+        assert_allclose_rel(getattr(rec, name), getattr(alone[0], name)[:, 0],
+                            1e-12)
     if mixture is not None:
         for a, b in zip(rec, filter_sequence(mixture(Rw), ic, ys),
                         strict=True):

@@ -144,6 +144,15 @@ class TestQuadForm:
         out = quad_form(moments_from_dist(dist), np.array([[1.0]]))
         np.testing.assert_allclose(out, [[1.0]], rtol=0, atol=1e-15)
 
+    def test_out_takes_the_sum_bit_for_bit(self, rng):
+        # a given output, full of NaN, is zeroed and returned holding the
+        # sum a new array would
+        spec = moments_from_dist(rand_dist(rng, 2, 3, n_samples=3))
+        X = np.stack([rand_psd(rng, 3) for _ in range(4)])
+        out = np.full((4, 2, 2), np.nan)
+        assert quad_form(spec, X, out=out) is out
+        np.testing.assert_array_equal(out, quad_form(spec, X))
+
     def test_rejects_dimension_mismatch(self, rng):
         spec = moments_from_dist(rand_dist(rng, 2, 3))
         with pytest.raises(ValueError, match="shape"):

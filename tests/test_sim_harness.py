@@ -525,12 +525,15 @@ class TestGammaSweep:
             gamma_sweep(sim1_model, SIM1_IC, [0.5, 1.5], K=5)
 
     def test_matches_one_recursion_per_gamma(self):
-        # rows come out in the order given; gamma = 0 is a valid probability
+        # rows come out in the order given; gamma = 0 is a valid
+        # probability; each trace is that of the gamma's own recursion as
+        # a one-member stack, the sweep's route
         gammas = [0.8, 0.3, 0.0, 1.0, 0.5, 0.5]
         res = gamma_sweep(sim1_model, SIM1_IC, gammas, K=40)
         for (g, t), gamma in zip(res, gammas, strict=True):
-            own = covariance_recursion(sim1_provider(gamma), SIM1_IC, 40)
-            assert g == gamma and t == float(np.trace(own[-1].cov))
+            one = stack_models([sim1_model(gamma)])
+            own = covariance_recursion(constant_provider(one), SIM1_IC, 40)
+            assert g == gamma and t == float(np.trace(own[-1].cov[0]))
 
 
 def ill_conditioned(S):
@@ -543,7 +546,7 @@ def ill_conditioned(S):
 def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
     # the edge members (singular Rw; at p = 0 a singular S) take the
     # pseudo-inverse at every step while their Rw = I twins are solved
-    # in one batch
+    # in one batch; each member is its own run as a one-member stack
     gains = []
     real = randkf.filter_core._gain
     monkeypatch.setattr(randkf.filter_core, "_gain",
@@ -558,12 +561,13 @@ def test_stacked_recursion_equals_each_member_bit_for_bit(monkeypatch):
         assert ill_conditioned(S).any()
     M = len(members)
     for i, m in enumerate(members):
-        own = covariance_recursion(constant_provider(m), SIM1_IC, K)
+        own = covariance_recursion(constant_provider(stack_models([m])),
+                                   SIM1_IC, K)
         for s, o in zip(states, own, strict=True):
             assert s.cov.shape == (M, 2, 2)
-            np.testing.assert_array_equal(s.cov[i], o.cov)
+            np.testing.assert_array_equal(s.cov[i], o.cov[0])
             np.testing.assert_array_equal(s.second_moment[i],
-                                          o.second_moment)
+                                          o.second_moment[0])
 
 
 def test_gain_skips_eigvalsh_where_rw_certifies_the_solve(monkeypatch):

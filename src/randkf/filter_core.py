@@ -195,7 +195,7 @@ def _spans(models: Sequence[StepModel]) -> list[tuple[StepModel, slice]]:
     one model object serves, in step order."""
     cuts = [k for k in range(1, len(models)) if models[k] is not models[k - 1]]
     return [(models[a], slice(a, b))
-            for a, b in zip([0] + cuts, cuts + [len(models)]) if a < b]
+            for a, b in zip([0] + cuts, cuts + [len(models)])]
 
 
 def _same_map(m: StepModel, prev: StepModel) -> bool:

@@ -89,8 +89,8 @@ def record(case, run, K):
 
 def routes(case, models, ic, K):
     # each model's own recursion, on the loop and on the scan
-    provs, saved = [constant_provider(m) for m in models], fc.__dict__.get(
-        "SCAN_MAX_R", 0)
+    provs = [constant_provider(m) for m in models]
+    saved = getattr(fc, "SCAN_MAX_R", 0)
     for route, limit in (("loop", 0), ("scan", 10**9)):
         fc.SCAN_MAX_R = limit
         record(f"{case} {route}",

@@ -271,14 +271,14 @@ def _step_floats(m: StepModel, scan: bool) -> tuple[int, int]:
     """Upper bounds of the floats a run's arrays take per step: per run,
     the draws' uniforms, the noise normals (N + r), state noise (kept in
     the states), state, measurement, a drawn H (N r), filter mean and
-    error; per member, P, X, Rv_eff (or, for a deterministic F, the X
-    pass's doubling temporary, which holds at most half of X's steps
-    besides) and the means pass's A_k (r^2 each), the gain (N r), Rw_eff
-    with quad_form's temporaries (2 N^2 + N r), and the step's entries
-    in the filter's lists of models and certified steps (2).  A run the
-    filter scans (``scan``) adds the scan's per-step F and H, its
-    elements A, C and J, the pairs' elements and their temporaries,
-    which a tracemalloc peak bounds by 8 r^2 + 5 N r + N^2 more."""
+    error; per member, P, X, Rv_eff and the means pass's A_k (r^2 each;
+    the X pass's doubling temporary, at most half of X's steps, is gone
+    before P and A_k exist), the gain (N r), Rw_eff with quad_form's
+    temporaries (2 N^2 + N r), and the step's entries in the filter's
+    lists of models and certified steps (2).  A run the filter scans
+    (``scan``) adds the scan's per-step F and H, its elements A, C and
+    J, the pairs' elements and their temporaries, which tracemalloc
+    peaks put within 8 r^2 + 5 N r + N^2 more."""
     N, r = m.H.shape
     per_run = (sum(s.source.width for s in (m.F, m.H) if s.source)
                + 2 * N + 5 * r + N * r)
@@ -290,13 +290,13 @@ def _step_floats(m: StepModel, scan: bool) -> tuple[int, int]:
 
 def _check_run_size(cfg: ExperimentConfig, runs_path: str) -> None:
     """Raise unless the ``_step_floats`` bound of the arrays a run grows
-    with its horizon fits in MAX_RUN_BYTES: the Monte-Carlo filter runs
-    one lone model, which ``filter_sequence`` scans at r <= SCAN_MAX_R;
-    a sweep stacks its gammas, which it never scans."""
+    with its horizon fits in MAX_RUN_BYTES, counting the scan's arrays
+    wherever r <= SCAN_MAX_R (a sweep's stack never scans; at such r the
+    overcount is small)."""
     runs, members = {"montecarlo": (cfg.runs, 1), "simulate": (1, 0),
                      "sweep": (0, len(cfg.gammas))}.get(cfg.mode, (0, 0))
-    scan = cfg.mode == "montecarlo" and cfg.step_model.F.shape[0] <= SCAN_MAX_R
-    per_run, per_member = _step_floats(cfg.step_model, scan)
+    m = cfg.step_model
+    per_run, per_member = _step_floats(m, m.F.shape[0] <= SCAN_MAX_R)
     one, size = (8 * (cfg.horizon + 1) * (n * per_run + members * per_member)
                  for n in (min(runs, 1), runs))
     if size > MAX_RUN_BYTES:

@@ -292,7 +292,7 @@ def predict(P: np.ndarray, k: int | slice, m: StepModel,
     prior[k] = Fbar P[k-1] Fbar^T + Rv_eff, unsymmetrized, where
     ``prior`` is P itself unless given."""
     Fbar = m.F.mean
-    before = P[k - 1] if isinstance(k, int) else P[k.start - 1:k.stop - 1]
+    before = P[k.start - 1:k.stop - 1] if isinstance(k, slice) else P[k - 1]
     Pk = np.matmul(Fbar @ before, Fbar.mT,
                    out=(P if prior is None else prior)[k])
     Pk += Rv_eff
